@@ -9,6 +9,7 @@ assembly, and a frame-discretized least-squares solver for ``O f = g``.
 """
 
 from .exceptions import (
+    DecompositionFailed,
     DimensionMismatch,
     FrameRepError,
     IncompatibleFrames,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONDITION_WARN_RATIO",
+    "DecompositionFailed",
     "DimensionMismatch",
     "Frame",
     "FrameBounds",

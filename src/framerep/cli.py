@@ -3,7 +3,7 @@
 One subcommand per capability; results go to stdout (canonical JSON with
 ``--json``), diagnostics and errors to stderr.  Exit codes: 0 success,
 2 usage or input-parsing error, 3 violated numerical precondition (for
-example a family that is not a frame).
+example a family that is not a frame, or an SVD that did not converge).
 
 The environment variable ``FRAMEREP_TOL`` sets the default relative
 singular-value cutoff used by the least-squares solver; ``--tol`` overrides

@@ -25,6 +25,10 @@ class SectionTooLarge(FrameRepError):
     """Requested finite section exceeds the matrix dimensions."""
 
 
+class DecompositionFailed(FrameRepError):
+    """A LAPACK matrix decomposition did not converge."""
+
+
 class IncompatibleFrames(FrameRepError):
     """Representations cannot be combined: inner frames are not a dual pair."""
 

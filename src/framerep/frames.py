@@ -12,21 +12,26 @@ are still valid Bessel sequences).  Conventions used throughout:
 * Gram matrices are oriented ``gram(psi, phi)[j, m] = <phi_m, psi_j>``,
   i.e. ``gram(psi, phi) = C_psi @ D_phi``.
 
-Frames are immutable; the frame operator, its eigendecomposition, bounds,
-classification, and canonical dual are computed lazily and cached.
+Frames are immutable.  Each frame's one spectral primitive is the thin SVD
+``C = U diag(s) V*`` of its analysis matrix, computed lazily and cached:
+the bounds are ``(s_min^2, s_max^2)``, the canonical dual's analysis matrix is
+``U diag(1/s) V*``, and the analysis range is spanned by the columns of U.
+Working on the singular values rather than on ``S = C* C`` keeps the
+condition number and the dynamic range unsquared.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotAFrame
-from .linalg import as_vector, hermitian_eigs
+from .linalg import as_vector, svd
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -52,7 +57,10 @@ class FrameClass(enum.Enum):
 
 
 class FrameBounds(NamedTuple):
-    """Optimal frame bounds: the extreme eigenvalues of the frame operator."""
+    """Optimal frame bounds: the extreme eigenvalues of the frame operator.
+
+    A bound beyond the float range reads ``inf``.
+    """
 
     lower: float
     upper: float
@@ -98,6 +106,11 @@ class Frame:
     def __repr__(self) -> str:
         return f"Frame(count={self.count}, space_dim={self.space_dim})"
 
+    def __reduce__(self):
+        # pickle the vectors only: cached spectral data is rebuilt on demand,
+        # and a dual's weak reference to its frame cannot be pickled
+        return type(self), (self._vectors,)
+
     # -- operators as matrices -------------------------------------------
 
     @property
@@ -119,25 +132,38 @@ class Frame:
         return s
 
     @cached_property
-    def _frame_operator_eigs(self) -> tuple[np.ndarray, np.ndarray]:
-        return hermitian_eigs(self.frame_operator)
+    def analysis_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached thin SVD ``(U, s, V)`` of the analysis matrix, ``C = U diag(s) V*``.
+
+        ``s`` holds ``min(K, n)`` singular values in descending order.
+
+        Raises
+        ------
+        DecompositionFailed
+            If the SVD does not converge.
+        """
+        return svd(self.analysis_matrix, "frame analysis matrix")
 
     @cached_property
     def bounds(self) -> FrameBounds:
         """Optimal bounds (A, B); A > 0 exactly when the family spans C^n."""
-        w, _ = self._frame_operator_eigs
-        return FrameBounds(lower=max(float(w[0]), 0.0), upper=max(float(w[-1]), 0.0))
+        s = self.analysis_svd[1]
+        with np.errstate(over="ignore"):
+            upper = float(np.square(s[0]))
+            lower = float(np.square(s[-1])) if self.count >= self.space_dim else 0.0
+        return FrameBounds(lower=lower, upper=upper)
 
     @property
     def is_frame(self) -> bool:
-        a, b = self.bounds
-        return a > RANK_RTOL * b
+        """Whether A > RANK_RTOL * B, decided on the unsquared singular values."""
+        s = self.analysis_svd[1]
+        return self.count >= self.space_dim and bool(s[-1] > math.sqrt(RANK_RTOL) * s[0])
 
     @property
     def condition(self) -> float:
         """B/A, or inf for families that do not span."""
-        a, b = self.bounds
-        return b / a if self.is_frame else math.inf
+        s = self.analysis_svd[1]
+        return float(s[0] / s[-1]) ** 2 if self.is_frame else math.inf
 
     # -- analysis / synthesis --------------------------------------------
 
@@ -164,9 +190,11 @@ class Frame:
     def canonical_dual(self) -> "Frame":
         """The canonical dual frame (S^-1 psi_k).
 
-        Solved through the cached eigendecomposition of S rather than an
-        explicit inverse.  The dual's bounds are (1/B, 1/A) and its dual is
-        this frame again (returned as the same object).
+        Built from the cached SVD: the dual's analysis matrix is
+        ``U diag(1/s) V*``, and the dual inherits these factors, so its bounds
+        (1/B, 1/A) need no second decomposition.  The dual of the dual is this
+        frame again (the same object while this frame is alive; the dual only
+        holds a weak reference back).
 
         Raises
         ------
@@ -181,27 +209,30 @@ class Frame:
             )
         dual = self.__dict__.get("_canonical_dual")
         if dual is None:
-            w, v = self._frame_operator_eigs
-            # rows of `vectors` are psi_k, so apply S^-1 = V diag(1/w) V* rowwise
-            coeff = self._vectors @ v.conj()
-            dual_vectors = (coeff / w) @ v.T
-            dual = Frame(dual_vectors)
-            dual.__dict__["_canonical_dual"] = self
+            primal = self.__dict__.get("_primal")
+            dual = primal() if primal is not None else None
+        if dual is None:
+            u, s, v = self.analysis_svd
+            # rows of `vectors` are conj(C) = conj(U) diag(s) V^T; invert s
+            dual = Frame((u.conj() / s) @ v.T)
+            dual.__dict__["analysis_svd"] = (u[:, ::-1], 1.0 / s[::-1], v[:, ::-1])
+            dual.__dict__["_primal"] = weakref.ref(self)
             self.__dict__["_canonical_dual"] = dual
         return dual
 
     @cached_property
     def classification(self) -> FrameClass:
-        a, b = self.bounds
         if not self.is_frame:
             return FrameClass.BESSEL_ONLY
+        s = self.analysis_svd[1]
         if self.count == self.space_dim:
-            g = gram(self, self)
-            eye = np.eye(self.count)
-            if np.linalg.norm(g - eye, "fro") <= TIGHT_RTOL * math.sqrt(self.count):
+            # |Gram - I|_F = |diag(s^2) - I|_F when U is square
+            with np.errstate(over="ignore"):
+                deviation = np.linalg.norm(np.square(s) - 1.0)
+            if deviation <= TIGHT_RTOL * math.sqrt(self.count):
                 return FrameClass.ORTHONORMAL_BASIS
-        tight = (b - a) / b <= TIGHT_RTOL
-        if tight and abs(b - 1.0) <= TIGHT_RTOL:
+        tight = 1.0 - float(s[-1] / s[0]) ** 2 <= TIGHT_RTOL
+        if tight and abs(self.bounds.upper - 1.0) <= TIGHT_RTOL:
             return FrameClass.PARSEVAL_FRAME
         if tight:
             return FrameClass.TIGHT_FRAME

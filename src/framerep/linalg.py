@@ -3,7 +3,8 @@
 Everything in the package runs on ``numpy.complex128`` arrays: matrices are
 2-d, vectors 1-d.  The helpers here coerce inputs to that form, refuse
 non-finite entries, and wrap the numpy/LAPACK decompositions behind the small
-set of operations the frame and representation modules rely on.
+set of operations the frame and representation modules rely on.  A LAPACK
+decomposition that does not converge raises :class:`DecompositionFailed`.
 
 Deterministic output orders: eigenvalues ascending, singular values
 descending.  All tolerances are relative to the scale of the input (largest
@@ -12,9 +13,11 @@ singular value or Frobenius norm); there are no absolute cutoffs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonSquare, NotHermitian
+from .exceptions import DecompositionFailed, DimensionMismatch, NonSquare, NotHermitian
 
 #: Relative Frobenius deviation ``|h - h*| / |h|`` accepted as Hermitian.
 HERMITIAN_RTOL = 1e-10
@@ -104,15 +107,46 @@ def hermitian_eigs(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@contextmanager
+def _converging(what: str):
+    """Re-raise LAPACK non-convergence as DecompositionFailed naming ``what``."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailed(f"SVD of the {what} did not converge: {exc}") from exc
+
+
+def svd(a, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition ``a == U @ diag(s) @ V*``.
 
     Thin factors; ``s`` holds all ``min(rows, cols)`` singular values in
-    descending order, zeros included.
+    descending order, zeros included.  ``what`` names the matrix in the
+    error raised when LAPACK does not converge.
+
+    Raises
+    ------
+    DecompositionFailed
+        If the SVD does not converge.
     """
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    a = as_matrix(a, what)
+    with _converging(what):
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     return u, s, vh.conj().T
+
+
+def singular_values(a, what: str = "matrix") -> np.ndarray:
+    """The singular values of :func:`svd` alone, without computing the factors."""
+    a = as_matrix(a, what)
+    with _converging(what):
+        return np.linalg.svd(a, compute_uv=False)
+
+
+def inverse_above_cutoff(s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Reciprocals of the descending singular values ``s_i > rel_tol * s_max``, zero elsewhere."""
+    keep = s > rel_tol * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return inv_s
 
 
 def pseudoinverse(a, rel_tol: float | None = None) -> np.ndarray:
@@ -128,11 +162,7 @@ def pseudoinverse(a, rel_tol: float | None = None) -> np.ndarray:
     if rel_tol < 0:
         raise ValueError(f"rel_tol must be nonnegative, got {rel_tol}")
     u, s, v = svd(a)
-    cutoff = rel_tol * s[0]
-    keep = s > cutoff
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return (v * inv_s) @ u.conj().T
+    return (v * inverse_above_cutoff(s, rel_tol)) @ u.conj().T
 
 
 def operator_norm(a) -> float:

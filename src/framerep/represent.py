@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, IncompatibleFrames, NotAFrame
 from .frames import RANK_RTOL, Frame
-from .linalg import as_matrix, as_vector, frobenius_norm
+from .linalg import as_matrix, as_vector, frobenius_norm, singular_values
 
 #: Relative distance within which a frame is accepted as the canonical dual
 #: of another when validating representation products.
@@ -262,9 +262,8 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     op = LinearOperator(e.T @ dual.analysis_matrix)
     if not diagnose:
         return op
-    stacked = np.vstack([frame.synthesis_matrix, e.T])
-    s_stack = np.linalg.svd(stacked, compute_uv=False)
-    s_syn = np.linalg.svd(frame.synthesis_matrix, compute_uv=False)
+    s_stack = singular_values(np.vstack([frame.synthesis_matrix, e.T]), "stacked frame and images")
+    s_syn = frame.analysis_svd[1]  # D = C* has C's singular values
     cutoff = RANK_RTOL * s_stack[0]
     consistent = int(np.sum(s_stack > cutoff)) == int(np.sum(s_syn > cutoff))
     return op, consistent

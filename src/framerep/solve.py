@@ -3,9 +3,16 @@
 The equation is pushed to coefficient space over a frame ``Phi``: with
 ``M = C_Phi @ O @ D_dual(Phi)`` and ``d = C_Phi g``, solving ``O f = g`` is
 equivalent to solving ``M c = d`` on the analysis range and synthesizing the
-solution coefficients with the dual frame.  Optionally the right-hand side is
-first projected onto the analysis range and the system truncated to its
-top-left N x N section before the (SVD pseudoinverse) least-squares solve.
+solution coefficients with the dual frame.  The right-hand side is optionally
+first projected onto the analysis range.
+
+The full K x K system is never formed.  With the frame's cached thin SVD
+``C = U diag(s) V*``, ``M = U core U*`` for the n x n
+``core = diag(s) V* O V diag(1/s)``; U is an isometry, so
+``M^+ = U core^+ U*`` and M's nonzero singular values are core's.  The solve
+then costs O(K n^2 + n^3) instead of O(K^3).  A truncated finite section
+(N < K) breaks this factorization and is solved explicitly: its top-left
+N x N block of M goes through the SVD pseudoinverse.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotAFrame, SectionTooLarge
-from .frames import CONDITION_WARN_RATIO, RANK_RTOL, Frame, gram
-from .linalg import as_matrix, as_vector, pseudoinverse
+from .frames import CONDITION_WARN_RATIO, RANK_RTOL, Frame
+from .linalg import EPS, as_matrix, as_vector, inverse_above_cutoff, pseudoinverse, svd
 from .represent import LinearOperator, matrix_of_operator
 
 
@@ -28,8 +35,10 @@ class SolveOptions:
         Truncate the discretized system to its leading N x N block
         (default: the full K x K system).
     pseudoinverse_rel_tol
-        Relative singular-value cutoff for the least-squares solve
-        (default: ``max(dims) * machine epsilon``).
+        Relative singular-value cutoff for the least-squares solve, relative
+        to the largest singular value of the (section of the) discretized
+        system (default: ``K * machine epsilon``, or ``N * machine epsilon``
+        for an N x N section).
     project_rhs
         Project the discretized right-hand side onto the analysis range
         before solving (default on; a no-op when the data is consistent).
@@ -74,13 +83,7 @@ def _require_frame(frame: Frame, what: str) -> None:
         )
 
 
-def discretize(op: LinearOperator, frame: Frame):
-    """Coefficient-space matrix of ``op`` and the matching right-hand-side map.
-
-    Returns ``(M, rhs_map)`` with ``M = C_frame @ op @ D_dual(frame)`` and
-    ``rhs_map(g) = C_frame g``, so that ``O f = g`` iff ``M (C f) = C g``.
-    The operator must act on the frame's space.
-    """
+def _require_operator_on_frame_space(op: LinearOperator, frame: Frame) -> None:
     _require_frame(frame, "discretization")
     n = frame.space_dim
     if op.dim_in != n or op.dim_out != n:
@@ -88,6 +91,16 @@ def discretize(op: LinearOperator, frame: Frame):
             f"discretization over a single frame needs an operator on C^{n}, "
             f"got C^{op.dim_in} -> C^{op.dim_out}"
         )
+
+
+def discretize(op: LinearOperator, frame: Frame):
+    """Coefficient-space matrix of ``op`` and the matching right-hand-side map.
+
+    Returns ``(M, rhs_map)`` with ``M = C_frame @ op @ D_dual(frame)`` and
+    ``rhs_map(g) = C_frame g``, so that ``O f = g`` iff ``M (C f) = C g``.
+    The operator must act on the frame's space.
+    """
+    _require_operator_on_frame_space(op, frame)
     m = matrix_of_operator(op, frame, frame.canonical_dual()).matrix
     return m, frame.analyze
 
@@ -95,7 +108,8 @@ def discretize(op: LinearOperator, frame: Frame):
 def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     """Orthogonal projection of coefficients onto the frame's analysis range.
 
-    Applies ``gram(frame, dual(frame))``; idempotent, self-adjoint, and the
+    Applies ``U U*`` for the frame's cached SVD ``C = U diag(s) V*``, which
+    equals ``gram(frame, dual(frame))``; idempotent, self-adjoint, and the
     identity on any vector of the form ``C f``.
     """
     _require_frame(frame, "analysis-range projection")
@@ -104,7 +118,8 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {frame.count} coefficients, got {c.shape[0]}"
         )
-    return gram(frame, frame.canonical_dual()) @ c
+    u = frame.analysis_svd[0]
+    return u @ (u.conj().T @ c)
 
 
 def finite_section(matrix, n: int) -> np.ndarray:
@@ -124,9 +139,11 @@ def solve(op: LinearOperator, g, frame: Frame,
     """Solve ``op @ f = g`` by frame discretization and least squares.
 
     Builds the coefficient system, optionally projects the right-hand side
-    onto the analysis range, truncates to the requested finite section
-    (solution coefficients are zero-padded back to full length), solves with
-    the SVD pseudoinverse, and synthesizes the solution with the dual frame.
+    onto the analysis range, solves it with the SVD pseudoinverse, and
+    synthesizes the solution with the dual frame.  The full system is solved
+    in factored form (see the module docstring); a truncated finite section
+    is solved explicitly and its coefficients are zero-padded back to full
+    length.
 
     Inconsistent systems are reported through a large residual, not an error.
     """
@@ -137,19 +154,19 @@ def solve(op: LinearOperator, g, frame: Frame,
         raise DimensionMismatch(
             f"right-hand side must live in C^{frame.space_dim}, got dim {g.shape[0]}"
         )
-    m, rhs_map = discretize(op, frame)
-    d = rhs_map(g)
+    _require_operator_on_frame_space(op, frame)
+    d = frame.analyze(g)
     if options.project_rhs:
         d = project_onto_analysis_range(frame, d)
 
     k = frame.count
     n_section = options.section_size if options.section_size is not None else k
-    m_section = finite_section(m, n_section)
-    c = np.zeros(k, dtype=np.complex128)
-    c[:n_section] = pseudoinverse(m_section, options.pseudoinverse_rel_tol) @ d[:n_section]
-
-    f_hat = frame.canonical_dual().synthesize(c)
-    residual_matrix = float(np.linalg.norm(m @ c - d) / (1.0 + np.linalg.norm(d)))
+    if n_section == k:
+        c, f_hat, residual_matrix = _solve_factored(op, d, frame, options.pseudoinverse_rel_tol)
+    else:
+        c, f_hat, residual_matrix = _solve_section(
+            op, d, frame, options.pseudoinverse_rel_tol, n_section
+        )
     residual_operator = float(np.linalg.norm(op(f_hat) - g) / (1.0 + np.linalg.norm(g)))
     return SolveReport(
         solution=f_hat,
@@ -159,3 +176,32 @@ def solve(op: LinearOperator, g, frame: Frame,
         section_used=n_section,
         conditioning_warning=frame.condition > CONDITION_WARN_RATIO,
     )
+
+
+def _solve_factored(op, d, frame, rel_tol):
+    """Solve ``M c = d`` through the n x n core; no K x K array is formed.
+
+    Returns ``(c, D_dual c, residual_matrix)``.
+    """
+    u, s, v = frame.analysis_svd
+    core = (s[:, None] * (v.conj().T @ op.matrix @ v)) / s
+    uc, sc, vc = svd(core, "discretized system's core")
+    if rel_tol is None:
+        rel_tol = frame.count * EPS
+    # y = U* c, where c = M^+ d = U core^+ U* d
+    y = vc @ (inverse_above_cutoff(sc, rel_tol) * (uc.conj().T @ (u.conj().T @ d)))
+    residual_matrix = float(np.linalg.norm(u @ (core @ y) - d) / (1.0 + np.linalg.norm(d)))
+    return u @ y, v @ (y / s), residual_matrix
+
+
+def _solve_section(op, d, frame, rel_tol, n_section):
+    """Solve the explicit top-left N x N block of ``M c = d``, N < K.
+
+    Returns ``(c, D_dual c, residual_matrix)`` with ``c`` zero-padded to K.
+    """
+    m, _ = discretize(op, frame)
+    m_section = finite_section(m, n_section)
+    c = np.zeros(frame.count, dtype=np.complex128)
+    c[:n_section] = pseudoinverse(m_section, rel_tol) @ d[:n_section]
+    residual_matrix = float(np.linalg.norm(m @ c - d) / (1.0 + np.linalg.norm(d)))
+    return c, frame.canonical_dual().synthesize(c), residual_matrix

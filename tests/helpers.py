@@ -3,10 +3,15 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from framerep import Frame, LinearOperator
+
+#: The package source, put on the child's PYTHONPATH by absolute path so the
+#: CLI imports it whatever the child's working directory.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_complex(rng, *shape):
@@ -20,6 +25,13 @@ def random_frame(rng, n, k, max_condition=1e6):
         frame = Frame(random_complex(rng, k, n))
         if frame.is_frame and frame.condition <= max_condition:
             return frame
+
+
+def frame_with_condition(rng, n, k, condition):
+    """A random frame of k >= n vectors in C^n with bounds exactly (1, condition)."""
+    q, _ = np.linalg.qr(random_complex(rng, k, n))
+    sigma = np.sqrt(condition ** np.linspace(0.0, 1.0, n))
+    return Frame((q * sigma) @ random_unitary(rng, n).conj().T)
 
 
 def random_riesz_basis(rng, n, max_condition=1e6):
@@ -43,10 +55,16 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def no_convergence(*args, **kwargs):
+    """Stand-in for ``np.linalg.svd`` that fails as LAPACK does on non-convergence."""
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def run_cli(args, cwd=None, env_extra=None):
     """Run the installed CLI in a subprocess and capture its output."""
     env = os.environ.copy()
     env.pop("FRAMEREP_TOL", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

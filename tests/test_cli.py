@@ -15,7 +15,8 @@ from framerep import (
     serialize_matrix,
     serialize_vector,
 )
-from helpers import run_cli
+from framerep.cli import main
+from helpers import no_convergence, run_cli
 
 
 @pytest.fixture
@@ -182,6 +183,15 @@ class TestExitCodes:
             cwd=workdir,
         )
         assert result.returncode == 2
+
+    def test_svd_non_convergence_is_precondition_error(self, workdir, monkeypatch, capsys):
+        # in process, so the decomposition can be made to fail
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        code = main(["bounds", "--frame", str(workdir / "psi0.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "DecompositionFailed: SVD of the frame analysis matrix" in captured.err
 
 
 class TestEnvironmentTolerance:

@@ -1,9 +1,14 @@
 """Tests for frame construction, bounds, duals, Gram matrices, classification."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
 from framerep import (
+    DecompositionFailed,
     DimensionMismatch,
     Frame,
     FrameClass,
@@ -13,7 +18,7 @@ from framerep import (
     operator_norm,
     standard_basis,
 )
-from helpers import random_complex, random_frame, random_riesz_basis
+from helpers import no_convergence, random_complex, random_frame, random_riesz_basis
 
 
 class TestConstruction:
@@ -179,6 +184,39 @@ class TestCanonicalDual:
         with pytest.raises(NotAFrame):
             Frame([[1, 0], [2, 0]]).canonical_dual()
 
+    def test_dual_does_not_keep_its_frame_alive(self):
+        # the dual refers back weakly, so reference counting alone frees a
+        # frame whose dual outlives it
+        gc.disable()
+        try:
+            frame = Frame([[1, 0], [0, 1], [1, 1]])
+            dual = frame.canonical_dual()
+            assert dual.canonical_dual() is frame
+            alive = weakref.ref(frame)
+            del frame
+            assert alive() is None
+            # the dual then rebuilds its own dual from its factors
+            assert np.allclose(dual.canonical_dual().vectors, [[1, 0], [0, 1], [1, 1]], atol=1e-12)
+        finally:
+            gc.enable()
+
+    def test_pickles_with_cached_dual(self, psi0):
+        dual = psi0.canonical_dual()
+        for frame in (psi0, dual):
+            copy = pickle.loads(pickle.dumps(frame))
+            assert np.array_equal(copy.vectors, frame.vectors)
+            assert not copy.vectors.flags.writeable
+        assert np.allclose(pickle.loads(pickle.dumps(dual)).canonical_dual().vectors, psi0.vectors,
+                           atol=1e-12)
+
+    def test_dual_inherits_factors(self):
+        rng = np.random.default_rng(23)
+        dual = random_frame(rng, 4, 9).canonical_dual()
+        u, s, v = dual.analysis_svd
+        assert np.all(np.diff(s) <= 0)
+        scale = np.linalg.norm(dual.analysis_matrix)
+        assert np.linalg.norm((u * s) @ v.conj().T - dual.analysis_matrix) <= 1e-12 * scale
+
     def test_perfect_reconstruction_both_ways(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
@@ -258,6 +296,13 @@ class TestClassification:
             basis = random_riesz_basis(rng, int(rng.integers(2, 7)))
             assert basis.classification is FrameClass.RIESZ_BASIS
             assert biorthogonal(basis, basis.canonical_dual())
+
+
+class TestDecompositionFailure:
+    def test_frame_svd_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(DecompositionFailed, match="frame analysis matrix"):
+            Frame([[1, 0], [0, 1], [1, 1]]).bounds
 
 
 class TestBiorthogonal:

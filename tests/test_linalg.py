@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framerep import (
+    DecompositionFailed,
     DimensionMismatch,
     NonSquare,
     NotHermitian,
@@ -15,7 +16,7 @@ from framerep import (
     pseudoinverse,
     svd,
 )
-from helpers import random_complex
+from helpers import no_convergence, random_complex
 
 
 class TestMatmul:
@@ -165,6 +166,22 @@ class TestPseudoinverse:
             assert np.linalg.norm(p @ a @ p - p, "fro") <= 1e-9 * scale
             assert np.linalg.norm((a @ p).conj().T - a @ p, "fro") <= 1e-9 * scale
             assert np.linalg.norm((p @ a).conj().T - p @ a, "fro") <= 1e-9 * scale
+
+
+class TestDecompositionFailure:
+    @pytest.fixture(autouse=True)
+    def failing_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+
+    def test_svd(self):
+        with pytest.raises(DecompositionFailed, match="SVD of the matrix"):
+            svd(np.eye(2))
+
+    def test_pseudoinverse(self):
+        with pytest.raises(DecompositionFailed) as info:
+            pseudoinverse(np.eye(2))
+        # LinAlgError subclasses ValueError, which the CLI reports as misuse
+        assert not isinstance(info.value, ValueError)
 
 
 class TestNorms:

@@ -1,11 +1,17 @@
 """Tests for the frame-discretized operator-equation solver."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framerep import (
+    DecompositionFailed,
     DimensionMismatch,
     Frame,
+    FrameClass,
     LinearOperator,
     NotAFrame,
     SectionTooLarge,
@@ -18,7 +24,20 @@ from framerep import (
     pseudoinverse,
     solve,
 )
-from helpers import conditioned_operator, random_complex, random_frame
+from helpers import (
+    conditioned_operator,
+    frame_with_condition,
+    no_convergence,
+    random_complex,
+    random_frame,
+    random_unitary,
+)
+
+EPS = np.finfo(np.float64).eps
+
+
+def rel(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
 
 
 class TestDiscretize:
@@ -235,3 +254,83 @@ class TestSolveOptions:
         )
         assert np.allclose(report.coefficients, np.zeros(3), atol=0)
         assert np.allclose(report.solution, np.zeros(2), atol=0)
+
+
+class TestFactoredSolve:
+    """The full system is solved through the n x n core, never as K x K."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 8),
+        extra=st.integers(0, 16),
+        log_condition=st.floats(0.0, 8.0),
+        tol=st.sampled_from([None, 1e-6, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_explicit_system(self, n, extra, log_condition, tol, seed, data):
+        rank = data.draw(st.integers(0, n), label="rank")
+        rng = np.random.default_rng(seed)
+        frame = frame_with_condition(rng, n, n + extra, 10.0**log_condition)
+        s = np.exp(rng.uniform(0.0, np.log(1e2), n))
+        s[rank:] = 0.0
+        op = LinearOperator((random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T)
+        g = random_complex(rng, n)
+
+        report = solve(op, g, frame, SolveOptions(pseudoinverse_rel_tol=tol))
+
+        m, rhs_map = discretize(op, frame)
+        d = rhs_map(g)
+        c_ref = pseudoinverse(m, tol) @ d
+        solution_ref = frame.canonical_dual().synthesize(c_ref)
+        residual_ref = np.linalg.norm(m @ c_ref - d) / (1.0 + np.linalg.norm(d))
+        # condition of the part of M the pseudoinverse keeps, and of the dual
+        sv = np.linalg.svd(m, compute_uv=False)
+        kept = sv[sv > (tol if tol is not None else m.shape[0] * EPS) * sv[0]]
+        cond = max(kept[0] / kept[-1] if kept.size else 1.0, np.sqrt(frame.condition))
+        bound = 1e3 * EPS * cond
+        assert np.linalg.norm(report.coefficients - c_ref) <= bound * np.linalg.norm(c_ref)
+        assert np.linalg.norm(report.solution - solution_ref) <= bound * np.linalg.norm(solution_ref)
+        assert abs(report.residual_matrix - residual_ref) <= bound
+
+    def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
+        psi0.analysis_svd  # the frame's own SVD succeeds; the core's fails
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(DecompositionFailed, match="core"):
+            solve(identity_operator(2), [1, 0], psi0)
+
+
+class TestScaleEquivariance:
+    """Scaling a frame by t scales bounds by t^2, the dual by 1/t, and nothing else."""
+
+    @pytest.mark.parametrize("t", [1e150, 1e-150])
+    def test_scaled_frame(self, t):
+        rng = np.random.default_rng(70)
+        vectors = random_complex(rng, 7, 3)
+        op = conditioned_operator(rng, 3)
+        g = random_complex(rng, 3)
+        base = Frame(vectors)
+        base_report = solve(op, g, base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = Frame(vectors * t)
+            bounds = scaled.bounds
+            classification = scaled.classification
+            condition = scaled.condition
+            dual = scaled.canonical_dual()
+            report = solve(op, g, scaled)
+        assert rel(np.array(bounds) / t**2, base.bounds) <= 1e-13
+        assert classification is base.classification
+        assert condition == pytest.approx(base.condition, rel=1e-13)
+        assert rel(dual.vectors * t, base.canonical_dual().vectors) <= 1e-13
+        assert rel(report.solution, base_report.solution) <= 1e-13
+        assert rel(report.coefficients / t, base_report.coefficients) <= 1e-13
+
+    def test_bounds_beyond_float_range_read_inf(self):
+        frame = Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frame.bounds == (np.inf, np.inf)
+            assert frame.is_frame
+            assert frame.condition == pytest.approx(3.0, rel=1e-13)
+            assert frame.classification is FrameClass.FRAME
