@@ -13,9 +13,7 @@ from .exceptions import (
     DimensionMismatch,
     FrameRepError,
     IncompatibleFrames,
-    NonSquare,
     NotAFrame,
-    NotHermitian,
     ParseError,
     SectionTooLarge,
 )
@@ -39,10 +37,7 @@ from .io import (
     serialize_vector,
 )
 from .linalg import (
-    adjoint,
     frobenius_norm,
-    hermitian_eigs,
-    matmul,
     operator_norm,
     pseudoinverse,
     svd,
@@ -82,9 +77,7 @@ __all__ = [
     "FrameRepError",
     "IncompatibleFrames",
     "LinearOperator",
-    "NonSquare",
     "NotAFrame",
-    "NotHermitian",
     "ParseError",
     "RANK_RTOL",
     "Representation",
@@ -92,18 +85,15 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "TIGHT_RTOL",
-    "adjoint",
     "biorthogonal",
     "discretize",
     "finite_section",
     "frame_multiplier",
     "frobenius_norm",
     "gram",
-    "hermitian_eigs",
     "hs_norm",
     "identity_operator",
     "kernel_of_representation",
-    "matmul",
     "matrix_of_operator",
     "operator_from_images",
     "operator_norm",

@@ -140,11 +140,7 @@ def _cmd_solve(args):
     op = _load_operator(args.op)
     rhs = _load_vector(args.rhs)
     frame = _load_frame(args.frame)
-    options = SolveOptions(
-        section_size=args.section,
-        pseudoinverse_rel_tol=args.tol,
-        project_rhs=not args.no_project,
-    )
+    options = SolveOptions(section_size=args.section, pseudoinverse_rel_tol=args.tol)
     report = solve(op, rhs, frame, options)
     payload = {
         "solution": io.vector_payload(report.solution),
@@ -226,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", type=int, metavar="N", help="finite-section size")
     p.add_argument("--tol", type=float, metavar="T",
                    help="pseudoinverse relative tolerance (default: FRAMEREP_TOL or machine)")
-    p.add_argument("--no-project", action="store_true",
-                   help="skip projecting the right-hand side onto the analysis range")
 
     return parser
 

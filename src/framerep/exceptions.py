@@ -9,14 +9,6 @@ class DimensionMismatch(FrameRepError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class NonSquare(FrameRepError):
-    """A square matrix was required."""
-
-
-class NotHermitian(FrameRepError):
-    """Matrix deviates from its adjoint beyond the accepted tolerance."""
-
-
 class NotAFrame(FrameRepError):
     """The vector family does not span the space (lower bound is zero)."""
 

@@ -159,6 +159,15 @@ class Frame:
         s = self.analysis_svd[1]
         return self.count >= self.space_dim and bool(s[-1] > math.sqrt(RANK_RTOL) * s[0])
 
+    def require_frame(self, operation: str) -> None:
+        """Raise NotAFrame, naming ``operation``, unless the family is a frame."""
+        if not self.is_frame:
+            a, b = self.bounds
+            raise NotAFrame(
+                f"{operation} requires a frame: lower bound {a:.3e} "
+                f"is below {RANK_RTOL:g} * upper bound {b:.3e}"
+            )
+
     @property
     def condition(self) -> float:
         """B/A, or inf for families that do not span."""
@@ -201,12 +210,7 @@ class Frame:
         NotAFrame
             If the family does not span C^n.
         """
-        if not self.is_frame:
-            a, b = self.bounds
-            raise NotAFrame(
-                f"canonical dual requires a frame: lower bound {a:.3e} "
-                f"is below {RANK_RTOL:g} * upper bound {b:.3e}"
-            )
+        self.require_frame("canonical dual")
         dual = self.__dict__.get("_canonical_dual")
         if dual is None:
             primal = self.__dict__.get("_primal")

@@ -6,9 +6,9 @@ non-finite entries, and wrap the numpy/LAPACK decompositions behind the small
 set of operations the frame and representation modules rely on.  A LAPACK
 decomposition that does not converge raises :class:`DecompositionFailed`.
 
-Deterministic output orders: eigenvalues ascending, singular values
-descending.  All tolerances are relative to the scale of the input (largest
-singular value or Frobenius norm); there are no absolute cutoffs.
+Singular values come in descending order.  All tolerances are relative to
+the scale of the input (its largest singular value); there are no absolute
+cutoffs.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .exceptions import DecompositionFailed, DimensionMismatch, NonSquare, NotHermitian
-
-#: Relative Frobenius deviation ``|h - h*| / |h|`` accepted as Hermitian.
-HERMITIAN_RTOL = 1e-10
+from .exceptions import DecompositionFailed, DimensionMismatch
 
 #: Machine epsilon for float64, the base unit of all default tolerances.
 EPS = float(np.finfo(np.float64).eps)
@@ -54,57 +51,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return w
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit shape check."""
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose.  An involution: ``adjoint(adjoint(a)) == a``."""
-    return as_matrix(a).conj().T.copy()
-
-
-def hermitian_eigs(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is accepted when ``|h - h*|_fro <= HERMITIAN_RTOL * |h|_fro``
-    and symmetrized to ``(h + h*) / 2`` before the decomposition, so frame
-    operators that picked up rounding noise stay inside the contract.
-
-    Returns
-    -------
-    eigenvalues : (n,) float64 array, ascending
-    eigenvectors : (n, n) complex128 array, orthonormal columns, such that
-        ``h ≈ V @ diag(w) @ V*``.
-
-    Raises
-    ------
-    NonSquare
-        If ``h`` is not square.
-    NotHermitian
-        If ``h`` deviates from its adjoint beyond tolerance.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {h.shape}")
-    scale = np.linalg.norm(h, "fro")
-    deviation = np.linalg.norm(h - h.conj().T, "fro")
-    if deviation > HERMITIAN_RTOL * scale:
-        raise NotHermitian(
-            f"matrix is not Hermitian: |h - h*| = {deviation:.3e} "
-            f"exceeds {HERMITIAN_RTOL:g} * |h| = {HERMITIAN_RTOL * scale:.3e}"
-        )
-    sym = (h + h.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    return w, v
 
 
 @contextmanager
@@ -155,14 +101,29 @@ def pseudoinverse(a, rel_tol: float | None = None) -> np.ndarray:
     Singular values ``s_i <= rel_tol * s_max`` are treated as zero.  The
     default ``rel_tol`` is ``max(rows, cols) * eps``, the usual numerical-rank
     cutoff.  A zero matrix maps to the (transposed-shape) zero matrix.
+
+    Raises
+    ------
+    ValueError
+        If ``rel_tol`` is negative, NaN or infinite.
     """
     a = as_matrix(a)
     if rel_tol is None:
         rel_tol = max(a.shape) * EPS
-    if rel_tol < 0:
-        raise ValueError(f"rel_tol must be nonnegative, got {rel_tol}")
+    if not 0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
     u, s, v = svd(a)
     return (v * inverse_above_cutoff(s, rel_tol)) @ u.conj().T
+
+
+def euclidean_norm(x: np.ndarray) -> float:
+    """2-norm of a vector that neither overflows nor underflows.
+
+    ``np.linalg.norm`` squares the entries, which leaves the float range
+    beyond about 1e±154; dividing by the largest modulus first keeps them in it.
+    """
+    scale = float(np.max(np.abs(x)))
+    return scale * float(np.linalg.norm(x / scale)) if scale > 0 else 0.0
 
 
 def operator_norm(a) -> float:

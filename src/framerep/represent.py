@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IncompatibleFrames, NotAFrame
+from .exceptions import DimensionMismatch, IncompatibleFrames
 from .frames import RANK_RTOL, Frame
 from .linalg import as_matrix, as_vector, frobenius_norm, singular_values
 
@@ -135,12 +135,7 @@ class Representation:
                 f"vs {other.analysis_frame.count}"
             )
         if not unchecked:
-            inner = self.synthesis_frame
-            if not inner.is_frame:
-                raise NotAFrame(
-                    "inner family of a representation product must be a frame"
-                )
-            dual = inner.canonical_dual()
+            dual = self.synthesis_frame.canonical_dual()
             if other.analysis_frame is not dual and not other.analysis_frame.allclose(
                 dual, rtol=DUAL_PAIR_RTOL
             ):
@@ -247,12 +242,7 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     dependency among the frame vectors is matched by the same dependency
     among the images (a kernel-containment rank test).
     """
-    if not frame.is_frame:
-        a, b = frame.bounds
-        raise NotAFrame(
-            f"prescribing images requires a frame: lower bound {a:.3e} "
-            f"is below {RANK_RTOL:g} * upper bound {b:.3e}"
-        )
+    frame.require_frame("prescribing images")
     e = as_matrix(images, "images")
     if e.shape[0] != frame.count:
         raise DimensionMismatch(
@@ -286,15 +276,9 @@ def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.n
 def kernel_of_representation(matrix, phi: Frame, psi: Frame) -> np.ndarray:
     """Assemble the integral kernel from a representation matrix.
 
-    Returns ``sum_{j,k} matrix[k, j] * outer(phi_k, conj(psi_j))``, the
-    rank-one expansion of the kernel.  In C^n this coincides with the
-    standard-basis matrix of the induced operator; the two construction
-    paths agree to rounding.
+    The kernel is the rank-one expansion ``sum_{j,k} matrix[k, j] *
+    outer(phi_k, conj(psi_j))``, which in C^n is the standard-basis matrix of
+    the induced operator ``D_phi @ matrix @ C_psi``; it is computed as that
+    product and returned read-only.
     """
-    m = as_matrix(matrix, "representation matrix")
-    if m.shape != (phi.count, psi.count):
-        raise DimensionMismatch(
-            f"matrix shape {m.shape} does not match frame counts "
-            f"({phi.count}, {psi.count})"
-        )
-    return np.einsum("kj,ka,jb->ab", m, phi.vectors, psi.vectors.conj())
+    return operator_of_matrix(matrix, phi, psi).matrix

@@ -3,8 +3,8 @@
 The equation is pushed to coefficient space over a frame ``Phi``: with
 ``M = C_Phi @ O @ D_dual(Phi)`` and ``d = C_Phi g``, solving ``O f = g`` is
 equivalent to solving ``M c = d`` on the analysis range and synthesizing the
-solution coefficients with the dual frame.  The right-hand side is optionally
-first projected onto the analysis range.
+solution coefficients with the dual frame.  ``d`` always lies in the analysis
+range, so it needs no projection.
 
 The full K x K system is never formed.  With the frame's cached thin SVD
 ``C = U diag(s) V*``, ``M = U core U*`` for the n x n
@@ -21,9 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotAFrame, SectionTooLarge
-from .frames import CONDITION_WARN_RATIO, RANK_RTOL, Frame
-from .linalg import EPS, as_matrix, as_vector, inverse_above_cutoff, pseudoinverse, svd
+from .exceptions import DimensionMismatch, SectionTooLarge
+from .frames import CONDITION_WARN_RATIO, Frame
+from .linalg import (
+    EPS,
+    as_matrix,
+    as_vector,
+    euclidean_norm,
+    inverse_above_cutoff,
+    pseudoinverse,
+    svd,
+)
 from .represent import LinearOperator, matrix_of_operator
 
 
@@ -39,22 +47,17 @@ class SolveOptions:
         to the largest singular value of the (section of the) discretized
         system (default: ``K * machine epsilon``, or ``N * machine epsilon``
         for an N x N section).
-    project_rhs
-        Project the discretized right-hand side onto the analysis range
-        before solving (default on; a no-op when the data is consistent).
     """
 
     section_size: int | None = None
     pseudoinverse_rel_tol: float | None = None
-    project_rhs: bool = True
 
     def __post_init__(self):
         if self.section_size is not None and self.section_size < 1:
             raise ValueError(f"section_size must be positive, got {self.section_size}")
-        if self.pseudoinverse_rel_tol is not None and self.pseudoinverse_rel_tol < 0:
-            raise ValueError(
-                f"pseudoinverse_rel_tol must be nonnegative, got {self.pseudoinverse_rel_tol}"
-            )
+        tol = self.pseudoinverse_rel_tol
+        if tol is not None and not 0 <= tol < np.inf:
+            raise ValueError(f"pseudoinverse_rel_tol must be finite and nonnegative, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +77,8 @@ class SolveReport:
     conditioning_warning: bool
 
 
-def _require_frame(frame: Frame, what: str) -> None:
-    if not frame.is_frame:
-        a, b = frame.bounds
-        raise NotAFrame(
-            f"{what} requires a frame: lower bound {a:.3e} is below "
-            f"{RANK_RTOL:g} * upper bound {b:.3e}"
-        )
-
-
 def _require_operator_on_frame_space(op: LinearOperator, frame: Frame) -> None:
-    _require_frame(frame, "discretization")
+    frame.require_frame("discretization")
     n = frame.space_dim
     if op.dim_in != n or op.dim_out != n:
         raise DimensionMismatch(
@@ -112,7 +106,7 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     equals ``gram(frame, dual(frame))``; idempotent, self-adjoint, and the
     identity on any vector of the form ``C f``.
     """
-    _require_frame(frame, "analysis-range projection")
+    frame.require_frame("analysis-range projection")
     c = as_vector(c, "coefficient vector")
     if c.shape != (frame.count,):
         raise DimensionMismatch(
@@ -138,8 +132,7 @@ def solve(op: LinearOperator, g, frame: Frame,
           options: SolveOptions | None = None) -> SolveReport:
     """Solve ``op @ f = g`` by frame discretization and least squares.
 
-    Builds the coefficient system, optionally projects the right-hand side
-    onto the analysis range, solves it with the SVD pseudoinverse, and
+    Builds the coefficient system, solves it with the SVD pseudoinverse, and
     synthesizes the solution with the dual frame.  The full system is solved
     in factored form (see the module docstring); a truncated finite section
     is solved explicitly and its coefficients are zero-padded back to full
@@ -154,11 +147,7 @@ def solve(op: LinearOperator, g, frame: Frame,
         raise DimensionMismatch(
             f"right-hand side must live in C^{frame.space_dim}, got dim {g.shape[0]}"
         )
-    _require_operator_on_frame_space(op, frame)
     d = frame.analyze(g)
-    if options.project_rhs:
-        d = project_onto_analysis_range(frame, d)
-
     k = frame.count
     n_section = options.section_size if options.section_size is not None else k
     if n_section == k:
@@ -167,7 +156,7 @@ def solve(op: LinearOperator, g, frame: Frame,
         c, f_hat, residual_matrix = _solve_section(
             op, d, frame, options.pseudoinverse_rel_tol, n_section
         )
-    residual_operator = float(np.linalg.norm(op(f_hat) - g) / (1.0 + np.linalg.norm(g)))
+    residual_operator = euclidean_norm(op(f_hat) - g) / (1.0 + euclidean_norm(g))
     return SolveReport(
         solution=f_hat,
         coefficients=c,
@@ -183,6 +172,7 @@ def _solve_factored(op, d, frame, rel_tol):
 
     Returns ``(c, D_dual c, residual_matrix)``.
     """
+    _require_operator_on_frame_space(op, frame)
     u, s, v = frame.analysis_svd
     core = (s[:, None] * (v.conj().T @ op.matrix @ v)) / s
     uc, sc, vc = svd(core, "discretized system's core")
@@ -190,7 +180,7 @@ def _solve_factored(op, d, frame, rel_tol):
         rel_tol = frame.count * EPS
     # y = U* c, where c = M^+ d = U core^+ U* d
     y = vc @ (inverse_above_cutoff(sc, rel_tol) * (uc.conj().T @ (u.conj().T @ d)))
-    residual_matrix = float(np.linalg.norm(u @ (core @ y) - d) / (1.0 + np.linalg.norm(d)))
+    residual_matrix = euclidean_norm(u @ (core @ y) - d) / (1.0 + euclidean_norm(d))
     return u @ y, v @ (y / s), residual_matrix
 
 
@@ -203,5 +193,5 @@ def _solve_section(op, d, frame, rel_tol, n_section):
     m_section = finite_section(m, n_section)
     c = np.zeros(frame.count, dtype=np.complex128)
     c[:n_section] = pseudoinverse(m_section, rel_tol) @ d[:n_section]
-    residual_matrix = float(np.linalg.norm(m @ c - d) / (1.0 + np.linalg.norm(d)))
+    residual_matrix = euclidean_norm(m @ c - d) / (1.0 + euclidean_norm(d))
     return c, frame.canonical_dual().synthesize(c), residual_matrix

@@ -34,6 +34,15 @@ def frame_with_condition(rng, n, k, condition):
     return Frame((q * sigma) @ random_unitary(rng, n).conj().T)
 
 
+def rank_one_expansion(m, phi, psi):
+    """``sum_{k,j} m[k, j] * phi_k psi_j*`` summed term by term, the kernel's definition."""
+    return sum(
+        m[k, j] * np.outer(phi.vectors[k], psi.vectors[j].conj())
+        for k in range(phi.count)
+        for j in range(psi.count)
+    )
+
+
 def random_riesz_basis(rng, n, max_condition=1e6):
     return random_frame(rng, n, n, max_condition)
 

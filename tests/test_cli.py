@@ -184,6 +184,26 @@ class TestExitCodes:
         )
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, workdir, tol):
+        result = run_cli(
+            ["solve", "--op", "diag23.json", "--rhs", "g.json", "--frame", "psi0.json",
+             "--tol", tol],
+            cwd=workdir,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "finite and nonnegative" in result.stderr
+
+    def test_no_project_is_usage_error(self, workdir):
+        result = run_cli(
+            ["solve", "--op", "diag23.json", "--rhs", "g.json", "--frame", "psi0.json",
+             "--no-project"],
+            cwd=workdir,
+        )
+        assert result.returncode == 2
+        assert "--no-project" in result.stderr
+
     def test_svd_non_convergence_is_precondition_error(self, workdir, monkeypatch, capsys):
         # in process, so the decomposition can be made to fail
         monkeypatch.setattr(np.linalg, "svd", no_convergence)

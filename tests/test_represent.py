@@ -24,7 +24,14 @@ from framerep import (
     rank_one,
     roundtrip_reconstruct,
 )
-from helpers import random_complex, random_frame, random_operator, random_riesz_basis, random_unitary
+from helpers import (
+    random_complex,
+    random_frame,
+    random_operator,
+    random_riesz_basis,
+    random_unitary,
+    rank_one_expansion,
+)
 
 
 class TestLinearOperator:
@@ -444,13 +451,15 @@ class TestKernelOfRepresentation:
         assert np.allclose(kernel, np.zeros((2, 2)), atol=0)
 
     def test_agrees_with_induced_operator(self):
+        # the kernel is computed as the induced operator D_phi M C_psi; check
+        # it against the rank-one expansion written out term by term
         rng = np.random.default_rng(51)
         psi = random_frame(rng, 2, 5)
         phi = random_frame(rng, 3, 4)
         m = random_complex(rng, phi.count, psi.count)
         kernel = kernel_of_representation(m, phi, psi)
-        induced = operator_of_matrix(m, phi, psi).matrix
-        assert frobenius_norm(kernel - induced) <= 1e-12 * frobenius_norm(induced)
+        expansion = rank_one_expansion(m, phi, psi)
+        assert frobenius_norm(kernel - expansion) <= 1e-12 * frobenius_norm(expansion)
 
     def test_shape_check(self, psi0, onb2):
         with pytest.raises(DimensionMismatch):

@@ -1,5 +1,6 @@
 """Tests for the frame-discretized operator-equation solver."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -208,16 +209,6 @@ class TestSolve:
         with pytest.raises(SectionTooLarge):
             solve(identity_operator(2), [1, 0], psi0, SolveOptions(section_size=4))
 
-    def test_projection_is_noop_on_analyzed_rhs(self, psi0):
-        # d = C g always lies in the analysis range, so the projection can
-        # only scrub rounding noise; both paths agree
-        rng = np.random.default_rng(69)
-        op = LinearOperator(random_complex(rng, 2, 2))
-        g = random_complex(rng, 2)
-        with_proj = solve(op, g, psi0, SolveOptions(project_rhs=True))
-        without = solve(op, g, psi0, SolveOptions(project_rhs=False))
-        assert np.allclose(with_proj.solution, without.solution, atol=1e-12)
-
     def test_conditioning_warning(self):
         frame = Frame([[1, 0], [0, 1e-4]])
         report = solve(identity_operator(2), [1, 1], frame)
@@ -238,7 +229,10 @@ class TestSolveOptions:
         options = SolveOptions()
         assert options.section_size is None
         assert options.pseudoinverse_rel_tol is None
-        assert options.project_rhs
+        assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+            "section_size",
+            "pseudoinverse_rel_tol",
+        ]
 
     def test_rejects_bad_section(self):
         with pytest.raises(ValueError):
@@ -247,6 +241,11 @@ class TestSolveOptions:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             SolveOptions(pseudoinverse_rel_tol=-1e-3)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SolveOptions(pseudoinverse_rel_tol=tol)
 
     def test_huge_tol_collapses_solution(self, psi0):
         report = solve(
@@ -325,6 +324,30 @@ class TestScaleEquivariance:
         assert rel(dual.vectors * t, base.canonical_dual().vectors) <= 1e-13
         assert rel(report.solution, base_report.solution) <= 1e-13
         assert rel(report.coefficients / t, base_report.coefficients) <= 1e-13
+
+    @pytest.mark.parametrize("section", [None, 5])
+    @pytest.mark.parametrize("t", [1e160, 1e-160])
+    def test_residuals_beyond_squaring_range(self, t, section):
+        # O has rank 2 on C^3, so the system is inconsistent and both
+        # residuals are O(1) rather than rounding noise
+        rng = np.random.default_rng(71)
+        vectors = random_complex(rng, 7, 3)
+        op = LinearOperator(random_complex(rng, 3, 2) @ random_complex(rng, 2, 3))
+        g = random_complex(rng, 3)
+        options = SolveOptions(section_size=section, pseudoinverse_rel_tol=1e-8)
+        base = Frame(vectors)
+        base_report = solve(op, g, base, options)
+        d_norm = np.linalg.norm(base.analyze(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(op, g, Frame(vectors * t), options)
+        # M c - d and d scale by t, so |M c - d| / (1 + |d|) becomes
+        # |r| / (1/t + |d|) for the unscaled residual r and right-hand side d
+        expected = base_report.residual_matrix * (1.0 + d_norm) / (1.0 / t + d_norm)
+        assert np.isfinite(report.residual_matrix)
+        assert report.residual_matrix == pytest.approx(expected, rel=1e-10, abs=0)
+        assert report.residual_operator == pytest.approx(base_report.residual_operator, rel=1e-10)
+        assert rel(report.solution, base_report.solution) <= 1e-12
 
     def test_bounds_beyond_float_range_read_inf(self):
         frame = Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])
