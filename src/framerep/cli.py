@@ -70,31 +70,32 @@ def _default_tol() -> float | None:
 
 
 # -- subcommand handlers ----------------------------------------------------
-# Each returns (json_payload, human_text).
+# Each returns (json_payload, render) where render() builds the human-readable
+# text; it is called only without --json, because formatting arrays is costly.
 
 def _cmd_bounds(args):
     frame = _load_frame(args.frame)
     a, b = frame.bounds
-    return {"A": a, "B": b}, f"A = {a!r}\nB = {b!r}"
+    return {"A": a, "B": b}, lambda: f"A = {a!r}\nB = {b!r}"
 
 
 def _cmd_classify(args):
     frame = _load_frame(args.frame)
     label = frame.classification.value
-    return {"class": label}, label
+    return {"class": label}, lambda: label
 
 
 def _cmd_dual(args):
     frame = _load_frame(args.frame)
     dual = frame.canonical_dual()
-    return io.frame_payload(dual), _format_array(dual.vectors)
+    return io.frame_payload(dual), lambda: _format_array(dual.vectors)
 
 
 def _cmd_gram(args):
     psi = _load_frame(args.frame)
     phi = _load_frame(args.frame2) if args.frame2 else psi
     g = gram(psi, phi)
-    return io.matrix_payload(g), _format_array(g)
+    return io.matrix_payload(g), lambda: _format_array(g)
 
 
 def _cmd_represent(args):
@@ -102,14 +103,14 @@ def _cmd_represent(args):
     analysis = _load_frame(args.frame)
     synthesis = _load_frame(args.frame2)
     rep = matrix_of_operator(op, analysis, synthesis)
-    return io.matrix_payload(rep.matrix), _format_array(rep.matrix)
+    return io.matrix_payload(rep.matrix), lambda: _format_array(rep.matrix)
 
 
 def _cmd_apply(args):
     op = _load_operator(args.op)
     vec = _load_vector(args.vec)
     out = op(vec)
-    return io.vector_payload(out), _format_array(out)
+    return io.vector_payload(out), lambda: _format_array(out)
 
 
 def _cmd_roundtrip(args):
@@ -117,7 +118,7 @@ def _cmd_roundtrip(args):
     phi = _load_frame(args.frame)
     psi = _load_frame(args.frame2) if args.frame2 else phi
     rebuilt = roundtrip_reconstruct(op, phi, psi)
-    return io.matrix_payload(rebuilt.matrix), _format_array(rebuilt.matrix)
+    return io.matrix_payload(rebuilt.matrix), lambda: _format_array(rebuilt.matrix)
 
 
 def _cmd_multiplier(args):
@@ -125,7 +126,7 @@ def _cmd_multiplier(args):
     phi = _load_frame(args.frame)
     psi = _load_frame(args.frame2) if args.frame2 else phi
     op = frame_multiplier(weights, phi, psi)
-    return io.matrix_payload(op.matrix), _format_array(op.matrix)
+    return io.matrix_payload(op.matrix), lambda: _format_array(op.matrix)
 
 
 def _cmd_kernel(args):
@@ -133,7 +134,7 @@ def _cmd_kernel(args):
     phi = _load_frame(args.frame)
     psi = _load_frame(args.frame2) if args.frame2 else phi
     kernel = kernel_of_representation(matrix, phi, psi)
-    return io.matrix_payload(kernel), _format_array(kernel)
+    return io.matrix_payload(kernel), lambda: _format_array(kernel)
 
 
 def _cmd_solve(args):
@@ -150,7 +151,7 @@ def _cmd_solve(args):
         "section_used": report.section_used,
         "conditioning_warning": report.conditioning_warning,
     }
-    human = "\n".join(
+    return payload, lambda: "\n".join(
         [
             f"solution = {_format_array(report.solution)}",
             f"coefficients = {_format_array(report.coefficients)}",
@@ -160,7 +161,6 @@ def _cmd_solve(args):
             f"conditioning_warning = {report.conditioning_warning}",
         ]
     )
-    return payload, human
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "solve" and args.tol is None:
             args.tol = _default_tol()
-        payload, human = args.handler(args)
+        payload, render = args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
-    text = io.canonical_json(payload) if args.json else human + "\n"
+    text = io.canonical_json(payload) if args.json else render() + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

@@ -13,9 +13,21 @@ are still valid Bessel sequences).  Conventions used throughout:
   i.e. ``gram(psi, phi) = C_psi @ D_phi``.
 
 Frames are immutable.  Each frame's one spectral primitive is the thin SVD
-``C = U diag(s) V*`` of its analysis matrix, computed lazily and cached:
-the bounds are ``(s_min^2, s_max^2)``, the canonical dual's analysis matrix is
-``U diag(1/s) V*``, and the analysis range is spanned by the columns of U.
+``C = U diag(s) V*`` of its analysis matrix, computed lazily, cached, and
+split into two layers (Chan's R-SVD):
+
+* ``Frame.r_svd`` factors ``C = Q R`` without forming Q and takes the SVD
+  ``R = W diag(s) V*`` of the small ``min(K, n) x n`` triangular factor.
+  Its ``s`` and ``V`` are C's singular values and right singular vectors.
+  The bounds ``(s_min^2, s_max^2)``, ``is_frame``, the condition and the
+  classification read only this layer, and so does the full-section solver
+  in :mod:`framerep.solve`, which returns its coefficients as ``C f`` (equal
+  to ``U y`` for the core's solution ``y``) instead of forming U.
+* ``Frame.analysis_svd`` adds the left factor ``U = Q W``, with Q
+  taken from a second, reduced QR of C, on first use only.  The canonical
+  dual's analysis matrix ``U diag(1/s) V*`` and the projection onto the
+  analysis range (the columns of U) need this layer.
+
 Working on the singular values rather than on ``S = C* C`` keeps the
 condition number and the dynamic range unsquared.
 """
@@ -31,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotAFrame
-from .linalg import as_vector, svd
+from .linalg import as_vector, finite_product, svd
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -125,29 +137,53 @@ class Frame:
 
     @cached_property
     def frame_operator(self) -> np.ndarray:
-        """n x n positive semidefinite S = sum_k psi_k psi_k* = D D*."""
+        """n x n positive semidefinite S = sum_k psi_k psi_k* = D D*.
+
+        Raises FrameRepError if an entry leaves the float range.
+        """
         d = self.synthesis_matrix
-        s = d @ d.conj().T
+        s = finite_product("frame operator", d, d.conj().T)
         s.setflags(write=False)
         return s
 
     @cached_property
-    def analysis_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached thin SVD ``(U, s, V)`` of the analysis matrix, ``C = U diag(s) V*``.
+    def r_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached thin SVD ``(W, s, V)`` of R in ``C = Q R``, so ``C = (Q W) diag(s) V*``.
 
-        ``s`` holds ``min(K, n)`` singular values in descending order.
+        ``s`` holds C's ``min(K, n)`` singular values in descending order and
+        V its right singular vectors.  Only the QR's triangular factor is
+        computed, so the SVD runs on at most n rows and no K x n factor is
+        formed.
 
         Raises
         ------
         DecompositionFailed
             If the SVD does not converge.
         """
-        return svd(self.analysis_matrix, "frame analysis matrix")
+        r = np.linalg.qr(self.analysis_matrix, mode="r")
+        return svd(r, "frame analysis matrix")
+
+    @cached_property
+    def analysis_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached thin SVD ``(U, s, V)`` of the analysis matrix, ``C = U diag(s) V*``.
+
+        ``s`` and V come from :attr:`r_svd`; the left factor is ``U = Q W``
+        for the orthonormal Q of a reduced QR of C.  (``C V diag(1/s)`` would
+        lose U's orthonormality in proportion to the frame's condition.)
+
+        Raises
+        ------
+        DecompositionFailed
+            If the SVD does not converge.
+        """
+        w, s, v = self.r_svd
+        q = np.linalg.qr(self.analysis_matrix, mode="reduced")[0]
+        return q @ w, s, v
 
     @cached_property
     def bounds(self) -> FrameBounds:
         """Optimal bounds (A, B); A > 0 exactly when the family spans C^n."""
-        s = self.analysis_svd[1]
+        s = self.r_svd[1]
         with np.errstate(over="ignore"):
             upper = float(np.square(s[0]))
             lower = float(np.square(s[-1])) if self.count >= self.space_dim else 0.0
@@ -156,7 +192,7 @@ class Frame:
     @property
     def is_frame(self) -> bool:
         """Whether A > RANK_RTOL * B, decided on the unsquared singular values."""
-        s = self.analysis_svd[1]
+        s = self.r_svd[1]
         return self.count >= self.space_dim and bool(s[-1] > math.sqrt(RANK_RTOL) * s[0])
 
     def require_frame(self, operation: str) -> None:
@@ -171,7 +207,7 @@ class Frame:
     @property
     def condition(self) -> float:
         """B/A, or inf for families that do not span."""
-        s = self.analysis_svd[1]
+        s = self.r_svd[1]
         return float(s[0] / s[-1]) ** 2 if self.is_frame else math.inf
 
     # -- analysis / synthesis --------------------------------------------
@@ -200,8 +236,10 @@ class Frame:
         """The canonical dual frame (S^-1 psi_k).
 
         Built from the cached SVD: the dual's analysis matrix is
-        ``U diag(1/s) V*``, and the dual inherits these factors, so its bounds
-        (1/B, 1/A) need no second decomposition.  The dual of the dual is this
+        ``U diag(1/s) V*``, and the dual inherits both layers, reversed and
+        inverted, so its bounds (1/B, 1/A) need no second decomposition.  (The
+        two frames share their analysis range, so the dual's inherited W is
+        expressed in this frame's Q.)  The dual of the dual is this
         frame again (the same object while this frame is alive; the dual only
         holds a weak reference back).
 
@@ -217,9 +255,12 @@ class Frame:
             dual = primal() if primal is not None else None
         if dual is None:
             u, s, v = self.analysis_svd
+            w = self.r_svd[0]
             # rows of `vectors` are conj(C) = conj(U) diag(s) V^T; invert s
             dual = Frame((u.conj() / s) @ v.T)
-            dual.__dict__["analysis_svd"] = (u[:, ::-1], 1.0 / s[::-1], v[:, ::-1])
+            s_dual, v_dual = 1.0 / s[::-1], v[:, ::-1]
+            dual.__dict__["r_svd"] = (w[:, ::-1], s_dual, v_dual)
+            dual.__dict__["analysis_svd"] = (u[:, ::-1], s_dual, v_dual)
             dual.__dict__["_primal"] = weakref.ref(self)
             self.__dict__["_canonical_dual"] = dual
         return dual
@@ -228,7 +269,7 @@ class Frame:
     def classification(self) -> FrameClass:
         if not self.is_frame:
             return FrameClass.BESSEL_ONLY
-        s = self.analysis_svd[1]
+        s = self.r_svd[1]
         if self.count == self.space_dim:
             # |Gram - I|_F = |diag(s^2) - I|_F when U is square
             with np.errstate(over="ignore"):
@@ -268,13 +309,13 @@ def gram(psi: Frame, phi: Frame) -> np.ndarray:
     """Gram matrix of two families, entry [j, m] = <phi_m, psi_j>.
 
     Equals ``C_psi @ D_phi`` (K_psi x K_phi); both families must live in the
-    same space.
+    same space.  Raises FrameRepError if an entry leaves the float range.
     """
     if psi.space_dim != phi.space_dim:
         raise DimensionMismatch(
             f"frames live in different spaces: C^{psi.space_dim} vs C^{phi.space_dim}"
         )
-    return psi.analysis_matrix @ phi.synthesis_matrix
+    return finite_product("Gram matrix", psi.analysis_matrix, phi.synthesis_matrix)
 
 
 def biorthogonal(psi: Frame, phi: Frame) -> bool:

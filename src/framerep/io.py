@@ -47,7 +47,11 @@ def _check_version(obj: dict):
         raise ParseError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
 
 
-def _float_row(row, expected_len: int | None, what: str) -> list[float]:
+#: The types ``json.loads`` gives JSON numbers; ``bool`` is deliberately absent.
+_NUMBER_TYPES = {int, float}
+
+
+def _float_row(row, expected_len: int | None, what: str) -> np.ndarray:
     if not isinstance(row, list):
         raise ParseError(f"{what} must be an array of numbers")
     if len(row) % 2 != 0:
@@ -56,17 +60,19 @@ def _float_row(row, expected_len: int | None, what: str) -> list[float]:
         raise DimensionMismatch(
             f"{what} has {len(row)} floats, expected {expected_len}"
         )
-    out = []
-    for x in row:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError(f"{what} contains a non-numeric entry {x!r}")
-        out.append(float(x))
-    return out
+    if not set(map(type, row)) <= _NUMBER_TYPES:
+        bad = next(x for x in row if type(x) not in _NUMBER_TYPES)
+        raise ParseError(f"{what} contains a non-numeric entry {bad!r}")
+    try:
+        return np.asarray(row, dtype=np.float64)
+    except OverflowError:
+        # an integer literal beyond the float range, which a float literal
+        # such as 1e999 would have turned into inf
+        raise DimensionMismatch(f"{what} contains non-finite entries") from None
 
 
-def _interleaved_to_complex(flat: list[float]) -> np.ndarray:
-    a = np.asarray(flat, dtype=np.float64)
-    return a[0::2] + 1j * a[1::2]
+def _interleaved_to_complex(flat: np.ndarray) -> np.ndarray:
+    return flat[0::2] + 1j * flat[1::2]
 
 
 def _complex_to_interleaved(z: np.ndarray) -> list[float]:
@@ -93,11 +99,8 @@ def parse_frame(text: str) -> Frame:
         raise ParseError("'vectors' must be an array of rows")
     if not rows:
         raise ParseError("frame must contain at least one vector")
-    vectors = np.empty((len(rows), dim), dtype=np.complex128)
-    for k, row in enumerate(rows):
-        flat = _float_row(row, 2 * dim, f"vector {k}")
-        vectors[k] = _interleaved_to_complex(flat)
-    return Frame(vectors)
+    flat = np.concatenate([_float_row(row, 2 * dim, f"vector {k}") for k, row in enumerate(rows)])
+    return Frame(_interleaved_to_complex(flat).reshape(len(rows), dim))
 
 
 def frame_payload(frame: Frame) -> dict:

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .exceptions import DecompositionFailed, DimensionMismatch
+from .exceptions import DecompositionFailed, DimensionMismatch, FrameRepError
 
 #: Machine epsilon for float64, the base unit of all default tolerances.
 EPS = float(np.finfo(np.float64).eps)
@@ -114,6 +114,28 @@ def pseudoinverse(a, rel_tol: float | None = None) -> np.ndarray:
         raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
     u, s, v = svd(a)
     return (v * inverse_above_cutoff(s, rel_tol)) @ u.conj().T
+
+
+def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
+    """The matrix product of finite complex128 ``factors``, taken left to right.
+
+    Finite factors give an inf or NaN entry only when the product leaves the
+    float range.
+
+    Raises
+    ------
+    FrameRepError
+        Naming ``what``, if the product overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = factors[0]
+        for factor in factors[1:]:
+            out = out @ factor
+    # the float view of the complex128 product tests both parts in one pass,
+    # about three times faster than isfinite on the complex entries
+    if not np.isfinite(out.view(np.float64)).all():
+        raise FrameRepError(f"the {what} overflows the float range")
+    return out
 
 
 def euclidean_norm(x: np.ndarray) -> float:

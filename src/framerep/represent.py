@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, IncompatibleFrames
 from .frames import RANK_RTOL, Frame
-from .linalg import as_matrix, as_vector, frobenius_norm, singular_values
+from .linalg import as_matrix, as_vector, finite_product, frobenius_norm, singular_values
 
 #: Relative distance within which a frame is accepted as the canonical dual
 #: of another when validating representation products.
@@ -163,7 +163,8 @@ def matrix_of_operator(op: LinearOperator, analysis_frame: Frame,
     Entry [m, k] is ``<O psi_k, phi_m>`` where ``psi`` is the synthesis
     (domain) frame and ``phi`` the analysis (codomain) frame; as a product,
     ``C_phi @ O @ D_psi``.  The spectral norm of the result is bounded by
-    ``sqrt(B_psi * B_phi) * |O|_op``.
+    ``sqrt(B_psi * B_phi) * |O|_op``.  Raises FrameRepError if an entry
+    leaves the float range.
     """
     if op.dim_in != synthesis_frame.space_dim:
         raise DimensionMismatch(
@@ -175,7 +176,8 @@ def matrix_of_operator(op: LinearOperator, analysis_frame: Frame,
             f"operator codomain C^{op.dim_out} does not match analysis frame "
             f"space C^{analysis_frame.space_dim}"
         )
-    m = analysis_frame.analysis_matrix @ op.matrix @ synthesis_frame.synthesis_matrix
+    m = finite_product("representation matrix C_phi O D_psi", analysis_frame.analysis_matrix,
+                       op.matrix, synthesis_frame.synthesis_matrix)
     return Representation(m, analysis_frame=analysis_frame, synthesis_frame=synthesis_frame)
 
 
@@ -184,7 +186,8 @@ def operator_of_matrix(matrix, synthesis_frame: Frame, analysis_frame: Frame) ->
 
     ``matrix`` must be K_phi x K_psi for the synthesis frame ``phi`` (output
     side) and analysis frame ``psi`` (input side).  The operator norm is
-    bounded by ``sqrt(B_psi * B_phi) * |M|_op``.
+    bounded by ``sqrt(B_psi * B_phi) * |M|_op``.  Raises FrameRepError if an
+    entry leaves the float range.
     """
     m = as_matrix(matrix, "coefficient matrix")
     if m.shape != (synthesis_frame.count, analysis_frame.count):
@@ -192,7 +195,8 @@ def operator_of_matrix(matrix, synthesis_frame: Frame, analysis_frame: Frame) ->
             f"matrix shape {m.shape} does not match frame counts "
             f"({synthesis_frame.count}, {analysis_frame.count})"
         )
-    out = synthesis_frame.synthesis_matrix @ m @ analysis_frame.analysis_matrix
+    out = finite_product("induced operator D_phi M C_psi", synthesis_frame.synthesis_matrix, m,
+                         analysis_frame.analysis_matrix)
     return LinearOperator(out)
 
 
@@ -253,7 +257,7 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     if not diagnose:
         return op
     s_stack = singular_values(np.vstack([frame.synthesis_matrix, e.T]), "stacked frame and images")
-    s_syn = frame.analysis_svd[1]  # D = C* has C's singular values
+    s_syn = frame.r_svd[1]  # D = C* has C's singular values
     cutoff = RANK_RTOL * s_stack[0]
     consistent = int(np.sum(s_stack > cutoff)) == int(np.sum(s_syn > cutoff))
     return op, consistent

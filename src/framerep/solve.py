@@ -6,13 +6,18 @@ equivalent to solving ``M c = d`` on the analysis range and synthesizing the
 solution coefficients with the dual frame.  ``d`` always lies in the analysis
 range, so it needs no projection.
 
-The full K x K system is never formed.  With the frame's cached thin SVD
+The full K x K system is never formed.  With the frame's thin SVD
 ``C = U diag(s) V*``, ``M = U core U*`` for the n x n
 ``core = diag(s) V* O V diag(1/s)``; U is an isometry, so
 ``M^+ = U core^+ U*`` and M's nonzero singular values are core's.  The solve
-then costs O(K n^2 + n^3) instead of O(K^3).  A truncated finite section
-(N < K) breaks this factorization and is solved explicitly: its top-left
-N x N block of M goes through the SVD pseudoinverse.
+reads only the frame's first spectral layer ``(s, V)`` (see
+:mod:`framerep.frames`) and never forms U: ``U* d = diag(s) V* g``, the
+coefficient residual ``|U core y - d|`` equals ``|core y - U* d|``, the
+solution is ``V diag(1/s) y`` for ``y = U* c``, and the coefficients
+``c = U y`` are computed as ``C f``.  The solve then costs O(K n^2 + n^3)
+instead of O(K^3).  A truncated finite section (N < K) breaks this
+factorization and is solved explicitly: its top-left N x N block of M goes
+through the SVD pseudoinverse.
 """
 
 from __future__ import annotations
@@ -147,14 +152,13 @@ def solve(op: LinearOperator, g, frame: Frame,
         raise DimensionMismatch(
             f"right-hand side must live in C^{frame.space_dim}, got dim {g.shape[0]}"
         )
-    d = frame.analyze(g)
     k = frame.count
     n_section = options.section_size if options.section_size is not None else k
     if n_section == k:
-        c, f_hat, residual_matrix = _solve_factored(op, d, frame, options.pseudoinverse_rel_tol)
+        c, f_hat, residual_matrix = _solve_factored(op, g, frame, options.pseudoinverse_rel_tol)
     else:
         c, f_hat, residual_matrix = _solve_section(
-            op, d, frame, options.pseudoinverse_rel_tol, n_section
+            op, g, frame, options.pseudoinverse_rel_tol, n_section
         )
     residual_operator = euclidean_norm(op(f_hat) - g) / (1.0 + euclidean_norm(g))
     return SolveReport(
@@ -167,28 +171,31 @@ def solve(op: LinearOperator, g, frame: Frame,
     )
 
 
-def _solve_factored(op, d, frame, rel_tol):
-    """Solve ``M c = d`` through the n x n core; no K x K array is formed.
+def _solve_factored(op, g, frame, rel_tol):
+    """Solve ``M c = C g`` through the n x n core, from the frame's ``(s, V)`` alone.
 
     Returns ``(c, D_dual c, residual_matrix)``.
     """
     _require_operator_on_frame_space(op, frame)
-    u, s, v = frame.analysis_svd
+    _, s, v = frame.r_svd
     core = (s[:, None] * (v.conj().T @ op.matrix @ v)) / s
     uc, sc, vc = svd(core, "discretized system's core")
     if rel_tol is None:
         rel_tol = frame.count * EPS
+    ud = s * (v.conj().T @ g)  # U* d for d = C g = U diag(s) V* g
     # y = U* c, where c = M^+ d = U core^+ U* d
-    y = vc @ (inverse_above_cutoff(sc, rel_tol) * (uc.conj().T @ (u.conj().T @ d)))
-    residual_matrix = euclidean_norm(u @ (core @ y) - d) / (1.0 + euclidean_norm(d))
-    return u @ y, v @ (y / s), residual_matrix
+    y = vc @ (inverse_above_cutoff(sc, rel_tol) * (uc.conj().T @ ud))
+    residual_matrix = euclidean_norm(core @ y - ud) / (1.0 + euclidean_norm(ud))
+    f_hat = v @ (y / s)
+    return frame.analysis_matrix @ f_hat, f_hat, residual_matrix
 
 
-def _solve_section(op, d, frame, rel_tol, n_section):
-    """Solve the explicit top-left N x N block of ``M c = d``, N < K.
+def _solve_section(op, g, frame, rel_tol, n_section):
+    """Solve the explicit top-left N x N block of ``M c = C g``, N < K.
 
     Returns ``(c, D_dual c, residual_matrix)`` with ``c`` zero-padded to K.
     """
+    d = frame.analyze(g)
     m, _ = discretize(op, frame)
     m_section = finite_section(m, n_section)
     c = np.zeros(frame.count, dtype=np.complex128)

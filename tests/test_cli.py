@@ -204,6 +204,20 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "--no-project" in result.stderr
 
+    def test_integer_beyond_float_range_is_precondition_error(self, workdir):
+        (workdir / "big.json").write_text('{"version":1,"dim":1,"vectors":[[1%s,0]]}' % ("0" * 400))
+        result = run_cli(["bounds", "--frame", "big.json"], cwd=workdir)
+        assert result.returncode == 3
+        assert "DimensionMismatch" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_overflowing_product_is_precondition_error(self, workdir):
+        (workdir / "huge.json").write_text(serialize_frame(Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])))
+        result = run_cli(["gram", "--frame", "huge.json"], cwd=workdir)
+        assert result.returncode == 3
+        assert "FrameRepError: the Gram matrix overflows the float range" in result.stderr
+        assert result.stdout == ""
+
     def test_svd_non_convergence_is_precondition_error(self, workdir, monkeypatch, capsys):
         # in process, so the decomposition can be made to fail
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
@@ -212,6 +226,19 @@ class TestExitCodes:
         assert code == 3
         assert captured.out == ""
         assert "DecompositionFailed: SVD of the frame analysis matrix" in captured.err
+
+
+class TestOutputModes:
+    def test_json_output_formats_no_text(self, workdir, monkeypatch, capsys):
+        # in process, so the text formatter can be made to fail
+        def refuse(a):
+            raise AssertionError("human-readable text built under --json")
+
+        monkeypatch.setattr("framerep.cli._format_array", refuse)
+        code = main(["solve", "--op", str(workdir / "diag23.json"), "--rhs", str(workdir / "g.json"),
+                     "--frame", str(workdir / "psi0.json"), "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["section_used"] == 3
 
 
 class TestEnvironmentTolerance:

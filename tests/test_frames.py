@@ -18,7 +18,13 @@ from framerep import (
     operator_norm,
     standard_basis,
 )
-from helpers import no_convergence, random_complex, random_frame, random_riesz_basis
+from helpers import (
+    no_convergence,
+    random_complex,
+    random_frame,
+    random_riesz_basis,
+    random_unitary,
+)
 
 
 class TestConstruction:
@@ -212,7 +218,9 @@ class TestCanonicalDual:
     def test_dual_inherits_factors(self):
         rng = np.random.default_rng(23)
         dual = random_frame(rng, 4, 9).canonical_dual()
+        assert {"r_svd", "analysis_svd"} <= dual.__dict__.keys()
         u, s, v = dual.analysis_svd
+        assert dual.r_svd[1] is s and dual.r_svd[2] is v
         assert np.all(np.diff(s) <= 0)
         scale = np.linalg.norm(dual.analysis_matrix)
         assert np.linalg.norm((u * s) @ v.conj().T - dual.analysis_matrix) <= 1e-12 * scale
@@ -230,6 +238,35 @@ class TestCanonicalDual:
             back2 = dual.synthesize(frame.analyze(f))
             assert np.linalg.norm(back1 - f) <= 1e-10 * scale
             assert np.linalg.norm(back2 - f) <= 1e-10 * scale
+
+
+class TestSpectralLayers:
+    """``r_svd`` (from the QR's triangular factor) and ``analysis_svd`` (adding U = Q W)."""
+
+    @pytest.mark.parametrize("condition", [1.0, 1e6, 1e10], ids=lambda c: f"BA{c:g}")
+    @pytest.mark.parametrize("k", [11, 12, 24, 96], ids=["K=n-1", "K=n", "K=2n", "K=8n"])
+    def test_factors_match_a_direct_svd(self, k, condition):
+        n = 12
+        m = min(k, n)
+        rng = np.random.default_rng(24)
+        # analysis matrix with orthonormal singular vectors and s^2 from 1 to condition
+        left = random_unitary(rng, k)[:, :m]
+        right = random_unitary(rng, n)[:, :m]
+        c = (left * np.sqrt(condition ** np.linspace(0.0, 1.0, m))[::-1]) @ right.conj().T
+        frame = Frame(c.conj())
+        _, s_r, v_r = frame.r_svd
+        u, s, v = frame.analysis_svd
+        assert s is s_r and v is v_r
+        s_ref = np.linalg.svd(c, compute_uv=False)
+        assert np.max(np.abs(s - s_ref)) <= 1e-14 * s_ref[0]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(m)) <= 1e-13
+        assert np.linalg.norm(v.conj().T @ v - np.eye(m)) <= 1e-13
+        assert np.linalg.norm((u * s) @ v.conj().T - c) <= 1e-13 * np.linalg.norm(c)
+
+    def test_reading_bounds_forms_no_left_factor(self, psi0):
+        psi0.bounds, psi0.is_frame, psi0.condition, psi0.classification
+        assert "r_svd" in psi0.__dict__
+        assert "analysis_svd" not in psi0.__dict__
 
 
 class TestGram:

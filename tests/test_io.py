@@ -74,6 +74,26 @@ class TestFrameFormat:
         with pytest.raises(ParseError, match="non-numeric"):
             parse_frame('{"version":1,"dim":1,"vectors":[["x",0]]}')
 
+    def test_first_non_numeric_entry_is_named(self):
+        # booleans are JSON literals, not numbers
+        with pytest.raises(ParseError, match="vector 1 contains a non-numeric entry True"):
+            parse_frame('{"version":1,"dim":2,"vectors":[[1,0,0,0],[1,true,"x",0]]}')
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_float_range_rejected(self, sign):
+        big = sign + "1" + "0" * 400
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            parse_frame('{"version":1,"dim":1,"vectors":[[1,0],[%s,0]]}' % big)
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            parse_matrix('{"version":1,"rows":1,"cols":1,"entries":[0,%s]}' % big)
+
+    def test_numbers_convert_as_python_floats(self):
+        # the per-entry float() conversion is the reference
+        row = [2**53 + 1, -(2**70) - 3, 12345678901234567891, 0.1, -7, 1e308, 5e-324, 0]
+        text = json.dumps({"version": 1, "dim": 4, "vectors": [row]})
+        expected = [complex(float(re), float(im)) for re, im in zip(row[0::2], row[1::2])]
+        assert parse_frame(text).vectors.tolist() == [expected]
+
 
 class TestMatrixFormat:
     def test_csv_real(self):

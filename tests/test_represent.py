@@ -6,6 +6,7 @@ import pytest
 from framerep import (
     DimensionMismatch,
     Frame,
+    FrameRepError,
     IncompatibleFrames,
     LinearOperator,
     NotAFrame,
@@ -488,3 +489,19 @@ class TestHilbertSchmidtBounds:
             op = operator_of_matrix(m, phi, psi)
             bound = np.sqrt(psi.bounds.upper * phi.bounds.upper) * np.linalg.norm(m, "fro")
             assert hs_norm(op) <= bound * (1 + 1e-9)
+
+
+class TestProductOverflow:
+    """Products beyond the float range raise a FrameRepError naming the overflow."""
+
+    @pytest.mark.parametrize("product", [
+        lambda f: matrix_of_operator(identity_operator(2), f, f),
+        lambda f: operator_of_matrix(np.eye(3), f, f),
+        lambda f: gram(f, f),
+        lambda f: f.frame_operator,
+    ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator"])
+    def test_overflow_is_named(self, product):
+        huge = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e160)
+        with pytest.raises(FrameRepError, match="overflows the float range") as info:
+            product(huge)
+        assert not isinstance(info.value, DimensionMismatch)

@@ -292,6 +292,32 @@ class TestFactoredSolve:
         assert np.linalg.norm(report.solution - solution_ref) <= bound * np.linalg.norm(solution_ref)
         assert abs(report.residual_matrix - residual_ref) <= bound
 
+    def test_never_forms_the_left_factor(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        n = 6
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        frame = Frame(random_complex(rng, 8 * n, n))
+        solve(conditioned_operator(rng, n), random_complex(rng, n), frame)
+        assert "analysis_svd" not in frame.__dict__
+        assert shapes and all(rows <= n for rows, _ in shapes)
+
+    def test_dual_after_solve_equals_fresh_dual(self):
+        rng = np.random.default_rng(27)
+        vectors = random_complex(rng, 20, 5)
+        frame = Frame(vectors)
+        solve(conditioned_operator(rng, 5), random_complex(rng, 5), frame)
+        dual, fresh = frame.canonical_dual(), Frame(vectors).canonical_dual()
+        assert np.array_equal(dual.vectors, fresh.vectors)
+        for got, expected in zip(dual.analysis_svd + dual.r_svd, fresh.analysis_svd + fresh.r_svd):
+            assert np.array_equal(got, expected)
+
     def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
         psi0.analysis_svd  # the frame's own SVD succeeds; the core's fails
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
