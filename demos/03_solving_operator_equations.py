@@ -3,9 +3,11 @@
 
 The equation is equivalent to  M (C f) = C g  with M the representation of O
 over (frame, dual): a concrete linear system in coefficient space.  The
-solver projects the right-hand side onto the analysis range, optionally
-truncates the system to its leading N x N section, solves least squares with
-the SVD pseudoinverse, and synthesizes the coefficients with the dual frame.
+solver optionally truncates the system to its leading N x N section and
+solves it in least squares without forming M: with the frame's SVD
+C = U diag(s) V*, M = U core U* for an n x n core, so one small SVD with a
+relative singular-value cutoff gives the coefficients, which the dual frame
+synthesizes into the solution.
 """
 
 import numpy as np

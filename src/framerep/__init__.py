@@ -39,7 +39,6 @@ from .io import (
 from .linalg import (
     frobenius_norm,
     operator_norm,
-    pseudoinverse,
     svd,
 )
 from .represent import (
@@ -59,8 +58,6 @@ from .represent import (
 from .solve import (
     SolveOptions,
     SolveReport,
-    discretize,
-    finite_section,
     project_onto_analysis_range,
     solve,
 )
@@ -86,8 +83,6 @@ __all__ = [
     "SolveReport",
     "TIGHT_RTOL",
     "biorthogonal",
-    "discretize",
-    "finite_section",
     "frame_multiplier",
     "frobenius_norm",
     "gram",
@@ -102,7 +97,6 @@ __all__ = [
     "parse_matrix",
     "parse_vector",
     "project_onto_analysis_range",
-    "pseudoinverse",
     "range_map_check",
     "rank_one",
     "roundtrip_reconstruct",

@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", required=True, metavar="PATH")
     p.add_argument("--section", type=int, metavar="N", help="finite-section size")
     p.add_argument("--tol", type=float, metavar="T",
-                   help="pseudoinverse relative tolerance (default: FRAMEREP_TOL or machine)")
+                   help="relative singular-value cutoff of the least-squares solve "
+                        "(default: FRAMEREP_TOL, else N * machine epsilon)")
 
     return parser
 

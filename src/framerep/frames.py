@@ -20,9 +20,8 @@ split into two layers (Chan's R-SVD):
   ``R = W diag(s) V*`` of the small ``min(K, n) x n`` triangular factor.
   Its ``s`` and ``V`` are C's singular values and right singular vectors.
   The bounds ``(s_min^2, s_max^2)``, ``is_frame``, the condition and the
-  classification read only this layer, and so does the full-section solver
-  in :mod:`framerep.solve`, which returns its coefficients as ``C f`` (equal
-  to ``U y`` for the core's solution ``y``) instead of forming U.
+  classification read only this layer, and so does the solver in
+  :mod:`framerep.solve` for every section size, which never forms U.
 * ``Frame.analysis_svd`` adds the left factor ``U = Q W``, with Q
   taken from a second, reduced QR of C, on first use only.  The canonical
   dual's analysis matrix ``U diag(1/s) V*`` and the projection onto the

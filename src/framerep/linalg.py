@@ -95,32 +95,8 @@ def inverse_above_cutoff(s: np.ndarray, rel_tol: float) -> np.ndarray:
     return inv_s
 
 
-def pseudoinverse(a, rel_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values ``s_i <= rel_tol * s_max`` are treated as zero.  The
-    default ``rel_tol`` is ``max(rows, cols) * eps``, the usual numerical-rank
-    cutoff.  A zero matrix maps to the (transposed-shape) zero matrix.
-
-    Raises
-    ------
-    ValueError
-        If ``rel_tol`` is negative, NaN or infinite.
-    """
-    a = as_matrix(a)
-    if rel_tol is None:
-        rel_tol = max(a.shape) * EPS
-    if not 0 <= rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
-    u, s, v = svd(a)
-    return (v * inverse_above_cutoff(s, rel_tol)) @ u.conj().T
-
-
 def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
     """The matrix product of finite complex128 ``factors``, taken left to right.
-
-    Finite factors give an inf or NaN entry only when the product leaves the
-    float range.
 
     Raises
     ------
@@ -131,7 +107,22 @@ def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
         out = factors[0]
         for factor in factors[1:]:
             out = out @ factor
-    # the float view of the complex128 product tests both parts in one pass,
+    return require_finite(what, out)
+
+
+def require_finite(what: str, out: np.ndarray) -> np.ndarray:
+    """``out``, a complex128 result computed from finite inputs, if it is finite.
+
+    Finite inputs give an inf or NaN entry only when the computation leaves
+    the float range; run it under ``np.errstate(over="ignore",
+    invalid="ignore")`` so that this check, not a RuntimeWarning, reports it.
+
+    Raises
+    ------
+    FrameRepError
+        Naming ``what``, if ``out`` has an inf or NaN entry.
+    """
+    # the float view of the complex128 result tests both parts in one pass,
     # about three times faster than isfinite on the complex entries
     if not np.isfinite(out.view(np.float64)).all():
         raise FrameRepError(f"the {what} overflows the float range")

@@ -216,8 +216,9 @@ def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> 
     """The operator induced by a diagonal coefficient matrix.
 
     ``weights`` is a length-K sequence (real or complex); the result is
-    ``sum_k weights_k * phi_k (x) conj(psi_k)``, computed as the induced
-    operator of ``diag(weights)``.
+    ``sum_k weights_k * phi_k (x) conj(psi_k)``, the induced operator of
+    ``diag(weights)``, computed as ``(D_phi * weights) @ C_psi`` without the
+    K x K diagonal.  Raises FrameRepError if an entry leaves the float range.
     """
     w = as_vector(weights, "multiplier weights")
     if synthesis_frame.count != analysis_frame.count:
@@ -229,7 +230,8 @@ def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> 
         raise DimensionMismatch(
             f"expected {synthesis_frame.count} weights, got {w.shape[0]}"
         )
-    return operator_of_matrix(np.diag(w), synthesis_frame, analysis_frame)
+    return LinearOperator(finite_product("frame multiplier", synthesis_frame.synthesis_matrix * w,
+                                         analysis_frame.analysis_matrix))
 
 
 def operator_from_images(frame: Frame, images, diagnose: bool = False):
@@ -244,7 +246,8 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     With ``diagnose=True`` also returns a bool reporting whether naive
     interpolation would have been consistent, i.e. whether every linear
     dependency among the frame vectors is matched by the same dependency
-    among the images (a kernel-containment rank test).
+    among the images (a kernel-containment rank test).  Raises FrameRepError
+    if an entry of the operator leaves the float range.
     """
     frame.require_frame("prescribing images")
     e = as_matrix(images, "images")
@@ -253,7 +256,7 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
             f"expected {frame.count} image vectors, got {e.shape[0]}"
         )
     dual = frame.canonical_dual()
-    op = LinearOperator(e.T @ dual.analysis_matrix)
+    op = LinearOperator(finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
     s_stack = singular_values(np.vstack([frame.synthesis_matrix, e.T]), "stacked frame and images")

@@ -4,20 +4,27 @@ The equation is pushed to coefficient space over a frame ``Phi``: with
 ``M = C_Phi @ O @ D_dual(Phi)`` and ``d = C_Phi g``, solving ``O f = g`` is
 equivalent to solving ``M c = d`` on the analysis range and synthesizing the
 solution coefficients with the dual frame.  ``d`` always lies in the analysis
-range, so it needs no projection.
+range, so it needs no projection.  A finite section solves the leading
+N x N block ``M_N c_N = d_N`` instead and pads ``c_N`` with zeros.
 
-The full K x K system is never formed.  With the frame's thin SVD
-``C = U diag(s) V*``, ``M = U core U*`` for the n x n
-``core = diag(s) V* O V diag(1/s)``; U is an isometry, so
-``M^+ = U core^+ U*`` and M's nonzero singular values are core's.  The solve
-reads only the frame's first spectral layer ``(s, V)`` (see
-:mod:`framerep.frames`) and never forms U: ``U* d = diag(s) V* g``, the
-coefficient residual ``|U core y - d|`` equals ``|core y - U* d|``, the
-solution is ``V diag(1/s) y`` for ``y = U* c``, and the coefficients
-``c = U y`` are computed as ``C f``.  The solve then costs O(K n^2 + n^3)
-instead of O(K^3).  A truncated finite section (N < K) breaks this
-factorization and is solved explicitly: its top-left N x N block of M goes
-through the SVD pseudoinverse.
+Neither M nor ``M_N`` is formed, and neither is pseudo-inverted.  With the
+frame's thin SVD ``C = U diag(s) V*``, ``M = U core U*`` for the n x n
+``core = diag(s) V* O V diag(1/s)``.  The solve reads only the frame's first
+spectral layer ``(s, V)`` (see :mod:`framerep.frames`), works on
+``U* d = diag(s) V* g`` and returns ``y = U* c``, from which the solution is
+``V diag(1/s) y``; the coefficient residual ``|M c - d|`` equals
+``|core y - U* d|``.
+
+* Full system (N = K): U is an isometry, so ``M^+ = U core^+ U*`` and
+  ``y = core^+ U* d``; the coefficients ``c = U y`` are computed as ``C f``.
+* Section (N < K): ``M_N = U_N core U_N*`` for the first N rows
+  ``U_N = C[:N] V diag(1/s)`` of U.  With the reduced QR ``U_N = Q1 R1`` and
+  the ``min(N, n)``-square ``X = R1 core R1*``, ``M_N = Q1 X Q1*``, so
+  ``c_N = Q1 X^+ R1 U* d`` and ``y = U_N* c_N = R1* X^+ R1 U* d``.
+
+In both cases the small matrix (core or X) has the nonzero singular values
+of ``M_N``, so the relative cutoff means the same as for an explicit
+pseudoinverse of ``M_N``.  Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -28,16 +35,8 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (
-    EPS,
-    as_matrix,
-    as_vector,
-    euclidean_norm,
-    inverse_above_cutoff,
-    pseudoinverse,
-    svd,
-)
-from .represent import LinearOperator, matrix_of_operator
+from .linalg import EPS, as_vector, euclidean_norm, inverse_above_cutoff, require_finite, svd
+from .represent import LinearOperator
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,12 @@ class SolveOptions:
     """Knobs for :func:`solve`.
 
     section_size
-        Truncate the discretized system to its leading N x N block
-        (default: the full K x K system).
+        Solve only the leading N x N section of the K x K discretized system
+        (default: N = K, the full system).
     pseudoinverse_rel_tol
-        Relative singular-value cutoff for the least-squares solve, relative
-        to the largest singular value of the (section of the) discretized
-        system (default: ``K * machine epsilon``, or ``N * machine epsilon``
-        for an N x N section).
+        Singular values of the section ``M_N`` at or below this multiple of
+        its largest one are treated as zero (default: ``N * machine
+        epsilon``).
     """
 
     section_size: int | None = None
@@ -71,7 +69,8 @@ class SolveReport:
 
     ``residual_operator`` is ``|O f - g| / (1 + |g|)`` in the original space;
     ``residual_matrix`` is ``|M c - d| / (1 + |d|)`` for the full discretized
-    system (so a truncated solve shows its truncation error here).
+    system and the zero-padded coefficients ``c`` (so a truncated solve shows
+    its truncation error here).  ``section_used`` is N.
     """
 
     solution: np.ndarray
@@ -80,28 +79,6 @@ class SolveReport:
     residual_matrix: float
     section_used: int
     conditioning_warning: bool
-
-
-def _require_operator_on_frame_space(op: LinearOperator, frame: Frame) -> None:
-    frame.require_frame("discretization")
-    n = frame.space_dim
-    if op.dim_in != n or op.dim_out != n:
-        raise DimensionMismatch(
-            f"discretization over a single frame needs an operator on C^{n}, "
-            f"got C^{op.dim_in} -> C^{op.dim_out}"
-        )
-
-
-def discretize(op: LinearOperator, frame: Frame):
-    """Coefficient-space matrix of ``op`` and the matching right-hand-side map.
-
-    Returns ``(M, rhs_map)`` with ``M = C_frame @ op @ D_dual(frame)`` and
-    ``rhs_map(g) = C_frame g``, so that ``O f = g`` iff ``M (C f) = C g``.
-    The operator must act on the frame's space.
-    """
-    _require_operator_on_frame_space(op, frame)
-    m = matrix_of_operator(op, frame, frame.canonical_dual()).matrix
-    return m, frame.analyze
 
 
 def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
@@ -121,29 +98,34 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     return u @ (u.conj().T @ c)
 
 
-def finite_section(matrix, n: int) -> np.ndarray:
-    """Top-left ``n x n`` submatrix, entries copied bit-identically."""
-    m = as_matrix(matrix)
-    if n < 1:
-        raise ValueError(f"section size must be positive, got {n}")
-    if n > min(m.shape):
-        raise SectionTooLarge(
-            f"section {n} exceeds matrix dimensions {m.shape[0]}x{m.shape[1]}"
-        )
-    return m[:n, :n].copy()
+#: What :func:`solve` names when the coefficients it returns leave the float range.
+_COEFFICIENTS = "solution's coefficient vector"
 
 
 def solve(op: LinearOperator, g, frame: Frame,
           options: SolveOptions | None = None) -> SolveReport:
     """Solve ``op @ f = g`` by frame discretization and least squares.
 
-    Builds the coefficient system, solves it with the SVD pseudoinverse, and
-    synthesizes the solution with the dual frame.  The full system is solved
-    in factored form (see the module docstring); a truncated finite section
-    is solved explicitly and its coefficients are zero-padded back to full
-    length.
+    Solves ``M_N c_N = d_N`` for the leading N x N section of ``M c = C g``
+    (N = K unless ``options.section_size`` truncates it) with the cutoff
+    pseudoinverse, zero-pads ``c_N`` to K coefficients and synthesizes the
+    solution with the dual frame.  Every section size runs in factored form
+    on the frame's ``(s, V)`` (see the module docstring); no K x K array is
+    formed.
 
     Inconsistent systems are reported through a large residual, not an error.
+
+    Raises
+    ------
+    NotAFrame
+        If the family does not span C^n.
+    SectionTooLarge
+        If the section is larger than the K x K system.
+    DecompositionFailed
+        If an SVD does not converge.
+    FrameRepError
+        If the core, the right-hand side's coefficients, the solution or its
+        coefficients leave the float range.
     """
     if options is None:
         options = SolveOptions()
@@ -152,14 +134,47 @@ def solve(op: LinearOperator, g, frame: Frame,
         raise DimensionMismatch(
             f"right-hand side must live in C^{frame.space_dim}, got dim {g.shape[0]}"
         )
-    k = frame.count
-    n_section = options.section_size if options.section_size is not None else k
-    if n_section == k:
-        c, f_hat, residual_matrix = _solve_factored(op, g, frame, options.pseudoinverse_rel_tol)
-    else:
-        c, f_hat, residual_matrix = _solve_section(
-            op, g, frame, options.pseudoinverse_rel_tol, n_section
+    frame.require_frame("discretization")
+    n, k = frame.space_dim, frame.count
+    if op.dim_in != n or op.dim_out != n:
+        raise DimensionMismatch(
+            f"discretization over a single frame needs an operator on C^{n}, "
+            f"got C^{op.dim_in} -> C^{op.dim_out}"
         )
+    n_section = options.section_size if options.section_size is not None else k
+    if n_section > k:
+        raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
+    rel_tol = options.pseudoinverse_rel_tol
+    if rel_tol is None:
+        rel_tol = n_section * EPS
+
+    _, s, v = frame.r_svd
+    vh = v.conj().T
+    # an array that leaves the float range turns inf or NaN, and the first
+    # check it meets names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # s_i / s_j reaches sqrt(B/A), so the core can overflow where O does not
+        core = require_finite("discretized system's core",
+                              (s[:, None] * (vh @ op.matrix @ v)) / s)
+        # U* d for d = C g = U diag(s) V* g
+        ud = require_finite("right-hand side's coefficient vector U* C g", s * (vh @ g))
+        if n_section == k:
+            # y = U* c for c = M^+ d = U core^+ U* d
+            y = _solve_above_cutoff(core, ud, rel_tol, "discretized system's core")
+        else:
+            # M_N = U_N core U_N* = Q1 X Q1* with U_N = Q1 R1 and X = R1 core R1*,
+            # so c_N = Q1 X^+ Q1* d_N = Q1 X^+ R1 U* d and y = U_N* c_N = R1* X^+ R1 U* d
+            q1, r1 = np.linalg.qr((frame.analysis_matrix[:n_section] @ v) / s)
+            z = _solve_above_cutoff(r1 @ core @ r1.conj().T, r1 @ ud, rel_tol,
+                                    "finite section's core")
+            y = r1.conj().T @ z
+            c = np.zeros(k, dtype=np.complex128)
+            c[:n_section] = require_finite(_COEFFICIENTS, q1 @ z)
+        f_hat = require_finite("solution V diag(1/s) y", v @ (y / s))
+        if n_section == k:
+            c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)  # = U y
+    # |M c - d| = |U (core y - U* d)| and |d| = |U* d|
+    residual_matrix = euclidean_norm(core @ y - ud) / (1.0 + euclidean_norm(ud))
     residual_operator = euclidean_norm(op(f_hat) - g) / (1.0 + euclidean_norm(g))
     return SolveReport(
         solution=f_hat,
@@ -171,34 +186,13 @@ def solve(op: LinearOperator, g, frame: Frame,
     )
 
 
-def _solve_factored(op, g, frame, rel_tol):
-    """Solve ``M c = C g`` through the n x n core, from the frame's ``(s, V)`` alone.
+def _solve_above_cutoff(a, b, rel_tol, what):
+    """``a^+ b`` for the pseudoinverse that drops singular values ``<= rel_tol * s_max``.
 
-    Returns ``(c, D_dual c, residual_matrix)``.
+    ``a^+ b`` has the norm of the solution's coefficients, so it is where
+    they first leave the float range; :func:`solve` calls it under its
+    ``np.errstate``.
     """
-    _require_operator_on_frame_space(op, frame)
-    _, s, v = frame.r_svd
-    core = (s[:, None] * (v.conj().T @ op.matrix @ v)) / s
-    uc, sc, vc = svd(core, "discretized system's core")
-    if rel_tol is None:
-        rel_tol = frame.count * EPS
-    ud = s * (v.conj().T @ g)  # U* d for d = C g = U diag(s) V* g
-    # y = U* c, where c = M^+ d = U core^+ U* d
-    y = vc @ (inverse_above_cutoff(sc, rel_tol) * (uc.conj().T @ ud))
-    residual_matrix = euclidean_norm(core @ y - ud) / (1.0 + euclidean_norm(ud))
-    f_hat = v @ (y / s)
-    return frame.analysis_matrix @ f_hat, f_hat, residual_matrix
-
-
-def _solve_section(op, g, frame, rel_tol, n_section):
-    """Solve the explicit top-left N x N block of ``M c = C g``, N < K.
-
-    Returns ``(c, D_dual c, residual_matrix)`` with ``c`` zero-padded to K.
-    """
-    d = frame.analyze(g)
-    m, _ = discretize(op, frame)
-    m_section = finite_section(m, n_section)
-    c = np.zeros(frame.count, dtype=np.complex128)
-    c[:n_section] = pseudoinverse(m_section, rel_tol) @ d[:n_section]
-    residual_matrix = euclidean_norm(m @ c - d) / (1.0 + euclidean_norm(d))
-    return c, frame.canonical_dual().synthesize(c), residual_matrix
+    ua, sa, va = svd(a, what)
+    x = va @ (inverse_above_cutoff(sa, rel_tol) * (ua.conj().T @ b))
+    return require_finite(_COEFFICIENTS, x)

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random generators and a CLI runner."""
+"""Shared helpers for the test suite: seeded random generators, the solver's
+explicit oracle and subprocess runners."""
 
 import os
 import subprocess
@@ -64,6 +65,26 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def explicit_system(op, frame):
+    """The K x K coefficient system ``M = C O D_dual`` of ``O f = g``, formed explicitly."""
+    return frame.analysis_matrix @ op.matrix @ frame.canonical_dual().synthesis_matrix
+
+
+def pseudoinverse(a, rel_tol=None):
+    """Moore-Penrose pseudoinverse through numpy's SVD, the solver's oracle.
+
+    Singular values ``<= rel_tol * s_max`` count as zero; the default
+    ``rel_tol`` is ``max(rows, cols) * eps``.
+    """
+    if rel_tol is None:
+        rel_tol = max(a.shape) * np.finfo(np.float64).eps
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > rel_tol * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return (vh.conj().T * inv_s) @ u.conj().T
+
+
 def no_convergence(*args, **kwargs):
     """Stand-in for ``np.linalg.svd`` that fails as LAPACK does on non-convergence."""
     raise np.linalg.LinAlgError("SVD did not converge")
@@ -71,13 +92,18 @@ def no_convergence(*args, **kwargs):
 
 def run_cli(args, cwd=None, env_extra=None):
     """Run the installed CLI in a subprocess and capture its output."""
+    return run_python(["-m", "framerep", *args], cwd=cwd, env_extra=env_extra)
+
+
+def run_python(args, cwd=None, env_extra=None):
+    """Run ``python args`` in a subprocess that imports the package from SRC."""
     env = os.environ.copy()
     env.pop("FRAMEREP_TOL", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "framerep", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,

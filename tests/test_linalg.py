@@ -7,7 +7,6 @@ from framerep import (
     DecompositionFailed,
     frobenius_norm,
     operator_norm,
-    pseudoinverse,
     svd,
 )
 from helpers import no_convergence, random_complex
@@ -38,53 +37,14 @@ class TestSvd:
             assert np.all(s >= 0)
 
 
-class TestPseudoinverse:
-    def test_invertible_diagonal(self):
-        p = pseudoinverse(np.diag([2.0, 4.0]))
-        assert np.allclose(p, np.diag([0.5, 0.25]), atol=1e-15)
-
-    def test_least_squares_column(self):
-        p = pseudoinverse(np.array([[1.0], [1.0]]))
-        assert np.allclose(p, [[0.5, 0.5]], atol=1e-15)
-
-    def test_zero_matrix(self):
-        assert np.array_equal(pseudoinverse(np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_rejects_negative_tol(self):
-        with pytest.raises(ValueError):
-            pseudoinverse(np.eye(2), rel_tol=-1.0)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
-    def test_rejects_non_finite_tol(self, tol):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            pseudoinverse(np.eye(2), rel_tol=tol)
-
-    def test_penrose_identities_rank_deficient(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            m, n = rng.integers(2, 10, size=2)
-            r = int(rng.integers(1, min(m, n) + 1))
-            a = random_complex(rng, m, r) @ random_complex(rng, r, n)
-            p = pseudoinverse(a)
-            scale = np.linalg.norm(p, "fro")
-            assert np.linalg.norm(a @ p @ a - a, "fro") <= 1e-9 * scale
-            assert np.linalg.norm(p @ a @ p - p, "fro") <= 1e-9 * scale
-            assert np.linalg.norm((a @ p).conj().T - a @ p, "fro") <= 1e-9 * scale
-            assert np.linalg.norm((p @ a).conj().T - p @ a, "fro") <= 1e-9 * scale
-
-
 class TestDecompositionFailure:
     @pytest.fixture(autouse=True)
     def failing_svd(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
 
     def test_svd(self):
-        with pytest.raises(DecompositionFailed, match="SVD of the matrix"):
+        with pytest.raises(DecompositionFailed, match="SVD of the matrix") as info:
             svd(np.eye(2))
-
-    def test_pseudoinverse(self):
-        with pytest.raises(DecompositionFailed) as info:
-            pseudoinverse(np.eye(2))
         # LinAlgError subclasses ValueError, which the CLI reports as misuse
         assert not isinstance(info.value, ValueError)
 

@@ -1,5 +1,7 @@
 """Tests for frame-coordinate operator representations and their identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -499,9 +501,20 @@ class TestProductOverflow:
         lambda f: operator_of_matrix(np.eye(3), f, f),
         lambda f: gram(f, f),
         lambda f: f.frame_operator,
-    ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator"])
+        lambda f: frame_multiplier(np.ones(3), f, f),
+    ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator",
+            "frame_multiplier"])
     def test_overflow_is_named(self, product):
         huge = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e160)
         with pytest.raises(FrameRepError, match="overflows the float range") as info:
             product(huge)
+        assert not isinstance(info.value, DimensionMismatch)
+
+    def test_operator_from_images_overflow_is_named(self):
+        # the dual of a tiny frame is huge, and so are the images
+        tiny = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameRepError, match="operator from images overflows") as info:
+                operator_from_images(tiny, np.full((3, 2), 1e160))
         assert not isinstance(info.value, DimensionMismatch)

@@ -13,22 +13,22 @@ from framerep import (
     DimensionMismatch,
     Frame,
     FrameClass,
+    FrameRepError,
     LinearOperator,
     NotAFrame,
     SectionTooLarge,
     SolveOptions,
-    discretize,
-    finite_section,
     gram,
     identity_operator,
     project_onto_analysis_range,
-    pseudoinverse,
     solve,
 )
 from helpers import (
     conditioned_operator,
+    explicit_system,
     frame_with_condition,
     no_convergence,
+    pseudoinverse,
     random_complex,
     random_frame,
     random_unitary,
@@ -42,39 +42,47 @@ def rel(a, b):
 
 
 class TestDiscretize:
+    """The discretized system ``M = C O D_dual``: the explicit oracle satisfies the
+    paper's identities, and :func:`solve` discretizes only what it can."""
+
     def test_identity_over_psi0(self, psi0):
-        m, rhs_map = discretize(identity_operator(2), psi0)
+        m = explicit_system(identity_operator(2), psi0)
         expected = gram(psi0, psi0.canonical_dual())
         assert np.allclose(m, expected, atol=1e-12)
-        g = np.array([1.0, -2.0])
-        assert np.allclose(rhs_map(g), psi0.analyze(g), atol=0)
 
     def test_diagonal_over_onb_is_the_operator(self, onb2):
         op = LinearOperator([[2, 0], [0, 3]])
-        m, _ = discretize(op, onb2)
+        m = explicit_system(op, onb2)
         assert np.allclose(m, op.matrix, atol=1e-12)
-
-    def test_zero_operator(self, psi0):
-        m, _ = discretize(LinearOperator(np.zeros((2, 2))), psi0)
-        assert np.allclose(m, np.zeros((3, 3)), atol=1e-15)
 
     def test_rephrasing_identity(self, psi0):
         # M (C f) == C (O f) for every f
         rng = np.random.default_rng(60)
         op = LinearOperator(random_complex(rng, 2, 2))
-        m, _ = discretize(op, psi0)
+        m = explicit_system(op, psi0)
         f = random_complex(rng, 2)
         lhs = m @ psi0.analyze(f)
         rhs = psi0.analyze(op(f))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_zero_operator(self, psi0):
+        # M = 0 keeps no singular value: zero coefficients, and |M c - d| = |d|
+        g = np.array([1.0, -2.0])
+        d_norm = np.linalg.norm(psi0.analyze(g))
+        for section in (None, 2):
+            report = solve(LinearOperator(np.zeros((2, 2))), g, psi0,
+                           SolveOptions(section_size=section))
+            assert np.array_equal(report.coefficients, np.zeros(3))
+            assert np.array_equal(report.solution, np.zeros(2))
+            assert report.residual_matrix == pytest.approx(d_norm / (1.0 + d_norm), rel=1e-15)
+
     def test_requires_frame(self):
-        with pytest.raises(NotAFrame):
-            discretize(identity_operator(2), Frame([[1, 0], [2, 0]]))
+        with pytest.raises(NotAFrame, match="discretization requires a frame"):
+            solve(identity_operator(2), [1, 0], Frame([[1, 0], [2, 0]]))
 
     def test_requires_endomorphism(self, psi0):
-        with pytest.raises(DimensionMismatch):
-            discretize(LinearOperator(np.ones((3, 2))), psi0)
+        with pytest.raises(DimensionMismatch, match="needs an operator on C\\^2"):
+            solve(LinearOperator(np.ones((3, 2))), [1, 0], psi0)
 
 
 class TestProjectOntoAnalysisRange:
@@ -104,32 +112,56 @@ class TestProjectOntoAnalysisRange:
 
 
 class TestFiniteSection:
-    def test_full_size_is_identity(self):
-        rng = np.random.default_rng(63)
-        m = random_complex(rng, 3, 3)
-        assert np.array_equal(finite_section(m, 3), m)
+    """A section solves the leading N x N block of ``M c = C g``."""
 
-    def test_top_left_block(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(finite_section(m, 2), [[0.0, 1.0], [3.0, 4.0]])
+    def test_full_size_is_identity(self):
+        rng = np.random.default_rng(69)
+        frame = random_frame(rng, 3, 8)
+        op = conditioned_operator(rng, 3)
+        g = random_complex(rng, 3)
+        full = solve(op, g, frame)
+        section = solve(op, g, frame, SolveOptions(section_size=8))
+        assert section.section_used == full.section_used == 8
+        for field in ("solution", "coefficients", "residual_operator", "residual_matrix"):
+            assert np.array_equal(getattr(section, field), getattr(full, field))
 
     def test_single_entry(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(finite_section(m, 1), [[0.0]])
+        # the 1 x 1 section is the scalar equation M[0, 0] c_0 = d_0
+        rng = np.random.default_rng(63)
+        frame = random_frame(rng, 3, 8)
+        op = conditioned_operator(rng, 3)
+        g = random_complex(rng, 3)
+        report = solve(op, g, frame, SolveOptions(section_size=1))
+        m, d = explicit_system(op, frame), frame.analyze(g)
+        assert report.coefficients[0] == pytest.approx(d[0] / m[0, 0], rel=1e-12)
+        assert np.array_equal(report.coefficients[1:], np.zeros(7))
+        c = report.coefficients
+        residual = np.linalg.norm(m @ c - d) / (1.0 + np.linalg.norm(d))
+        assert report.residual_matrix == pytest.approx(residual, rel=1e-12)
 
-    def test_entries_bit_identical(self):
+    def test_default_cutoff_is_n_eps(self):
+        # with an orthonormal basis padded by zero vectors, M_2 = O and M has
+        # O's singular values (1, 5e-15): above 2 eps, below K eps for K = 100
+        frame = Frame(np.vstack([np.eye(2), np.zeros((98, 2))]))
+        op = LinearOperator(np.diag([1.0, 5e-15]))
+        g = np.array([1.0, 1e-15])
+        section = solve(op, g, frame, SolveOptions(section_size=2))
+        full = solve(op, g, frame)
+        assert np.allclose(section.solution, [1.0, 0.2], rtol=1e-6, atol=0)
+        assert np.allclose(full.solution, [1.0, 0.0], rtol=0, atol=1e-12)
+
+    def test_minimal_norm_least_squares(self):
+        # LAPACK's least-squares driver on the explicit block, an oracle
+        # independent of the pseudoinverse helper; N = 5 > n gives a rank-3 block
         rng = np.random.default_rng(64)
-        m = random_complex(rng, 5, 4)
-        section = finite_section(m, 3)
-        assert np.array_equal(section, m[:3, :3])
-
-    def test_too_large(self):
-        with pytest.raises(SectionTooLarge):
-            finite_section(np.eye(3), 4)
-
-    def test_non_positive(self):
-        with pytest.raises(ValueError):
-            finite_section(np.eye(3), 0)
+        frame = random_frame(rng, 3, 8, max_condition=1e2)
+        op = conditioned_operator(rng, 3)
+        g = random_complex(rng, 3)
+        m, d = explicit_system(op, frame), frame.analyze(g)
+        for section in (2, 3, 5):
+            report = solve(op, g, frame, SolveOptions(section_size=section))
+            expected = np.linalg.lstsq(m[:section, :section], d[:section], rcond=None)[0]
+            assert rel(report.coefficients[:section], expected) <= 1e-12, section
 
 
 class TestSolve:
@@ -169,7 +201,7 @@ class TestSolve:
             op = conditioned_operator(rng, n, max_condition=1e2)
             g = random_complex(rng, n)
             report = solve(op, g, frame)
-            oracle = pseudoinverse(op.matrix) @ g
+            oracle = np.linalg.solve(op.matrix, g)
             assert report.residual_operator <= 1e-8
             assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -206,7 +238,7 @@ class TestSolve:
         assert residuals[10] <= 1e-10
 
     def test_section_larger_than_count(self, psi0):
-        with pytest.raises(SectionTooLarge):
+        with pytest.raises(SectionTooLarge, match="section 4 exceeds the 3 x 3"):
             solve(identity_operator(2), [1, 0], psi0, SolveOptions(section_size=4))
 
     def test_conditioning_warning(self):
@@ -256,7 +288,7 @@ class TestSolveOptions:
 
 
 class TestFactoredSolve:
-    """The full system is solved through the n x n core, never as K x K."""
+    """Every section is solved through the n x n core, never as a K x K system."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -268,24 +300,34 @@ class TestFactoredSolve:
         data=st.data(),
     )
     def test_matches_explicit_system(self, n, extra, log_condition, tol, seed, data):
+        k = n + extra
         rank = data.draw(st.integers(0, n), label="rank")
+        section = data.draw(
+            st.sampled_from([None] + sorted({min(max(size, 1), k)
+                                             for size in (1, n - 1, n, n + 1, k - 1)})),
+            label="section",
+        )
         rng = np.random.default_rng(seed)
-        frame = frame_with_condition(rng, n, n + extra, 10.0**log_condition)
+        frame = frame_with_condition(rng, n, k, 10.0**log_condition)
         s = np.exp(rng.uniform(0.0, np.log(1e2), n))
         s[rank:] = 0.0
         op = LinearOperator((random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T)
         g = random_complex(rng, n)
 
-        report = solve(op, g, frame, SolveOptions(pseudoinverse_rel_tol=tol))
+        options = SolveOptions(section_size=section, pseudoinverse_rel_tol=tol)
+        report = solve(op, g, frame, options)
 
-        m, rhs_map = discretize(op, frame)
-        d = rhs_map(g)
-        c_ref = pseudoinverse(m, tol) @ d
+        # the oracle: the SVD pseudoinverse of the explicit N x N section of M
+        n_section = k if section is None else section
+        m, d = explicit_system(op, frame), frame.analyze(g)
+        m_section = m[:n_section, :n_section]
+        c_ref = np.zeros(k, dtype=np.complex128)
+        c_ref[:n_section] = pseudoinverse(m_section, tol) @ d[:n_section]
         solution_ref = frame.canonical_dual().synthesize(c_ref)
         residual_ref = np.linalg.norm(m @ c_ref - d) / (1.0 + np.linalg.norm(d))
-        # condition of the part of M the pseudoinverse keeps, and of the dual
-        sv = np.linalg.svd(m, compute_uv=False)
-        kept = sv[sv > (tol if tol is not None else m.shape[0] * EPS) * sv[0]]
+        # condition of the part of M_N the pseudoinverse keeps, and of the dual
+        sv = np.linalg.svd(m_section, compute_uv=False)
+        kept = sv[sv > (tol if tol is not None else n_section * EPS) * sv[0]]
         cond = max(kept[0] / kept[-1] if kept.size else 1.0, np.sqrt(frame.condition))
         bound = 1e3 * EPS * cond
         assert np.linalg.norm(report.coefficients - c_ref) <= bound * np.linalg.norm(c_ref)
@@ -294,19 +336,21 @@ class TestFactoredSolve:
 
     def test_never_forms_the_left_factor(self, monkeypatch):
         rng = np.random.default_rng(26)
-        n = 6
-        shapes = []
+        n, k = 6, 48
         real_svd = np.linalg.svd
+        for section in (None, 1, n - 1, n, n + 1, k - 1):
+            shapes = []
 
-        def recording_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real_svd(a, *args, **kwargs)
+            def recording_svd(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        frame = Frame(random_complex(rng, 8 * n, n))
-        solve(conditioned_operator(rng, n), random_complex(rng, n), frame)
-        assert "analysis_svd" not in frame.__dict__
-        assert shapes and all(rows <= n for rows, _ in shapes)
+            monkeypatch.setattr(np.linalg, "svd", recording_svd)
+            frame = Frame(random_complex(rng, k, n))
+            solve(conditioned_operator(rng, n), random_complex(rng, n), frame,
+                  SolveOptions(section_size=section))
+            assert "analysis_svd" not in frame.__dict__, section
+            assert shapes and all(rows <= n for rows, _ in shapes), (section, shapes)
 
     def test_dual_after_solve_equals_fresh_dual(self):
         rng = np.random.default_rng(27)
@@ -319,10 +363,11 @@ class TestFactoredSolve:
             assert np.array_equal(got, expected)
 
     def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
-        psi0.analysis_svd  # the frame's own SVD succeeds; the core's fails
+        psi0.r_svd  # the frame's own SVD succeeds; the core's fails
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        with pytest.raises(DecompositionFailed, match="core"):
-            solve(identity_operator(2), [1, 0], psi0)
+        for section in (None, 2):
+            with pytest.raises(DecompositionFailed, match="core"):
+                solve(identity_operator(2), [1, 0], psi0, SolveOptions(section_size=section))
 
 
 class TestScaleEquivariance:
@@ -383,3 +428,28 @@ class TestScaleEquivariance:
             assert frame.is_frame
             assert frame.condition == pytest.approx(3.0, rel=1e-13)
             assert frame.classification is FrameClass.FRAME
+
+
+class TestOverflow:
+    """A product beyond the float range raises a FrameRepError naming it, with no warning."""
+
+    PSI0 = np.array([[1, 0], [0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("section", [None, 2])
+    @pytest.mark.parametrize("vectors, op, g, product", [
+        # C g is about 1e460
+        (PSI0 * 1e160, np.eye(2), 1e300, "right-hand side's coefficient vector"),
+        # C g is about 1e300 and f about 1e150, but C f is about 1e310
+        (PSI0 * 1e160, 1e-10 * np.eye(2), 1e140, "solution's coefficient vector"),
+        # C g and C f are about 1e140 and 1e150, but f is about 1e310
+        (PSI0 * 1e-160, 1e-10 * np.eye(2), 1e300, "solution V diag"),
+        # B/A is about 1e8, and the core's off-diagonal entry about 1e309
+        ([[1, 0], [0, 1e-4], [1, 1e-4]], [[0, 1e305], [0, 0]], 1.0, "discretized system's core"),
+    ], ids=["rhs_coefficients", "solution_coefficients", "solution", "core"])
+    def test_overflow_is_named(self, vectors, op, g, product, section):
+        frame = Frame(vectors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameRepError, match=product) as info:
+                solve(LinearOperator(op), [g, g], frame, SolveOptions(section_size=section))
+        assert not isinstance(info.value, DimensionMismatch)
