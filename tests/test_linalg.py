@@ -6,7 +6,9 @@ import pytest
 from framerep import (
     DecompositionFailed,
     frobenius_norm,
+    identity_operator,
     operator_norm,
+    solve,
     svd,
 )
 from helpers import no_convergence, random_complex
@@ -38,14 +40,20 @@ class TestSvd:
 
 
 class TestDecompositionFailure:
-    @pytest.fixture(autouse=True)
-    def failing_svd(self, monkeypatch):
+    def test_svd(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-
-    def test_svd(self):
         with pytest.raises(DecompositionFailed, match="SVD of the matrix") as info:
             svd(np.eye(2))
         # LinAlgError subclasses ValueError, which the CLI reports as misuse
+        assert not isinstance(info.value, ValueError)
+
+    def test_pseudoinverse(self, psi0, monkeypatch):
+        # the solver's cutoff pseudoinverse of the n x n core is the
+        # package's one pseudoinverse; the frame's own SVD succeeds first
+        psi0.r_svd
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(DecompositionFailed, match="core") as info:
+            solve(identity_operator(2), [1, 0], psi0)
         assert not isinstance(info.value, ValueError)
 
 

@@ -139,6 +139,18 @@ class TestFiniteSection:
         residual = np.linalg.norm(m @ c - d) / (1.0 + np.linalg.norm(d))
         assert report.residual_matrix == pytest.approx(residual, rel=1e-12)
 
+    def test_too_large(self):
+        rng = np.random.default_rng(70)
+        frame = random_frame(rng, 3, 8)
+        op, g = conditioned_operator(rng, 3), random_complex(rng, 3)
+        with pytest.raises(SectionTooLarge, match="section 9 exceeds the 8 x 8"):
+            solve(op, g, frame, SolveOptions(section_size=9))
+
+    def test_non_positive(self):
+        for section in (0, -1):
+            with pytest.raises(ValueError):
+                SolveOptions(section_size=section)
+
     def test_default_cutoff_is_n_eps(self):
         # with an orthonormal basis padded by zero vectors, M_2 = O and M has
         # O's singular values (1, 5e-15): above 2 eps, below K eps for K = 100
