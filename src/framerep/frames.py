@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotAFrame
-from .linalg import as_vector, finite_product, svd
+from .linalg import as_matrix, as_vector, finite_product, svd
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -88,13 +88,7 @@ class Frame:
     """
 
     def __init__(self, vectors):
-        v = np.array(vectors, dtype=np.complex128)
-        if v.ndim != 2:
-            raise DimensionMismatch(f"frame vectors must form a 2-d array, got ndim={v.ndim}")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise DimensionMismatch(f"frame needs at least one vector in C^n, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DimensionMismatch("frame vectors contain non-finite entries")
+        v = as_matrix(vectors, "frame vector array").copy()
         v.setflags(write=False)
         self._vectors = v
 
@@ -124,10 +118,12 @@ class Frame:
 
     # -- operators as matrices -------------------------------------------
 
-    @property
+    @cached_property
     def analysis_matrix(self) -> np.ndarray:
-        """K x n matrix C with (C f)_k = <f, psi_k>."""
-        return self._vectors.conj()
+        """Read-only K x n matrix C with (C f)_k = <f, psi_k>."""
+        c = self._vectors.conj()
+        c.setflags(write=False)
+        return c
 
     @property
     def synthesis_matrix(self) -> np.ndarray:
@@ -140,8 +136,7 @@ class Frame:
 
         Raises FrameRepError if an entry leaves the float range.
         """
-        d = self.synthesis_matrix
-        s = finite_product("frame operator", d, d.conj().T)
+        s = finite_product("frame operator", self.synthesis_matrix, self.analysis_matrix)
         s.setflags(write=False)
         return s
 
@@ -323,14 +318,11 @@ def biorthogonal(psi: Frame, phi: Frame) -> bool:
     Requires equal counts and equal space dimension; true for a Riesz basis
     paired with its canonical dual, never for a redundant frame (K > n).
     """
-    if psi.space_dim != phi.space_dim:
-        raise DimensionMismatch(
-            f"frames live in different spaces: C^{psi.space_dim} vs C^{phi.space_dim}"
-        )
+    # gram(psi, phi) = gram(phi, psi)* has the same distance from I
+    g = gram(psi, phi)
     if psi.count != phi.count:
         raise DimensionMismatch(
             f"biorthogonality needs equal counts, got {psi.count} and {phi.count}"
         )
-    g = gram(phi, psi)
     eye = np.eye(psi.count)
     return bool(np.linalg.norm(g - eye, "fro") <= TIGHT_RTOL * math.sqrt(psi.count))

@@ -22,7 +22,8 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, IncompatibleFrames
 from .frames import RANK_RTOL, Frame
-from .linalg import as_matrix, as_vector, finite_product, frobenius_norm, singular_values
+from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, require_finite,
+                     singular_values)
 
 #: Relative distance within which a frame is accepted as the canonical dual
 #: of another when validating representation products.
@@ -62,7 +63,7 @@ class LinearOperator:
         return self.matrix @ f
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        """Composition ``self o other`` (apply ``other`` first)."""
+        """Composition ``self o other`` (apply ``other`` first); FrameRepError on overflow."""
         if not isinstance(other, LinearOperator):
             return NotImplemented
         if self.dim_in != other.dim_out:
@@ -70,7 +71,7 @@ class LinearOperator:
                 f"cannot compose: left acts on C^{self.dim_in}, "
                 f"right produces C^{other.dim_out}"
             )
-        return LinearOperator(self.matrix @ other.matrix)
+        return _wrap(LinearOperator, finite_product("composition", self.matrix, other.matrix))
 
 
 def identity_operator(n: int) -> LinearOperator:
@@ -79,10 +80,12 @@ def identity_operator(n: int) -> LinearOperator:
 
 
 def rank_one(f, g) -> LinearOperator:
-    """The operator ``h -> <h, g> f`` with matrix ``f g*``."""
+    """The operator ``h -> <h, g> f`` with matrix ``f g*``; FrameRepError on overflow."""
     f = as_vector(f, "output vector")
     g = as_vector(g, "input vector")
-    return LinearOperator(np.outer(f, g.conj()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.outer(f, g.conj())
+    return _wrap(LinearOperator, require_finite("rank-one operator f g*", m))
 
 
 def hs_norm(op: LinearOperator) -> float:
@@ -100,8 +103,7 @@ class Representation:
 
     ``matrix`` is K_analysis x K_synthesis.  Products of representations are
     only meaningful when the inner frames form a (frame, canonical dual)
-    sandwich, so :meth:`compose` checks exactly that before multiplying;
-    pass ``unchecked=True`` to experiment without the guard.
+    sandwich, so :meth:`compose` checks exactly that before multiplying.
     """
 
     matrix: np.ndarray
@@ -120,12 +122,13 @@ class Representation:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def compose(self, other: "Representation", unchecked: bool = False) -> "Representation":
+    def compose(self, other: "Representation") -> "Representation":
         """Multiply two representations sharing a dual sandwich.
 
         Valid when ``other.analysis_frame`` is (numerically) the canonical
         dual of ``self.synthesis_frame``; the result then represents the
         composed operator over ``(self.analysis_frame, other.synthesis_frame)``.
+        Raises FrameRepError if an entry leaves the float range.
         """
         if not isinstance(other, Representation):
             raise TypeError(f"expected a Representation, got {type(other).__name__}")
@@ -134,26 +137,31 @@ class Representation:
                 f"inner coefficient sizes differ: {self.synthesis_frame.count} "
                 f"vs {other.analysis_frame.count}"
             )
-        if not unchecked:
-            dual = self.synthesis_frame.canonical_dual()
-            if other.analysis_frame is not dual and not other.analysis_frame.allclose(
-                dual, rtol=DUAL_PAIR_RTOL
-            ):
-                raise IncompatibleFrames(
-                    "representation product needs the right factor's analysis "
-                    "frame to be the canonical dual of the left factor's "
-                    "synthesis frame; pass unchecked=True to override"
-                )
-        return Representation(
-            matrix=self.matrix @ other.matrix,
-            analysis_frame=self.analysis_frame,
-            synthesis_frame=other.synthesis_frame,
-        )
+        dual = self.synthesis_frame.canonical_dual()
+        if other.analysis_frame is not dual and not other.analysis_frame.allclose(
+            dual, rtol=DUAL_PAIR_RTOL
+        ):
+            raise IncompatibleFrames(
+                "representation product needs the right factor's analysis "
+                "frame to be the canonical dual of the left factor's "
+                "synthesis frame"
+            )
+        m = finite_product("representation product", self.matrix, other.matrix)
+        return _wrap(Representation, m, analysis_frame=self.analysis_frame,
+                     synthesis_frame=other.synthesis_frame)
 
     def __matmul__(self, other: "Representation") -> "Representation":
         if not isinstance(other, Representation):
             return NotImplemented
         return self.compose(other)
+
+
+def _wrap(cls, matrix: np.ndarray, **frames):
+    """A ``cls`` around the fresh, checked product ``matrix``, frozen in place, not copied."""
+    matrix.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(matrix=matrix, **frames)
+    return obj
 
 
 def matrix_of_operator(op: LinearOperator, analysis_frame: Frame,
@@ -178,7 +186,7 @@ def matrix_of_operator(op: LinearOperator, analysis_frame: Frame,
         )
     m = finite_product("representation matrix C_phi O D_psi", analysis_frame.analysis_matrix,
                        op.matrix, synthesis_frame.synthesis_matrix)
-    return Representation(m, analysis_frame=analysis_frame, synthesis_frame=synthesis_frame)
+    return _wrap(Representation, m, analysis_frame=analysis_frame, synthesis_frame=synthesis_frame)
 
 
 def operator_of_matrix(matrix, synthesis_frame: Frame, analysis_frame: Frame) -> LinearOperator:
@@ -197,7 +205,7 @@ def operator_of_matrix(matrix, synthesis_frame: Frame, analysis_frame: Frame) ->
         )
     out = finite_product("induced operator D_phi M C_psi", synthesis_frame.synthesis_matrix, m,
                          analysis_frame.analysis_matrix)
-    return LinearOperator(out)
+    return _wrap(LinearOperator, out)
 
 
 def roundtrip_reconstruct(op: LinearOperator, phi: Frame, psi: Frame) -> LinearOperator:
@@ -230,8 +238,8 @@ def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> 
         raise DimensionMismatch(
             f"expected {synthesis_frame.count} weights, got {w.shape[0]}"
         )
-    return LinearOperator(finite_product("frame multiplier", synthesis_frame.synthesis_matrix * w,
-                                         analysis_frame.analysis_matrix))
+    return _wrap(LinearOperator, finite_product(
+        "frame multiplier", synthesis_frame.synthesis_matrix * w, analysis_frame.analysis_matrix))
 
 
 def operator_from_images(frame: Frame, images, diagnose: bool = False):
@@ -256,7 +264,7 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
             f"expected {frame.count} image vectors, got {e.shape[0]}"
         )
     dual = frame.canonical_dual()
-    op = LinearOperator(finite_product("operator from images", e.T, dual.analysis_matrix))
+    op = _wrap(LinearOperator, finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
     s_stack = singular_values(np.vstack([frame.synthesis_matrix, e.T]), "stacked frame and images")

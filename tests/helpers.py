@@ -44,6 +44,28 @@ def rank_one_expansion(m, phi, psi):
     )
 
 
+#: Memory layouts :func:`imaginary_nan` builds, none with a contiguous last axis.
+LAYOUTS = ("transposed", "fortran", "strided")
+
+
+def imaginary_nan(rows, cols, layout):
+    """A ``rows x cols`` complex array whose only NaN is the imaginary part of its last entry.
+
+    ``layout`` (one of :data:`LAYOUTS`) picks a transpose, a Fortran-order
+    copy or every second column of a wider array; the strided one also holds
+    NaN in the columns it skips.
+    """
+    a = np.ones((rows, cols), dtype=np.complex128)
+    a[-1, -1] = complex(1.0, np.nan)
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    wide = np.full((rows, 2 * cols), complex(np.nan, np.nan))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
 def random_riesz_basis(rng, n, max_condition=1e6):
     return random_frame(rng, n, n, max_condition)
 

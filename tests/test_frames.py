@@ -19,6 +19,8 @@ from framerep import (
     standard_basis,
 )
 from helpers import (
+    LAYOUTS,
+    imaginary_nan,
     no_convergence,
     random_complex,
     random_frame,
@@ -37,6 +39,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             psi0.vectors[0, 0] = 5.0
 
+    def test_analysis_matrix_cached_and_read_only(self, psi0):
+        c = psi0.analysis_matrix
+        assert c is psi0.analysis_matrix
+        assert np.array_equal(c, psi0.vectors.conj())
+        with pytest.raises(ValueError):
+            c[0, 0] = 5.0
+
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             Frame(np.zeros((0, 2)))
@@ -44,6 +53,30 @@ class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(DimensionMismatch):
             Frame([[1.0, np.inf]])
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_rejects_imaginary_nan_in_any_layout(self, layout):
+        a = imaginary_nan(3, 2, layout)
+        assert not a.flags.c_contiguous
+        with pytest.raises(DimensionMismatch, match="frame vector array contains non-finite"):
+            Frame(a)
+        # a finite strided view is accepted, whatever the entries it skips
+        a[-1, -1] = 1.0
+        assert np.array_equal(Frame(a).vectors, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("vectors, message", [
+        (np.ones(3), "frame vector array must be 2-dimensional, got ndim=1"),
+        (np.ones((2, 0)), r"frame vector array must have positive dimensions, got shape \(2, 0\)"),
+    ])
+    def test_shape_messages(self, vectors, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            Frame(vectors)
+
+    def test_copies_and_leaves_callers_array_writeable(self):
+        source = np.eye(2, dtype=np.complex128)
+        frame = Frame(source)
+        source[0, 0] = 5.0
+        assert frame.vectors[0, 0] == 1.0
 
     def test_zero_vector_is_legal(self):
         # appending a zero vector to an ONB keeps the bounds at (1, 1)
@@ -157,6 +190,11 @@ class TestAnalysisSynthesis:
             psi0.analyze([1, 2, 3])
         with pytest.raises(DimensionMismatch):
             psi0.synthesize([1, 2])
+        # a 0-d scalar is not a vector of dimension one
+        with pytest.raises(DimensionMismatch, match="must be 1-dimensional, got ndim=0"):
+            psi0.analyze(2.0)
+        with pytest.raises(DimensionMismatch, match="must be 1-dimensional, got ndim=0"):
+            standard_basis(1).analyze(2.0)
 
 
 class TestCanonicalDual:
@@ -354,5 +392,10 @@ class TestBiorthogonal:
         assert biorthogonal(onb2, onb2)
 
     def test_count_mismatch(self, psi0, onb2):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="equal counts, got 3 and 2"):
             biorthogonal(psi0, onb2)
+
+    def test_space_mismatch_is_named_first(self, psi0):
+        # counts differ too, but the spaces are compared first
+        with pytest.raises(DimensionMismatch, match=r"different spaces: C\^2 vs C\^4"):
+            biorthogonal(psi0, standard_basis(4))

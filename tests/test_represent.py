@@ -28,6 +28,8 @@ from framerep import (
     roundtrip_reconstruct,
 )
 from helpers import (
+    LAYOUTS,
+    imaginary_nan,
     random_complex,
     random_frame,
     random_operator,
@@ -60,10 +62,45 @@ class TestLinearOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 7
 
-    def test_does_not_freeze_callers_array(self):
-        source = np.eye(2, dtype=np.complex128)
-        LinearOperator(source)
-        source[0, 0] = 5.0  # caller's array stays writable
+    def test_does_not_freeze_callers_array(self, onb2):
+        for construct in (LinearOperator, lambda a: Representation(a, onb2, onb2)):
+            source = np.array([[1, 2j], [3, 4]])
+            built = construct(source)
+            assert source.flags.writeable
+            assert np.array_equal(source, [[1, 2j], [3, 4]])
+            assert not built.matrix.flags.writeable
+            source[0, 0] = 5.0  # the public constructors copy
+            assert built.matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("construct", [
+        LinearOperator,
+        lambda a: Representation(a, analysis_frame=Frame(np.eye(3)),
+                                 synthesis_frame=Frame(np.eye(2))),
+    ], ids=["LinearOperator", "Representation"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_rejects_imaginary_nan_in_any_layout(self, construct, layout):
+        with pytest.raises(DimensionMismatch, match="contains non-finite entries"):
+            construct(imaginary_nan(3, 2, layout))
+
+
+PRODUCTS = {
+    "matrix_of_operator": lambda f: matrix_of_operator(identity_operator(2), f, f),
+    "operator_of_matrix": lambda f: operator_of_matrix(np.eye(3), f, f),
+    "frame_multiplier": lambda f: frame_multiplier(np.ones(3), f, f),
+    "operator_from_images": lambda f: operator_from_images(f, f.vectors),
+    "operator_matmul": lambda f: identity_operator(2) @ identity_operator(2),
+    "representation_matmul": lambda f: (
+        matrix_of_operator(identity_operator(2), f, f.canonical_dual())
+        @ matrix_of_operator(identity_operator(2), f, f.canonical_dual())),
+    "rank_one": lambda f: rank_one(f.vectors[0], f.vectors[1]),
+}
+
+
+@pytest.mark.parametrize("product", PRODUCTS.values(), ids=PRODUCTS.keys())
+def test_product_results_are_read_only(product, psi0):
+    result = product(psi0)
+    with pytest.raises(ValueError):
+        result.matrix[0, 0] = 7
 
 
 class TestRankOne:
@@ -254,16 +291,6 @@ class TestRepresentationCompose:
         with pytest.raises(IncompatibleFrames):
             left.compose(right)
 
-    def test_unchecked_overrides(self):
-        rng = np.random.default_rng(42)
-        psi = random_frame(rng, 3, 5)
-        phi = random_frame(rng, 3, 5)
-        xi = random_frame(rng, 3, 4)
-        left = matrix_of_operator(identity_operator(3), phi, xi)
-        right = matrix_of_operator(identity_operator(3), xi, psi)
-        product = left.compose(right, unchecked=True)
-        assert product.matrix.shape == (5, 5)
-
     def test_count_mismatch(self):
         rng = np.random.default_rng(43)
         psi = random_frame(rng, 3, 5)
@@ -341,6 +368,10 @@ class TestFrameMultiplier:
     def test_count_mismatch(self, psi0, onb2):
         with pytest.raises(DimensionMismatch):
             frame_multiplier(np.ones(3), psi0, onb2)
+
+    def test_scalar_weight_is_not_a_vector(self, psi0):
+        with pytest.raises(DimensionMismatch, match="must be 1-dimensional, got ndim=0"):
+            frame_multiplier(1.0, psi0, psi0)
 
 
 class TestOperatorFromImages:
@@ -493,6 +524,12 @@ class TestHilbertSchmidtBounds:
             assert hs_norm(op) <= bound * (1 + 1e-9)
 
 
+def _huge_representation():
+    """The representation of 1e200 * I over psi0 and its dual, finite on its own."""
+    psi = Frame([[1, 0], [0, 1], [1, 1]])
+    return matrix_of_operator(LinearOperator(np.eye(2) * 1e200), psi, psi.canonical_dual())
+
+
 class TestProductOverflow:
     """Products beyond the float range raise a FrameRepError naming the overflow."""
 
@@ -502,8 +539,11 @@ class TestProductOverflow:
         lambda f: gram(f, f),
         lambda f: f.frame_operator,
         lambda f: frame_multiplier(np.ones(3), f, f),
+        lambda f: LinearOperator(np.eye(2) * 1e200) @ LinearOperator(np.eye(2) * 1e200),
+        lambda f: rank_one([1e200, 1], [1e200, 1]),
+        lambda f: _huge_representation() @ _huge_representation(),
     ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator",
-            "frame_multiplier"])
+            "frame_multiplier", "operator_matmul", "rank_one", "representation_matmul"])
     def test_overflow_is_named(self, product):
         huge = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e160)
         with pytest.raises(FrameRepError, match="overflows the float range") as info:
