@@ -26,7 +26,6 @@ from .frames import (
     FrameClass,
     biorthogonal,
     gram,
-    standard_basis,
 )
 from .io import (
     parse_frame,
@@ -104,6 +103,5 @@ __all__ = [
     "serialize_matrix",
     "serialize_vector",
     "solve",
-    "standard_basis",
     "svd",
 ]

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotAFrame
-from .linalg import as_matrix, as_vector, finite_product, svd
+from .linalg import as_matrix, as_vector, finite_product, require_finite, svd, wrap_checked
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -207,22 +207,14 @@ class Frame:
     # -- analysis / synthesis --------------------------------------------
 
     def analyze(self, f) -> np.ndarray:
-        """Coefficients (<f, psi_k>)_k of a vector f in C^n."""
-        f = as_vector(f, "input vector")
-        if f.shape != (self.space_dim,):
-            raise DimensionMismatch(
-                f"expected a vector of dim {self.space_dim}, got shape {f.shape}"
-            )
-        return self.analysis_matrix @ f
+        """Coefficients (<f, psi_k>)_k of a vector f in C^n; FrameRepError on overflow."""
+        f = as_vector(f, "input vector", self.space_dim)
+        return finite_product("analysis coefficients C f", self.analysis_matrix, f)
 
     def synthesize(self, c) -> np.ndarray:
-        """Weighted sum sum_k c_k psi_k of the frame vectors."""
-        c = as_vector(c, "coefficient vector")
-        if c.shape != (self.count,):
-            raise DimensionMismatch(
-                f"expected {self.count} coefficients, got shape {c.shape}"
-            )
-        return self.synthesis_matrix @ c
+        """Weighted sum sum_k c_k psi_k of the frame vectors; FrameRepError on overflow."""
+        c = as_vector(c, "coefficient vector", self.count)
+        return finite_product("synthesis D c", self.synthesis_matrix, c)
 
     # -- duals and classification ----------------------------------------
 
@@ -241,6 +233,8 @@ class Frame:
         ------
         NotAFrame
             If the family does not span C^n.
+        FrameRepError
+            If an entry of the dual leaves the float range.
         """
         self.require_frame("canonical dual")
         dual = self.__dict__.get("_canonical_dual")
@@ -250,12 +244,14 @@ class Frame:
         if dual is None:
             u, s, v = self.analysis_svd
             w = self.r_svd[0]
-            # rows of `vectors` are conj(C) = conj(U) diag(s) V^T; invert s
-            dual = Frame((u.conj() / s) @ v.T)
+            # rows of `vectors` are conj(C) = conj(U) diag(s) V^T; invert s.  numpy
+            # divides by s through 1/s, so finite vectors mean finite dual values 1/s
+            with np.errstate(over="ignore", invalid="ignore"):
+                vectors = require_finite("canonical dual", (u.conj() / s) @ v.T)
             s_dual, v_dual = 1.0 / s[::-1], v[:, ::-1]
-            dual.__dict__["r_svd"] = (w[:, ::-1], s_dual, v_dual)
-            dual.__dict__["analysis_svd"] = (u[:, ::-1], s_dual, v_dual)
-            dual.__dict__["_primal"] = weakref.ref(self)
+            dual = wrap_checked(Frame, "_vectors", vectors, r_svd=(w[:, ::-1], s_dual, v_dual),
+                                analysis_svd=(u[:, ::-1], s_dual, v_dual),
+                                _primal=weakref.ref(self))
             self.__dict__["_canonical_dual"] = dual
         return dual
 
@@ -290,13 +286,6 @@ class Frame:
         if scale == 0.0:
             return True
         return np.linalg.norm(self._vectors - other._vectors, "fro") <= rtol * scale
-
-
-def standard_basis(n: int) -> Frame:
-    """The standard orthonormal basis of C^n as a frame."""
-    if n < 1:
-        raise DimensionMismatch(f"space dimension must be positive, got {n}")
-    return Frame(np.eye(n, dtype=np.complex128))
 
 
 def gram(psi: Frame, phi: Frame) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra kernel.
 
 Everything in the package runs on ``numpy.complex128`` arrays: matrices are
-2-d, vectors 1-d.  The helpers here coerce inputs to that form, refuse
-non-finite entries, and wrap the numpy/LAPACK decompositions behind the small
-set of operations the frame and representation modules rely on.  A LAPACK
-decomposition that does not converge raises :class:`DecompositionFailed`.
+2-d, vectors 1-d.  The helpers here coerce inputs to that form, check their
+shape, refuse non-finite entries and overflowing products, and wrap the
+numpy/LAPACK decompositions behind the small set of operations the frame and
+representation modules rely on.  A LAPACK decomposition that does not
+converge raises :class:`DecompositionFailed`.
 
 Singular values come in descending order.  All tolerances are relative to
 the scale of the input (its largest singular value); there are no absolute
@@ -23,26 +24,35 @@ from .exceptions import DecompositionFailed, DimensionMismatch, FrameRepError
 EPS = float(np.finfo(np.float64).eps)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite complex128 2-d array.
+def as_matrix(a, name: str = "matrix", shape=(None, None)) -> np.ndarray:
+    """Coerce ``a`` to a finite complex128 2-d array of ``shape`` (``None``: any length).
+
+    The one check of an argument's shape: callers state it here, not afterwards.
 
     Raises
     ------
     DimensionMismatch
-        If ``a`` is not 2-dimensional, is empty, or contains NaN/Inf.
+        Naming ``name``, if ``a`` is not 2-d, differs from ``shape``, is
+        empty, or contains NaN/Inf.
     """
-    return _as_finite(a, 2, name)
+    return _as_finite(a, name, shape)
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce ``v`` to a finite complex128 1-d array; raises like :func:`as_matrix`."""
-    return _as_finite(v, 1, name)
+def as_vector(v, name: str = "vector", length: int | None = None) -> np.ndarray:
+    """Coerce ``v`` to a finite complex128 1-d array of ``length`` (``None``: any).
+
+    Raises like :func:`as_matrix`.
+    """
+    return _as_finite(v, name, (length,))
 
 
-def _as_finite(a, ndim: int, name: str) -> np.ndarray:
+def _as_finite(a, name: str, shape: tuple) -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
-    if out.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got ndim={out.ndim}")
+    if out.ndim != len(shape):
+        raise DimensionMismatch(f"{name} must be {len(shape)}-dimensional, got ndim={out.ndim}")
+    if any(want is not None and want != got for want, got in zip(shape, out.shape)):
+        expected = str(shape).replace("None", "any")
+        raise DimensionMismatch(f"{name} must have shape {expected}, got {out.shape}")
     if out.size == 0:
         raise DimensionMismatch(f"{name} must have positive dimensions, got shape {out.shape}")
     if not _is_finite(out):
@@ -128,6 +138,18 @@ def require_finite(what: str, out: np.ndarray) -> np.ndarray:
     if not _is_finite(out):
         raise FrameRepError(f"the {what} overflows the float range")
     return out
+
+
+def wrap_checked(cls, field: str, array: np.ndarray, **others):
+    """A ``cls`` holding ``array`` as ``field``, plus ``others``, built without its constructor.
+
+    Only for a fresh result of :func:`finite_product` or :func:`require_finite`:
+    ``array`` is frozen in place, neither checked again nor copied.
+    """
+    array.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update({field: array}, **others)
+    return obj
 
 
 def euclidean_norm(x: np.ndarray) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import DimensionMismatch, IncompatibleFrames
 from .frames import RANK_RTOL, Frame
 from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, require_finite,
-                     singular_values)
+                     singular_values, wrap_checked)
 
 #: Relative distance within which a frame is accepted as the canonical dual
 #: of another when validating representation products.
@@ -55,12 +55,9 @@ class LinearOperator:
         return self.matrix.shape[0]
 
     def __call__(self, f) -> np.ndarray:
-        f = as_vector(f, "operator argument")
-        if f.shape != (self.dim_in,):
-            raise DimensionMismatch(
-                f"operator acts on C^{self.dim_in}, got a vector of shape {f.shape}"
-            )
-        return self.matrix @ f
+        """The image ``O f`` of a vector in C^dim_in; FrameRepError on overflow."""
+        f = as_vector(f, "operator argument", self.dim_in)
+        return finite_product("operator image O f", self.matrix, f)
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         """Composition ``self o other`` (apply ``other`` first); FrameRepError on overflow."""
@@ -71,7 +68,8 @@ class LinearOperator:
                 f"cannot compose: left acts on C^{self.dim_in}, "
                 f"right produces C^{other.dim_out}"
             )
-        return _wrap(LinearOperator, finite_product("composition", self.matrix, other.matrix))
+        return wrap_checked(LinearOperator, "matrix",
+                            finite_product("composition", self.matrix, other.matrix))
 
 
 def identity_operator(n: int) -> LinearOperator:
@@ -85,7 +83,7 @@ def rank_one(f, g) -> LinearOperator:
     g = as_vector(g, "input vector")
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.outer(f, g.conj())
-    return _wrap(LinearOperator, require_finite("rank-one operator f g*", m))
+    return wrap_checked(LinearOperator, "matrix", require_finite("rank-one operator f g*", m))
 
 
 def hs_norm(op: LinearOperator) -> float:
@@ -111,14 +109,8 @@ class Representation:
     synthesis_frame: Frame
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, "representation matrix")
-        expected = (self.analysis_frame.count, self.synthesis_frame.count)
-        if m.shape != expected:
-            raise DimensionMismatch(
-                f"representation matrix shape {m.shape} does not match "
-                f"frame counts {expected}"
-            )
-        m = m.copy()
+        m = as_matrix(self.matrix, "representation matrix",
+                      (self.analysis_frame.count, self.synthesis_frame.count)).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -147,21 +139,13 @@ class Representation:
                 "synthesis frame"
             )
         m = finite_product("representation product", self.matrix, other.matrix)
-        return _wrap(Representation, m, analysis_frame=self.analysis_frame,
-                     synthesis_frame=other.synthesis_frame)
+        return wrap_checked(Representation, "matrix", m, analysis_frame=self.analysis_frame,
+                            synthesis_frame=other.synthesis_frame)
 
     def __matmul__(self, other: "Representation") -> "Representation":
         if not isinstance(other, Representation):
             return NotImplemented
         return self.compose(other)
-
-
-def _wrap(cls, matrix: np.ndarray, **frames):
-    """A ``cls`` around the fresh, checked product ``matrix``, frozen in place, not copied."""
-    matrix.setflags(write=False)
-    obj = object.__new__(cls)
-    obj.__dict__.update(matrix=matrix, **frames)
-    return obj
 
 
 def matrix_of_operator(op: LinearOperator, analysis_frame: Frame,
@@ -186,7 +170,8 @@ def matrix_of_operator(op: LinearOperator, analysis_frame: Frame,
         )
     m = finite_product("representation matrix C_phi O D_psi", analysis_frame.analysis_matrix,
                        op.matrix, synthesis_frame.synthesis_matrix)
-    return _wrap(Representation, m, analysis_frame=analysis_frame, synthesis_frame=synthesis_frame)
+    return wrap_checked(Representation, "matrix", m, analysis_frame=analysis_frame,
+                        synthesis_frame=synthesis_frame)
 
 
 def operator_of_matrix(matrix, synthesis_frame: Frame, analysis_frame: Frame) -> LinearOperator:
@@ -197,15 +182,10 @@ def operator_of_matrix(matrix, synthesis_frame: Frame, analysis_frame: Frame) ->
     bounded by ``sqrt(B_psi * B_phi) * |M|_op``.  Raises FrameRepError if an
     entry leaves the float range.
     """
-    m = as_matrix(matrix, "coefficient matrix")
-    if m.shape != (synthesis_frame.count, analysis_frame.count):
-        raise DimensionMismatch(
-            f"matrix shape {m.shape} does not match frame counts "
-            f"({synthesis_frame.count}, {analysis_frame.count})"
-        )
+    m = as_matrix(matrix, "coefficient matrix", (synthesis_frame.count, analysis_frame.count))
     out = finite_product("induced operator D_phi M C_psi", synthesis_frame.synthesis_matrix, m,
                          analysis_frame.analysis_matrix)
-    return _wrap(LinearOperator, out)
+    return wrap_checked(LinearOperator, "matrix", out)
 
 
 def roundtrip_reconstruct(op: LinearOperator, phi: Frame, psi: Frame) -> LinearOperator:
@@ -228,17 +208,13 @@ def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> 
     ``diag(weights)``, computed as ``(D_phi * weights) @ C_psi`` without the
     K x K diagonal.  Raises FrameRepError if an entry leaves the float range.
     """
-    w = as_vector(weights, "multiplier weights")
     if synthesis_frame.count != analysis_frame.count:
         raise DimensionMismatch(
             f"multiplier frames need equal counts, got {synthesis_frame.count} "
             f"and {analysis_frame.count}"
         )
-    if w.shape != (synthesis_frame.count,):
-        raise DimensionMismatch(
-            f"expected {synthesis_frame.count} weights, got {w.shape[0]}"
-        )
-    return _wrap(LinearOperator, finite_product(
+    w = as_vector(weights, "multiplier weights", synthesis_frame.count)
+    return wrap_checked(LinearOperator, "matrix", finite_product(
         "frame multiplier", synthesis_frame.synthesis_matrix * w, analysis_frame.analysis_matrix))
 
 
@@ -258,13 +234,10 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     if an entry of the operator leaves the float range.
     """
     frame.require_frame("prescribing images")
-    e = as_matrix(images, "images")
-    if e.shape[0] != frame.count:
-        raise DimensionMismatch(
-            f"expected {frame.count} image vectors, got {e.shape[0]}"
-        )
+    e = as_matrix(images, "images", (frame.count, None))
     dual = frame.canonical_dual()
-    op = _wrap(LinearOperator, finite_product("operator from images", e.T, dual.analysis_matrix))
+    op = wrap_checked(LinearOperator, "matrix",
+                      finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
     s_stack = singular_values(np.vstack([frame.synthesis_matrix, e.T]), "stacked frame and images")

@@ -89,11 +89,7 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     identity on any vector of the form ``C f``.
     """
     frame.require_frame("analysis-range projection")
-    c = as_vector(c, "coefficient vector")
-    if c.shape != (frame.count,):
-        raise DimensionMismatch(
-            f"expected {frame.count} coefficients, got {c.shape[0]}"
-        )
+    c = as_vector(c, "coefficient vector", frame.count)
     u = frame.analysis_svd[0]
     return u @ (u.conj().T @ c)
 
@@ -129,11 +125,7 @@ def solve(op: LinearOperator, g, frame: Frame,
     """
     if options is None:
         options = SolveOptions()
-    g = as_vector(g, "right-hand side")
-    if g.shape != (frame.space_dim,):
-        raise DimensionMismatch(
-            f"right-hand side must live in C^{frame.space_dim}, got dim {g.shape[0]}"
-        )
+    g = as_vector(g, "right-hand side", frame.space_dim)
     frame.require_frame("discretization")
     n, k = frame.space_dim, frame.count
     if op.dim_in != n or op.dim_out != n:

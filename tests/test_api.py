@@ -42,7 +42,6 @@ PUBLIC = [
     "serialize_matrix",
     "serialize_vector",
     "solve",
-    "standard_basis",
     "svd",
 ]
 
@@ -50,7 +49,7 @@ PUBLIC = [
 def test_all_is_the_pinned_sorted_list():
     assert framerep.__all__ == PUBLIC
     assert PUBLIC == sorted(PUBLIC)
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
 
 
 def test_every_public_name_resolves():

@@ -16,7 +16,6 @@ from framerep import (
     biorthogonal,
     gram,
     operator_norm,
-    standard_basis,
 )
 from helpers import (
     LAYOUTS,
@@ -194,7 +193,7 @@ class TestAnalysisSynthesis:
         with pytest.raises(DimensionMismatch, match="must be 1-dimensional, got ndim=0"):
             psi0.analyze(2.0)
         with pytest.raises(DimensionMismatch, match="must be 1-dimensional, got ndim=0"):
-            standard_basis(1).analyze(2.0)
+            Frame(np.eye(1)).analyze(2.0)
 
 
 class TestCanonicalDual:
@@ -349,7 +348,8 @@ class TestClassification:
         assert mercedes.classification is FrameClass.TIGHT_FRAME
 
     def test_onb(self, onb2):
-        assert onb2.classification is FrameClass.ORTHONORMAL_BASIS
+        for onb in (onb2, Frame(np.eye(4))):
+            assert onb.classification is FrameClass.ORTHONORMAL_BASIS
 
     def test_scaled_mercedes_is_parseval(self, mercedes):
         parseval = Frame(mercedes.vectors * np.sqrt(2 / 3))
@@ -361,9 +361,6 @@ class TestClassification:
 
     def test_bessel_only(self):
         assert Frame([[1, 0], [2, 0]]).classification is FrameClass.BESSEL_ONLY
-
-    def test_standard_basis_factory(self):
-        assert standard_basis(4).classification is FrameClass.ORTHONORMAL_BASIS
 
     def test_random_independent_square_family_is_riesz(self):
         rng = np.random.default_rng(22)
@@ -398,4 +395,4 @@ class TestBiorthogonal:
     def test_space_mismatch_is_named_first(self, psi0):
         # counts differ too, but the spaces are compared first
         with pytest.raises(DimensionMismatch, match=r"different spaces: C\^2 vs C\^4"):
-            biorthogonal(psi0, standard_basis(4))
+            biorthogonal(psi0, Frame(np.eye(4)))

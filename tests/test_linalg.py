@@ -1,16 +1,25 @@
 """Tests for the dense complex linear-algebra kernel."""
 
+import re
+
 import numpy as np
 import pytest
 
 from framerep import (
     DecompositionFailed,
+    DimensionMismatch,
+    Representation,
+    frame_multiplier,
     frobenius_norm,
     identity_operator,
+    operator_from_images,
     operator_norm,
+    operator_of_matrix,
+    project_onto_analysis_range,
     solve,
     svd,
 )
+from framerep.linalg import as_matrix, as_vector
 from helpers import no_convergence, random_complex
 
 
@@ -88,3 +97,43 @@ class TestNorms:
             a = random_complex(rng, rng.integers(1, 10), rng.integers(1, 10))
             x, y = frobenius_norm(a) ** 2, frobenius_norm(a.conj().T) ** 2
             assert abs(x - y) <= 1e-12 * x
+
+
+class TestShapeRule:
+    """Every argument's shape is checked once, by ``as_matrix`` / ``as_vector``."""
+
+    def test_free_axis_accepts_any_length(self):
+        assert as_matrix(np.ones((3, 5)), "m", (3, None)).shape == (3, 5)
+        assert as_vector(np.ones(7), "v").shape == (7,)
+
+    def test_ndim_error_comes_before_shape_error(self):
+        with pytest.raises(DimensionMismatch, match="m must be 2-dimensional, got ndim=1"):
+            as_matrix(np.ones(3), "m", (3, 3))
+
+    def test_scalar_given_a_length_is_not_a_vector(self):
+        # a 0-d scalar is not a vector of dimension one
+        with pytest.raises(DimensionMismatch, match="v must be 1-dimensional, got ndim=0"):
+            as_vector(2.0, "v", 1)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: f.analyze([1, 2, 3]), "input vector must have shape (2,), got (3,)"),
+        (lambda f: f.synthesize([1, 2]), "coefficient vector must have shape (3,), got (2,)"),
+        (lambda f: identity_operator(2)([1, 2, 3]),
+         "operator argument must have shape (2,), got (3,)"),
+        (lambda f: Representation(np.ones((2, 3)), f, f),
+         "representation matrix must have shape (3, 3), got (2, 3)"),
+        (lambda f: operator_of_matrix(np.ones((2, 3)), f, f),
+         "coefficient matrix must have shape (3, 3), got (2, 3)"),
+        (lambda f: frame_multiplier([1, 1], f, f),
+         "multiplier weights must have shape (3,), got (2,)"),
+        (lambda f: operator_from_images(f, np.ones((2, 2))),
+         "images must have shape (3, any), got (2, 2)"),
+        (lambda f: project_onto_analysis_range(f, [1, 2]),
+         "coefficient vector must have shape (3,), got (2,)"),
+        (lambda f: solve(identity_operator(2), [1, 2, 3], f),
+         "right-hand side must have shape (2,), got (3,)"),
+    ], ids=["analyze", "synthesize", "operator_call", "Representation", "operator_of_matrix",
+            "frame_multiplier", "operator_from_images", "project_onto_analysis_range", "solve"])
+    def test_entry_points_name_the_argument_and_both_shapes(self, psi0, call, message):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            call(psi0)

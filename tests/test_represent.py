@@ -1,5 +1,6 @@
 """Tests for frame-coordinate operator representations and their identities."""
 
+import re
 import warnings
 
 import numpy as np
@@ -533,20 +534,30 @@ def _huge_representation():
 class TestProductOverflow:
     """Products beyond the float range raise a FrameRepError naming the overflow."""
 
-    @pytest.mark.parametrize("product", [
-        lambda f: matrix_of_operator(identity_operator(2), f, f),
-        lambda f: operator_of_matrix(np.eye(3), f, f),
-        lambda f: gram(f, f),
-        lambda f: f.frame_operator,
-        lambda f: frame_multiplier(np.ones(3), f, f),
-        lambda f: LinearOperator(np.eye(2) * 1e200) @ LinearOperator(np.eye(2) * 1e200),
-        lambda f: rank_one([1e200, 1], [1e200, 1]),
-        lambda f: _huge_representation() @ _huge_representation(),
+    @pytest.mark.parametrize("product, what", [
+        (lambda f: matrix_of_operator(identity_operator(2), f, f),
+         "representation matrix C_phi O D_psi"),
+        (lambda f: operator_of_matrix(np.eye(3), f, f), "induced operator D_phi M C_psi"),
+        (lambda f: gram(f, f), "Gram matrix"),
+        (lambda f: f.frame_operator, "frame operator"),
+        (lambda f: frame_multiplier(np.ones(3), f, f), "frame multiplier"),
+        (lambda f: LinearOperator(np.eye(2) * 1e200) @ LinearOperator(np.eye(2) * 1e200),
+         "composition"),
+        (lambda f: rank_one([1e200, 1], [1e200, 1]), "rank-one operator f g*"),
+        (lambda f: _huge_representation() @ _huge_representation(), "representation product"),
+        (lambda f: f.analyze([1e160, 0]), "analysis coefficients C f"),
+        (lambda f: f.synthesize([1e160, 0, 0]), "synthesis D c"),
+        (lambda f: LinearOperator(np.eye(2) * 1e200)((1e200, 0)), "operator image O f"),
+        # the dual of a tiny frame leaves the float range
+        (lambda f: Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e-310).canonical_dual(),
+         "canonical dual"),
     ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator",
-            "frame_multiplier", "operator_matmul", "rank_one", "representation_matmul"])
-    def test_overflow_is_named(self, product):
+            "frame_multiplier", "operator_matmul", "rank_one", "representation_matmul",
+            "analyze", "synthesize", "operator_call", "canonical_dual"])
+    def test_overflow_is_named(self, product, what):
         huge = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e160)
-        with pytest.raises(FrameRepError, match="overflows the float range") as info:
+        message = re.escape(f"the {what} overflows the float range")
+        with pytest.raises(FrameRepError, match=message) as info:
             product(huge)
         assert not isinstance(info.value, DimensionMismatch)
 
