@@ -348,8 +348,7 @@ class TestClassification:
         assert mercedes.classification is FrameClass.TIGHT_FRAME
 
     def test_onb(self, onb2):
-        for onb in (onb2, Frame(np.eye(4))):
-            assert onb.classification is FrameClass.ORTHONORMAL_BASIS
+        assert onb2.classification is FrameClass.ORTHONORMAL_BASIS
 
     def test_scaled_mercedes_is_parseval(self, mercedes):
         parseval = Frame(mercedes.vectors * np.sqrt(2 / 3))
@@ -361,6 +360,9 @@ class TestClassification:
 
     def test_bessel_only(self):
         assert Frame([[1, 0], [2, 0]]).classification is FrameClass.BESSEL_ONLY
+
+    def test_standard_basis_factory(self):
+        assert Frame(np.eye(4)).classification is FrameClass.ORTHONORMAL_BASIS
 
     def test_random_independent_square_family_is_riesz(self):
         rng = np.random.default_rng(22)
