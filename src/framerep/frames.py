@@ -41,8 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotAFrame
-from .linalg import as_matrix, as_vector, finite_product, require_finite, svd, wrap_checked
+from .exceptions import NotAFrame
+from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, require_finite,
+                     require_shape, svd, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -151,11 +152,14 @@ class Frame:
 
         Raises
         ------
+        FrameRepError
+            If an entry of R leaves the float range.
         DecompositionFailed
             If the SVD does not converge.
         """
         r = np.linalg.qr(self.analysis_matrix, mode="r")
-        return svd(r, "frame analysis matrix")
+        return svd(require_finite("frame analysis matrix's triangular factor R", r),
+                   "frame analysis matrix")
 
     @cached_property
     def analysis_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,7 +267,7 @@ class Frame:
         if self.count == self.space_dim:
             # |Gram - I|_F = |diag(s^2) - I|_F when U is square
             with np.errstate(over="ignore"):
-                deviation = np.linalg.norm(np.square(s) - 1.0)
+                deviation = euclidean_norm(np.square(s) - 1.0)
             if deviation <= TIGHT_RTOL * math.sqrt(self.count):
                 return FrameClass.ORTHONORMAL_BASIS
         tight = 1.0 - float(s[-1] / s[0]) ** 2 <= TIGHT_RTOL
@@ -277,15 +281,12 @@ class Frame:
 
     def allclose(self, other: "Frame", rtol: float = 1e-8) -> bool:
         """Whether two frames agree vector-by-vector, relative to their scale."""
-        if self.count != other.count or self.space_dim != other.space_dim:
+        if self._vectors.shape != other._vectors.shape:
             return False
-        scale = max(
-            np.linalg.norm(self._vectors, "fro"),
-            np.linalg.norm(other._vectors, "fro"),
-        )
+        scale = max(euclidean_norm(self._vectors), euclidean_norm(other._vectors))
         if scale == 0.0:
             return True
-        return np.linalg.norm(self._vectors - other._vectors, "fro") <= rtol * scale
+        return euclidean_norm(self._vectors - other._vectors) <= rtol * scale
 
 
 def gram(psi: Frame, phi: Frame) -> np.ndarray:
@@ -294,10 +295,7 @@ def gram(psi: Frame, phi: Frame) -> np.ndarray:
     Equals ``C_psi @ D_phi`` (K_psi x K_phi); both families must live in the
     same space.  Raises FrameRepError if an entry leaves the float range.
     """
-    if psi.space_dim != phi.space_dim:
-        raise DimensionMismatch(
-            f"frames live in different spaces: C^{psi.space_dim} vs C^{phi.space_dim}"
-        )
+    require_shape("vectors of phi", phi.vectors.shape, (None, psi.space_dim))
     return finite_product("Gram matrix", psi.analysis_matrix, phi.synthesis_matrix)
 
 
@@ -307,11 +305,7 @@ def biorthogonal(psi: Frame, phi: Frame) -> bool:
     Requires equal counts and equal space dimension; true for a Riesz basis
     paired with its canonical dual, never for a redundant frame (K > n).
     """
+    require_shape("vectors of phi", phi.vectors.shape, psi.vectors.shape)
     # gram(psi, phi) = gram(phi, psi)* has the same distance from I
-    g = gram(psi, phi)
-    if psi.count != phi.count:
-        raise DimensionMismatch(
-            f"biorthogonality needs equal counts, got {psi.count} and {phi.count}"
-        )
-    eye = np.eye(psi.count)
-    return bool(np.linalg.norm(g - eye, "fro") <= TIGHT_RTOL * math.sqrt(psi.count))
+    deviation = euclidean_norm(gram(psi, phi) - np.eye(psi.count))
+    return deviation <= TIGHT_RTOL * math.sqrt(psi.count)

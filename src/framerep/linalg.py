@@ -1,11 +1,12 @@
 """Dense complex linear algebra kernel.
 
 Everything in the package runs on ``numpy.complex128`` arrays: matrices are
-2-d, vectors 1-d.  The helpers here coerce inputs to that form, check their
-shape, refuse non-finite entries and overflowing products, and wrap the
-numpy/LAPACK decompositions behind the small set of operations the frame and
-representation modules rely on.  A LAPACK decomposition that does not
-converge raises :class:`DecompositionFailed`.
+2-d, vectors 1-d.  The helpers here coerce inputs to that form, hold the one
+shape rule (for each argument and for the agreement of several operands) and
+the one scale-safe entrywise 2-norm, refuse non-finite entries and
+overflowing products, and wrap the numpy/LAPACK decompositions behind the
+small set of operations the frame and representation modules rely on.  A
+LAPACK decomposition that does not converge raises :class:`DecompositionFailed`.
 
 Singular values come in descending order.  All tolerances are relative to
 the scale of the input (its largest singular value); there are no absolute
@@ -46,13 +47,28 @@ def as_vector(v, name: str = "vector", length: int | None = None) -> np.ndarray:
     return _as_finite(v, name, (length,))
 
 
+def require_shape(name: str, shape: tuple, expected: tuple) -> None:
+    """The one shape rule: ``shape`` must equal ``expected`` (``None``: any length).
+
+    :func:`as_matrix` and :func:`as_vector` apply it to each argument, and a
+    function of several operands applies it to their agreement.
+
+    Raises
+    ------
+    DimensionMismatch
+        Naming ``name`` and both shapes, if they differ.
+    """
+    if len(shape) != len(expected) or any(
+            want is not None and want != got for want, got in zip(expected, shape)):
+        wanted = str(expected).replace("None", "any")
+        raise DimensionMismatch(f"{name} must have shape {wanted}, got {shape}")
+
+
 def _as_finite(a, name: str, shape: tuple) -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
     if out.ndim != len(shape):
         raise DimensionMismatch(f"{name} must be {len(shape)}-dimensional, got ndim={out.ndim}")
-    if any(want is not None and want != got for want, got in zip(shape, out.shape)):
-        expected = str(shape).replace("None", "any")
-        raise DimensionMismatch(f"{name} must have shape {expected}, got {out.shape}")
+    require_shape(name, out.shape, shape)
     if out.size == 0:
         raise DimensionMismatch(f"{name} must have positive dimensions, got shape {out.shape}")
     if not _is_finite(out):
@@ -153,13 +169,18 @@ def wrap_checked(cls, field: str, array: np.ndarray, **others):
 
 
 def euclidean_norm(x: np.ndarray) -> float:
-    """2-norm of a vector that neither overflows nor underflows.
+    """The entrywise 2-norm ``sqrt(sum |x_i|^2)`` of an array of any shape, at any scale.
 
-    ``np.linalg.norm`` squares the entries, which leaves the float range
-    beyond about 1e±154; dividing by the largest modulus first keeps them in it.
+    Squaring the entries, as ``np.linalg.norm`` does, leaves the float range
+    beyond about 1e±154, so the moduli are divided by the largest one first.
+    A real array divided by a subnormal number stays finite, so this holds
+    down to the smallest float.  An inf or NaN entry gives inf or NaN.
     """
-    scale = float(np.max(np.abs(x)))
-    return scale * float(np.linalg.norm(x / scale)) if scale > 0 else 0.0
+    a = np.abs(x)
+    scale = float(a.max())
+    if not 0.0 < scale < np.inf:
+        return scale
+    return scale * float(np.linalg.norm(a / scale))
 
 
 def operator_norm(a) -> float:
@@ -169,4 +190,4 @@ def operator_norm(a) -> float:
 
 def frobenius_norm(a) -> float:
     """Entrywise 2-norm ``sqrt(sum |a_ij|^2)``; always >= operator_norm."""
-    return float(np.linalg.norm(as_matrix(a), "fro"))
+    return euclidean_norm(as_matrix(a))

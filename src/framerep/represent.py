@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IncompatibleFrames
+from .exceptions import IncompatibleFrames
 from .frames import RANK_RTOL, Frame
 from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, require_finite,
-                     singular_values, wrap_checked)
+                     require_shape, singular_values, wrap_checked)
 
 #: Relative distance within which a frame is accepted as the canonical dual
 #: of another when validating representation products.
@@ -63,11 +63,7 @@ class LinearOperator:
         """Composition ``self o other`` (apply ``other`` first); FrameRepError on overflow."""
         if not isinstance(other, LinearOperator):
             return NotImplemented
-        if self.dim_in != other.dim_out:
-            raise DimensionMismatch(
-                f"cannot compose: left acts on C^{self.dim_in}, "
-                f"right produces C^{other.dim_out}"
-            )
+        require_shape("right operator matrix", other.matrix.shape, (self.dim_in, None))
         return wrap_checked(LinearOperator, "matrix",
                             finite_product("composition", self.matrix, other.matrix))
 
@@ -124,11 +120,8 @@ class Representation:
         """
         if not isinstance(other, Representation):
             raise TypeError(f"expected a Representation, got {type(other).__name__}")
-        if self.synthesis_frame.count != other.analysis_frame.count:
-            raise DimensionMismatch(
-                f"inner coefficient sizes differ: {self.synthesis_frame.count} "
-                f"vs {other.analysis_frame.count}"
-            )
+        require_shape("right representation matrix", other.matrix.shape,
+                      (self.synthesis_frame.count, None))
         dual = self.synthesis_frame.canonical_dual()
         if other.analysis_frame is not dual and not other.analysis_frame.allclose(
             dual, rtol=DUAL_PAIR_RTOL
@@ -158,16 +151,8 @@ def matrix_of_operator(op: LinearOperator, analysis_frame: Frame,
     ``sqrt(B_psi * B_phi) * |O|_op``.  Raises FrameRepError if an entry
     leaves the float range.
     """
-    if op.dim_in != synthesis_frame.space_dim:
-        raise DimensionMismatch(
-            f"operator domain C^{op.dim_in} does not match synthesis frame "
-            f"space C^{synthesis_frame.space_dim}"
-        )
-    if op.dim_out != analysis_frame.space_dim:
-        raise DimensionMismatch(
-            f"operator codomain C^{op.dim_out} does not match analysis frame "
-            f"space C^{analysis_frame.space_dim}"
-        )
+    require_shape("operator matrix", op.matrix.shape,
+                  (analysis_frame.space_dim, synthesis_frame.space_dim))
     m = finite_product("representation matrix C_phi O D_psi", analysis_frame.analysis_matrix,
                        op.matrix, synthesis_frame.synthesis_matrix)
     return wrap_checked(Representation, "matrix", m, analysis_frame=analysis_frame,
@@ -208,11 +193,8 @@ def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> 
     ``diag(weights)``, computed as ``(D_phi * weights) @ C_psi`` without the
     K x K diagonal.  Raises FrameRepError if an entry leaves the float range.
     """
-    if synthesis_frame.count != analysis_frame.count:
-        raise DimensionMismatch(
-            f"multiplier frames need equal counts, got {synthesis_frame.count} "
-            f"and {analysis_frame.count}"
-        )
+    require_shape("vectors of analysis_frame", analysis_frame.vectors.shape,
+                  (synthesis_frame.count, None))
     w = as_vector(weights, "multiplier weights", synthesis_frame.count)
     return wrap_checked(LinearOperator, "matrix", finite_product(
         "frame multiplier", synthesis_frame.synthesis_matrix * w, analysis_frame.analysis_matrix))

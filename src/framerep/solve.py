@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, SectionTooLarge
+from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import EPS, as_vector, euclidean_norm, inverse_above_cutoff, require_finite, svd
+from .linalg import (EPS, as_vector, euclidean_norm, inverse_above_cutoff, require_finite,
+                     require_shape, svd)
 from .represent import LinearOperator
 
 
@@ -128,11 +129,7 @@ def solve(op: LinearOperator, g, frame: Frame,
     g = as_vector(g, "right-hand side", frame.space_dim)
     frame.require_frame("discretization")
     n, k = frame.space_dim, frame.count
-    if op.dim_in != n or op.dim_out != n:
-        raise DimensionMismatch(
-            f"discretization over a single frame needs an operator on C^{n}, "
-            f"got C^{op.dim_in} -> C^{op.dim_out}"
-        )
+    require_shape("operator matrix", op.matrix.shape, (n, n))
     n_section = options.section_size if options.section_size is not None else k
     if n_section > k:
         raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")

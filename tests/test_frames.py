@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from framerep import (
     DimensionMismatch,
     Frame,
     FrameClass,
+    FrameRepError,
     NotAFrame,
     biorthogonal,
     gram,
@@ -157,6 +159,12 @@ class TestBounds:
         lo, hi = v[:, 0], v[:, -1]
         assert np.linalg.norm(frame.analyze(lo)) ** 2 == pytest.approx(a, abs=1e-9 * b)
         assert np.linalg.norm(frame.analyze(hi)) ** 2 == pytest.approx(b, abs=1e-9 * b)
+
+    def test_triangular_factor_overflow_is_named(self):
+        # the column norm 2e308 of the QR's R leaves the float range
+        with pytest.raises(FrameRepError, match="triangular factor R overflows") as info:
+            Frame(np.full((4, 1), 1e308)).bounds
+        assert not isinstance(info.value, DimensionMismatch)
 
 
 class TestAnalysisSynthesis:
@@ -364,12 +372,32 @@ class TestClassification:
     def test_standard_basis_factory(self):
         assert Frame(np.eye(4)).classification is FrameClass.ORTHONORMAL_BASIS
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e200, 1e300])
+    def test_scaled_orthonormal_basis_stays_tight(self, t):
+        # s^2 - 1 is +inf or -1 in every entry, so its norm must stay scale-safe
+        assert Frame(np.eye(3) * t).classification is FrameClass.TIGHT_FRAME
+
     def test_random_independent_square_family_is_riesz(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             basis = random_riesz_basis(rng, int(rng.integers(2, 7)))
             assert basis.classification is FrameClass.RIESZ_BASIS
             assert biorthogonal(basis, basis.canonical_dual())
+
+
+class TestAllclose:
+    def test_same_and_different(self, psi0, mercedes):
+        assert psi0.allclose(Frame(psi0.vectors * (1 + 1e-12)))
+        assert not psi0.allclose(Frame(psi0.vectors * (1 + 1e-6)))
+        assert not psi0.allclose(mercedes)
+        assert not psi0.allclose(Frame(np.eye(2)))
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-170, 1e170, 1e300])
+    def test_beyond_squaring_range(self, t):
+        rng = np.random.default_rng(25)
+        a, b = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        assert Frame(a * t).allclose(Frame(a * t * (1 + 1e-12)))
+        assert not Frame(a * t).allclose(Frame(b * t))
 
 
 class TestDecompositionFailure:
@@ -391,10 +419,12 @@ class TestBiorthogonal:
         assert biorthogonal(onb2, onb2)
 
     def test_count_mismatch(self, psi0, onb2):
-        with pytest.raises(DimensionMismatch, match="equal counts, got 3 and 2"):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("vectors of phi must have shape (3, 2), got (2, 2)")):
             biorthogonal(psi0, onb2)
 
     def test_space_mismatch_is_named_first(self, psi0):
-        # counts differ too, but the spaces are compared first
-        with pytest.raises(DimensionMismatch, match=r"different spaces: C\^2 vs C\^4"):
+        # counts differ too; the one shape message names both shapes
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("vectors of phi must have shape (3, 2), got (4, 4)")):
             biorthogonal(psi0, Frame(np.eye(4)))

@@ -8,10 +8,14 @@ import pytest
 from framerep import (
     DecompositionFailed,
     DimensionMismatch,
+    Frame,
     Representation,
+    biorthogonal,
     frame_multiplier,
     frobenius_norm,
+    gram,
     identity_operator,
+    matrix_of_operator,
     operator_from_images,
     operator_norm,
     operator_of_matrix,
@@ -19,7 +23,7 @@ from framerep import (
     solve,
     svd,
 )
-from framerep.linalg import as_matrix, as_vector
+from framerep.linalg import as_matrix, as_vector, euclidean_norm, require_shape
 from helpers import no_convergence, random_complex
 
 
@@ -98,9 +102,31 @@ class TestNorms:
             x, y = frobenius_norm(a) ** 2, frobenius_norm(a.conj().T) ** 2
             assert abs(x - y) <= 1e-12 * x
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e200, 1e300])
+    def test_beyond_squaring_range(self, t):
+        # the squares of the entries leave the float range; the norm does not
+        assert frobenius_norm(np.eye(3) * t) == pytest.approx(np.sqrt(3) * t, rel=1e-15)
+        assert euclidean_norm(np.full(4, 1j * t)) == pytest.approx(2 * t, rel=1e-15)
+
+    def test_subnormal_largest_modulus(self):
+        # dividing by a subnormal modulus stays finite for the real moduli
+        assert euclidean_norm(np.array([3e-320, 1e-320j])) == pytest.approx(np.sqrt(10) * 1e-320,
+                                                                             rel=1e-3)
+
+    def test_matches_numpy_in_range(self):
+        rng = np.random.default_rng(7)
+        for shape in [(1,), (64,), (5, 3), (2, 3, 4)]:
+            x = random_complex(rng, *shape)
+            assert euclidean_norm(x) == pytest.approx(np.linalg.norm(x.ravel()), rel=1e-15)
+
+    @pytest.mark.parametrize("entry, expected", [(0.0, 0.0), (np.inf, np.inf), (np.nan, np.nan)])
+    def test_zero_and_non_finite(self, entry, expected):
+        assert euclidean_norm(np.array([entry, 0.0])) == pytest.approx(expected, nan_ok=True)
+
 
 class TestShapeRule:
-    """Every argument's shape is checked once, by ``as_matrix`` / ``as_vector``."""
+    """One rule, ``require_shape``, checks each argument's shape (through
+    ``as_matrix`` / ``as_vector``) and the agreement of several operands."""
 
     def test_free_axis_accepts_any_length(self):
         assert as_matrix(np.ones((3, 5)), "m", (3, None)).shape == (3, 5)
@@ -109,6 +135,11 @@ class TestShapeRule:
     def test_ndim_error_comes_before_shape_error(self):
         with pytest.raises(DimensionMismatch, match="m must be 2-dimensional, got ndim=1"):
             as_matrix(np.ones(3), "m", (3, 3))
+
+    def test_rank_differs(self):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("x must have shape (2, 2), got (2,)")):
+            require_shape("x", (2,), (2, 2))
 
     def test_scalar_given_a_length_is_not_a_vector(self):
         # a 0-d scalar is not a vector of dimension one
@@ -132,8 +163,26 @@ class TestShapeRule:
          "coefficient vector must have shape (3,), got (2,)"),
         (lambda f: solve(identity_operator(2), [1, 2, 3], f),
          "right-hand side must have shape (2,), got (3,)"),
+        # operands that must agree with each other
+        (lambda f: gram(f, Frame(np.eye(3))),
+         "vectors of phi must have shape (any, 2), got (3, 3)"),
+        (lambda f: biorthogonal(f, Frame(np.eye(2))),
+         "vectors of phi must have shape (3, 2), got (2, 2)"),
+        (lambda f: identity_operator(2) @ identity_operator(3),
+         "right operator matrix must have shape (2, any), got (3, 3)"),
+        (lambda f: matrix_of_operator(identity_operator(2), f, f)
+         @ matrix_of_operator(identity_operator(2), Frame(np.eye(2)), f),
+         "right representation matrix must have shape (3, any), got (2, 3)"),
+        (lambda f: matrix_of_operator(identity_operator(3), f, f),
+         "operator matrix must have shape (2, 2), got (3, 3)"),
+        (lambda f: frame_multiplier([1, 1, 1], f, Frame(np.eye(2))),
+         "vectors of analysis_frame must have shape (3, any), got (2, 2)"),
+        (lambda f: solve(identity_operator(3), [1, 2], f),
+         "operator matrix must have shape (2, 2), got (3, 3)"),
     ], ids=["analyze", "synthesize", "operator_call", "Representation", "operator_of_matrix",
-            "frame_multiplier", "operator_from_images", "project_onto_analysis_range", "solve"])
+            "frame_multiplier", "operator_from_images", "project_onto_analysis_range", "solve",
+            "gram", "biorthogonal", "operator_matmul", "representation_matmul",
+            "matrix_of_operator", "frame_multiplier_counts", "solve_operator"])
     def test_entry_points_name_the_argument_and_both_shapes(self, psi0, call, message):
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
             call(psi0)

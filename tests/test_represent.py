@@ -145,6 +145,10 @@ class TestHsNorm:
         via_basis = np.sqrt(sum(np.linalg.norm(op(q[:, i])) ** 2 for i in range(4)))
         assert hs_norm(op) == pytest.approx(via_basis, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e200, 1e300])
+    def test_beyond_squaring_range(self, t):
+        assert hs_norm(LinearOperator(np.eye(3) * t)) == pytest.approx(np.sqrt(3) * t, rel=1e-15)
+
     def test_dominates_operator_norm(self):
         rng = np.random.default_rng(33)
         op = random_operator(rng, 5, 3)
@@ -291,6 +295,22 @@ class TestRepresentationCompose:
         right = matrix_of_operator(identity_operator(3), xi, psi)  # not dual(xi)
         with pytest.raises(IncompatibleFrames):
             left.compose(right)
+
+    @pytest.mark.parametrize("t", [1e-170, 1e-160, 1e160, 1e170])
+    def test_dual_check_beyond_squaring_range(self, t):
+        # the inner frame xi is at scale t and its dual at 1/t; the outer
+        # frames keep both representation matrices near 1
+        rng = np.random.default_rng(42)
+        vectors = np.array([[1, 0], [0, 1], [1, 1]])
+        xi = Frame(vectors * t)
+        left = matrix_of_operator(identity_operator(2), Frame(vectors / t), xi)
+        dual_copy = Frame(xi.canonical_dual().vectors)
+        right = matrix_of_operator(identity_operator(2), dual_copy, Frame(vectors * t))
+        assert left.compose(right).synthesis_frame is right.synthesis_frame
+        wrong = matrix_of_operator(identity_operator(2), Frame(random_complex(rng, 3, 2) / t),
+                                   Frame(vectors * t))
+        with pytest.raises(IncompatibleFrames):
+            left.compose(wrong)
 
     def test_count_mismatch(self):
         rng = np.random.default_rng(43)

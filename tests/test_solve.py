@@ -1,6 +1,7 @@
 """Tests for the frame-discretized operator-equation solver."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -81,7 +82,8 @@ class TestDiscretize:
             solve(identity_operator(2), [1, 0], Frame([[1, 0], [2, 0]]))
 
     def test_requires_endomorphism(self, psi0):
-        with pytest.raises(DimensionMismatch, match="needs an operator on C\\^2"):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("operator matrix must have shape (2, 2), got (3, 2)")):
             solve(LinearOperator(np.ones((3, 2))), [1, 0], psi0)
 
 
@@ -432,6 +434,15 @@ class TestScaleEquivariance:
         assert report.residual_operator == pytest.approx(base_report.residual_operator, rel=1e-10)
         assert rel(report.solution, base_report.solution) <= 1e-12
 
+    @pytest.mark.parametrize("section", [None, 2])
+    def test_consistent_residual_at_subnormal_scale(self, section):
+        # M c - d is rounding noise near 1e-316, a subnormal largest modulus
+        frame = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e-300)
+        report = solve(LinearOperator([[2, 1], [0, 1]]), [1, 2], frame,
+                       SolveOptions(section_size=section))
+        assert 0 <= report.residual_matrix <= 1e-300
+        assert report.residual_operator <= 1e-15
+
     def test_bounds_beyond_float_range_read_inf(self):
         frame = Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])
         with warnings.catch_warnings():
@@ -457,7 +468,9 @@ class TestOverflow:
         (PSI0 * 1e-160, 1e-10 * np.eye(2), 1e300, "solution V diag"),
         # B/A is about 1e8, and the core's off-diagonal entry about 1e309
         ([[1, 0], [0, 1e-4], [1, 1e-4]], [[0, 1e305], [0, 0]], 1.0, "discretized system's core"),
-    ], ids=["rhs_coefficients", "solution_coefficients", "solution", "core"])
+        # the column norms 2e308 of the frame's triangular factor R
+        (np.full((4, 2), 1e308), np.eye(2), 1.0, "triangular factor R"),
+    ], ids=["rhs_coefficients", "solution_coefficients", "solution", "core", "triangular_factor"])
     def test_overflow_is_named(self, vectors, op, g, product, section):
         frame = Frame(vectors)
         with warnings.catch_warnings():

@@ -1,0 +1,22 @@
+"""Rules that live in one module of the package, enforced on its source text."""
+
+from pathlib import Path
+
+import pytest
+
+import framerep
+
+SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("pattern, homes", [
+    # the entrywise and spectral norms are linalg.euclidean_norm and operator_norm
+    ("np.linalg.norm", {"linalg.py"}),
+    # operand agreement goes through linalg.require_shape; io checks file contents
+    ("raise DimensionMismatch", {"linalg.py", "io.py"}),
+], ids=["norm", "dimension_check"])
+def test_rule_has_one_home(pattern, homes):
+    assert SOURCES
+    strays = [path.name for path in SOURCES if path.name not in homes
+              and pattern in path.read_text(encoding="utf-8")]
+    assert strays == [], f"{pattern!r} outside {sorted(homes)}"
