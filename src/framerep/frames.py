@@ -12,9 +12,11 @@ are still valid Bessel sequences).  Conventions used throughout:
 * Gram matrices are oriented ``gram(psi, phi)[j, m] = <phi_m, psi_j>``,
   i.e. ``gram(psi, phi) = C_psi @ D_phi``.
 
-Frames are immutable.  Each frame's one spectral primitive is the thin SVD
-``C = U diag(s) V*`` of its analysis matrix, computed lazily, cached, and
-split into two layers (Chan's R-SVD):
+Frames are immutable: the vectors, the cached matrices and every cached
+spectral factor, the canonical dual's included, are read-only arrays.
+Each frame's one spectral primitive is the thin SVD ``C = U diag(s) V*`` of
+its analysis matrix, computed lazily, cached, and split into two layers
+(Chan's R-SVD):
 
 * ``Frame.r_svd`` factors ``C = Q R`` without forming Q and takes the SVD
   ``R = W diag(s) V*`` of the small ``min(K, n) x n`` triangular factor.
@@ -42,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NotAFrame
-from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, require_finite,
-                     require_shape, svd, wrap_checked)
+from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frozen,
+                     require_finite, require_shape, svd, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -51,6 +53,10 @@ RANK_RTOL = 1e-10
 
 #: Relative gap deciding tight / Parseval / orthonormal classifications.
 TIGHT_RTOL = 1e-9
+
+#: Relative distance within which :meth:`Frame.allclose` counts two frames as
+#: the same, for example a frame and the canonical dual it is checked against.
+SAME_FRAME_RTOL = 1e-8
 
 #: Frame condition B/A beyond which dual-based identities degrade; reports
 #: built on such frames carry a conditioning warning.
@@ -89,9 +95,7 @@ class Frame:
     """
 
     def __init__(self, vectors):
-        v = as_matrix(vectors, "frame vector array").copy()
-        v.setflags(write=False)
-        self._vectors = v
+        self._vectors = frozen(as_matrix(vectors, "frame vector array").copy())
 
     @property
     def vectors(self) -> np.ndarray:
@@ -122,9 +126,7 @@ class Frame:
     @cached_property
     def analysis_matrix(self) -> np.ndarray:
         """Read-only K x n matrix C with (C f)_k = <f, psi_k>."""
-        c = self._vectors.conj()
-        c.setflags(write=False)
-        return c
+        return frozen(self._vectors.conj())
 
     @property
     def synthesis_matrix(self) -> np.ndarray:
@@ -137,9 +139,8 @@ class Frame:
 
         Raises FrameRepError if an entry leaves the float range.
         """
-        s = finite_product("frame operator", self.synthesis_matrix, self.analysis_matrix)
-        s.setflags(write=False)
-        return s
+        return frozen(finite_product("frame operator", self.synthesis_matrix,
+                                     self.analysis_matrix))
 
     @cached_property
     def r_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,8 +159,9 @@ class Frame:
             If the SVD does not converge.
         """
         r = np.linalg.qr(self.analysis_matrix, mode="r")
-        return svd(require_finite("frame analysis matrix's triangular factor R", r),
-                   "frame analysis matrix")
+        w, s, v = svd(require_finite("frame analysis matrix's triangular factor R", r),
+                      "frame analysis matrix")
+        return frozen(w), frozen(s), frozen(v)
 
     @cached_property
     def analysis_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,7 +178,7 @@ class Frame:
         """
         w, s, v = self.r_svd
         q = np.linalg.qr(self.analysis_matrix, mode="reduced")[0]
-        return q @ w, s, v
+        return frozen(q @ w), s, v
 
     @cached_property
     def bounds(self) -> FrameBounds:
@@ -252,7 +254,8 @@ class Frame:
             # divides by s through 1/s, so finite vectors mean finite dual values 1/s
             with np.errstate(over="ignore", invalid="ignore"):
                 vectors = require_finite("canonical dual", (u.conj() / s) @ v.T)
-            s_dual, v_dual = 1.0 / s[::-1], v[:, ::-1]
+            # reversed views of frozen factors are read-only as well
+            s_dual, v_dual = frozen(1.0 / s[::-1]), v[:, ::-1]
             dual = wrap_checked(Frame, "_vectors", vectors, r_svd=(w[:, ::-1], s_dual, v_dual),
                                 analysis_svd=(u[:, ::-1], s_dual, v_dual),
                                 _primal=weakref.ref(self))
@@ -279,14 +282,21 @@ class Frame:
             return FrameClass.RIESZ_BASIS
         return FrameClass.FRAME
 
-    def allclose(self, other: "Frame", rtol: float = 1e-8) -> bool:
-        """Whether two frames agree vector-by-vector, relative to their scale."""
+    def allclose(self, other: "Frame") -> bool:
+        """Whether two frames agree vector-by-vector within SAME_FRAME_RTOL of their scale.
+
+        Both frames' real and imaginary parts are divided by the largest of
+        them first, so the difference and the norms stay in the float range
+        at any scale (a real array divided by a subnormal number stays finite).
+        """
         if self._vectors.shape != other._vectors.shape:
             return False
-        scale = max(euclidean_norm(self._vectors), euclidean_norm(other._vectors))
+        a, b = (frame._vectors.ravel().view(np.float64) for frame in (self, other))
+        scale = max(np.abs(a).max(), np.abs(b).max())
         if scale == 0.0:
             return True
-        return euclidean_norm(self._vectors - other._vectors) <= rtol * scale
+        a, b = a / scale, b / scale
+        return euclidean_norm(a - b) <= SAME_FRAME_RTOL * max(euclidean_norm(a), euclidean_norm(b))
 
 
 def gram(psi: Frame, phi: Frame) -> np.ndarray:

@@ -1,9 +1,12 @@
 """File formats for frames, matrices and vectors.
 
 JSON is the canonical interchange; complex entries are stored as interleaved
-(re, im) float pairs to stay inside plain JSON.  Canonical output is a single
-compact line, UTF-8, LF-terminated, with floats rendered in their shortest
-exact (round-trip) form, so serialize(parse(serialize(x))) is byte-stable.
+(re, im) float pairs to stay inside plain JSON.  The pairs are exactly the
+memory layout of numpy's complex128, so they are read and written as a view
+of that memory, and every float, signed zeros included, round-trips bit for
+bit.  Canonical output is a single compact line, UTF-8, LF-terminated, with
+floats rendered in their shortest exact (round-trip) form, so
+serialize(parse(serialize(x))) is byte-stable.
 
 Schemas (format version 1):
 
@@ -51,12 +54,12 @@ def _check_version(obj: dict):
 _NUMBER_TYPES = {int, float}
 
 
-def _float_row(row, expected_len: int | None, what: str) -> np.ndarray:
+def _float_row(row, expected_len: int, what: str) -> np.ndarray:
     if not isinstance(row, list):
         raise ParseError(f"{what} must be an array of numbers")
     if len(row) % 2 != 0:
         raise ParseError(f"{what} must hold (re, im) pairs, got odd length {len(row)}")
-    if expected_len is not None and len(row) != expected_len:
+    if len(row) != expected_len:
         raise DimensionMismatch(
             f"{what} has {len(row)} floats, expected {expected_len}"
         )
@@ -69,15 +72,6 @@ def _float_row(row, expected_len: int | None, what: str) -> np.ndarray:
         # an integer literal beyond the float range, which a float literal
         # such as 1e999 would have turned into inf
         raise DimensionMismatch(f"{what} contains non-finite entries") from None
-
-
-def _interleaved_to_complex(flat: np.ndarray) -> np.ndarray:
-    return flat[0::2] + 1j * flat[1::2]
-
-
-def _complex_to_interleaved(z: np.ndarray) -> list[float]:
-    flat = np.column_stack([z.real.ravel(), z.imag.ravel()]).ravel()
-    return flat.tolist()
 
 
 def canonical_json(obj) -> str:
@@ -100,12 +94,12 @@ def parse_frame(text: str) -> Frame:
     if not rows:
         raise ParseError("frame must contain at least one vector")
     flat = np.concatenate([_float_row(row, 2 * dim, f"vector {k}") for k, row in enumerate(rows)])
-    return Frame(_interleaved_to_complex(flat).reshape(len(rows), dim))
+    return Frame(flat.view(np.complex128).reshape(len(rows), dim))
 
 
 def frame_payload(frame: Frame) -> dict:
     """The frame as a canonical-order JSON object."""
-    rows = [_complex_to_interleaved(frame.vectors[k]) for k in range(frame.count)]
+    rows = np.ascontiguousarray(frame.vectors).view(np.float64).tolist()
     return {"version": FORMAT_VERSION, "dim": frame.space_dim, "vectors": rows}
 
 
@@ -125,12 +119,7 @@ def _parse_matrix_json(obj: dict) -> np.ndarray:
     entries = obj.get("entries")
     if not isinstance(entries, list):
         raise ParseError("'entries' must be an array of numbers")
-    flat = _float_row(entries, None, "entries")
-    if len(flat) != 2 * rows * cols:
-        raise DimensionMismatch(
-            f"entries hold {len(flat) // 2} values, expected rows*cols = {rows * cols}"
-        )
-    return _interleaved_to_complex(flat).reshape(rows, cols)
+    return _float_row(entries, 2 * rows * cols, "entries").view(np.complex128).reshape(rows, cols)
 
 
 def _parse_matrix_csv(text: str) -> np.ndarray:
@@ -170,7 +159,7 @@ def matrix_payload(matrix) -> dict:
         "version": FORMAT_VERSION,
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "entries": _complex_to_interleaved(m),
+        "entries": np.ascontiguousarray(m).view(np.float64).ravel().tolist(),
     }
 
 

@@ -4,9 +4,10 @@ Everything in the package runs on ``numpy.complex128`` arrays: matrices are
 2-d, vectors 1-d.  The helpers here coerce inputs to that form, hold the one
 shape rule (for each argument and for the agreement of several operands) and
 the one scale-safe entrywise 2-norm, refuse non-finite entries and
-overflowing products, and wrap the numpy/LAPACK decompositions behind the
-small set of operations the frame and representation modules rely on.  A
-LAPACK decomposition that does not converge raises :class:`DecompositionFailed`.
+overflowing products, freeze every array the package keeps (:func:`frozen`),
+and wrap the numpy/LAPACK decompositions behind the small set of operations
+the frame and representation modules rely on.  A LAPACK decomposition that
+does not converge raises :class:`DecompositionFailed`.
 
 Singular values come in descending order.  All tolerances are relative to
 the scale of the input (its largest singular value); there are no absolute
@@ -116,14 +117,6 @@ def singular_values(a, what: str = "matrix") -> np.ndarray:
         return np.linalg.svd(as_matrix(a, what), compute_uv=False)
 
 
-def inverse_above_cutoff(s: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Reciprocals of the descending singular values ``s_i > rel_tol * s_max``, zero elsewhere."""
-    keep = s > rel_tol * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return inv_s
-
-
 def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
     """The matrix product of finite complex128 ``factors``, taken left to right.
 
@@ -156,15 +149,23 @@ def require_finite(what: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place; the one way a kept array is frozen.
+
+    Views taken of it afterwards are read-only too.
+    """
+    a.setflags(write=False)
+    return a
+
+
 def wrap_checked(cls, field: str, array: np.ndarray, **others):
     """A ``cls`` holding ``array`` as ``field``, plus ``others``, built without its constructor.
 
     Only for a fresh result of :func:`finite_product` or :func:`require_finite`:
     ``array`` is frozen in place, neither checked again nor copied.
     """
-    array.setflags(write=False)
     obj = object.__new__(cls)
-    obj.__dict__.update({field: array}, **others)
+    obj.__dict__.update({field: frozen(array)}, **others)
     return obj
 
 

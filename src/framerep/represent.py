@@ -22,12 +22,8 @@ import numpy as np
 
 from .exceptions import IncompatibleFrames
 from .frames import RANK_RTOL, Frame
-from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, require_finite,
-                     require_shape, singular_values, wrap_checked)
-
-#: Relative distance within which a frame is accepted as the canonical dual
-#: of another when validating representation products.
-DUAL_PAIR_RTOL = 1e-8
+from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, frozen,
+                     require_finite, require_shape, singular_values, wrap_checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +38,8 @@ class LinearOperator:
 
     def __post_init__(self):
         # copy before freezing so the caller's array is never locked
-        m = as_matrix(self.matrix, "operator matrix").copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix",
+                           frozen(as_matrix(self.matrix, "operator matrix").copy()))
 
     @property
     def dim_in(self) -> int:
@@ -106,9 +101,8 @@ class Representation:
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "representation matrix",
-                      (self.analysis_frame.count, self.synthesis_frame.count)).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+                      (self.analysis_frame.count, self.synthesis_frame.count))
+        object.__setattr__(self, "matrix", frozen(m.copy()))
 
     def compose(self, other: "Representation") -> "Representation":
         """Multiply two representations sharing a dual sandwich.
@@ -123,9 +117,7 @@ class Representation:
         require_shape("right representation matrix", other.matrix.shape,
                       (self.synthesis_frame.count, None))
         dual = self.synthesis_frame.canonical_dual()
-        if other.analysis_frame is not dual and not other.analysis_frame.allclose(
-            dual, rtol=DUAL_PAIR_RTOL
-        ):
+        if other.analysis_frame is not dual and not other.analysis_frame.allclose(dual):
             raise IncompatibleFrames(
                 "representation product needs the right factor's analysis "
                 "frame to be the canonical dual of the left factor's "
@@ -235,10 +227,11 @@ def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.n
     The representation of ``op`` over ``(phi, dual(psi))`` sends the
     psi-coefficients of ``f`` to the phi-coefficients of ``op(f)``; returns
     ``(lhs, rhs)`` where ``lhs`` pushes the coefficients through the
-    representation matrix and ``rhs`` analyzes ``op(f)`` directly.
+    representation matrix and ``rhs`` analyzes ``op(f)`` directly.  Raises
+    FrameRepError if an entry of either side leaves the float range.
     """
     rep = matrix_of_operator(op, phi, psi.canonical_dual())
-    lhs = rep.matrix @ psi.analyze(f)
+    lhs = finite_product("representation image M C_psi f", rep.matrix, psi.analyze(f))
     rhs = phi.analyze(op(f))
     return lhs, rhs
 

@@ -35,8 +35,7 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, euclidean_norm, inverse_above_cutoff, require_finite,
-                     require_shape, svd)
+from .linalg import EPS, as_vector, euclidean_norm, require_finite, require_shape, svd
 from .represent import LinearOperator
 
 
@@ -183,5 +182,7 @@ def _solve_above_cutoff(a, b, rel_tol, what):
     ``np.errstate``.
     """
     ua, sa, va = svd(a, what)
-    x = va @ (inverse_above_cutoff(sa, rel_tol) * (ua.conj().T @ b))
+    # reciprocals of the kept singular values, zero for the dropped ones
+    inv_s = np.divide(1.0, sa, out=np.zeros_like(sa), where=sa > rel_tol * sa[0])
+    x = va @ (inv_s * (ua.conj().T @ b))
     return require_finite(_COEFFICIENTS, x)

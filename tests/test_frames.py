@@ -17,7 +17,9 @@ from framerep import (
     NotAFrame,
     biorthogonal,
     gram,
+    identity_operator,
     operator_norm,
+    solve,
 )
 from helpers import (
     LAYOUTS,
@@ -35,6 +37,7 @@ class TestConstruction:
         assert psi0.count == 3
         assert psi0.space_dim == 2
         assert len(psi0) == 3
+        assert repr(psi0) == "Frame(count=3, space_dim=2)"
 
     def test_vectors_read_only(self, psi0):
         with pytest.raises(ValueError):
@@ -72,6 +75,29 @@ class TestConstruction:
     def test_shape_messages(self, vectors, message):
         with pytest.raises(DimensionMismatch, match=message):
             Frame(vectors)
+
+    @pytest.mark.parametrize("side", ["frame", "canonical dual"])
+    def test_every_kept_array_is_read_only(self, side):
+        vectors = [[1, 0], [0, 1], [1, 1]]
+
+        def pick(frame):
+            return frame if side == "frame" else frame.canonical_dual()
+
+        target = pick(Frame(vectors))
+        kept = {"vectors": target.vectors, "analysis_matrix": target.analysis_matrix,
+                "frame_operator": target.frame_operator}
+        kept.update(zip(["r_svd W", "r_svd s", "r_svd V"], target.r_svd))
+        kept.update(zip(["analysis_svd U", "analysis_svd s", "analysis_svd V"],
+                        target.analysis_svd))
+        for name, array in kept.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 100.0
+        # what the frame derives from its caches is what a fresh frame derives
+        fresh = pick(Frame(vectors))
+        assert target.bounds == fresh.bounds
+        assert np.array_equal(target.canonical_dual().vectors, fresh.canonical_dual().vectors)
+        op, g = identity_operator(2), [1.0, 2.0]
+        assert np.array_equal(solve(op, g, target).solution, solve(op, g, fresh).solution)
 
     def test_copies_and_leaves_callers_array_writeable(self):
         source = np.eye(2, dtype=np.complex128)
@@ -398,6 +424,22 @@ class TestAllclose:
         a, b = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
         assert Frame(a * t).allclose(Frame(a * t * (1 + 1e-12)))
         assert not Frame(a * t).allclose(Frame(b * t))
+
+    @pytest.mark.parametrize("a, b, close", [
+        (np.full((4, 1), 1e308), np.full((4, 1), 0.5e308), False),
+        (np.full((4, 1), 1e308), np.full((4, 1), -1e308), False),
+        (np.full((4, 1), 1e308), np.full((4, 1), 1e308 * (1 + 1e-12)), True),
+        (np.full((4, 1), 1.7e308 + 1.7e308j), np.full((4, 1), 1.7e308 - 1.7e308j), False),
+        (np.full((4, 1), 1.7e308 + 1.7e308j), np.full((4, 1), (1.7e308 + 1.7e308j) * (1 - 1e-12)),
+         True),
+        (np.full((2, 1), 5e-324), np.full((2, 1), 1e-323), False),
+        (np.zeros((3, 2)), np.zeros((3, 2)), True),
+    ], ids=["half", "opposite", "perturbed", "complex_conjugate", "complex_perturbed",
+            "subnormal", "zero"])
+    def test_near_float_range(self, a, b, close):
+        # the norms of these frames leave the float range; their entries do not
+        assert Frame(a).allclose(Frame(b)) is close
+        assert Frame(b).allclose(Frame(a)) is close
 
 
 class TestDecompositionFailure:

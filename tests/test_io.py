@@ -1,9 +1,12 @@
 """Tests for the frame/matrix/vector file formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framerep import (
     DimensionMismatch,
@@ -70,6 +73,17 @@ class TestFrameFormat:
         with pytest.raises(DimensionMismatch, match="non-finite"):
             parse_frame('{"version":1,"dim":1,"vectors":[[1e999,0]]}')
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"dim":0,"vectors":[[1,0]]', "'dim' must be a positive integer, got 0"),
+        ('"dim":true,"vectors":[[1,0]]', "'dim' must be a positive integer, got True"),
+        ('"dim":"2","vectors":[[1,0]]', "'dim' must be a positive integer, got '2'"),
+        ('"dim":1,"vectors":{"0":[1,0]}', "'vectors' must be an array of rows"),
+        ('"dim":1,"vectors":[[1,0],3]', "vector 1 must be an array of numbers"),
+    ], ids=["dim_zero", "dim_bool", "dim_string", "vectors_object", "row_number"])
+    def test_malformed_field_rejected(self, fields, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_frame('{"version":1,%s}' % fields)
+
     def test_non_numeric_entry(self):
         with pytest.raises(ParseError, match="non-numeric"):
             parse_frame('{"version":1,"dim":1,"vectors":[["x",0]]}')
@@ -127,8 +141,12 @@ class TestMatrixFormat:
         assert serialize_matrix(parse_matrix(once)) == once
 
     def test_entries_count_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="entries has 4 floats, expected 8"):
             parse_matrix('{"version":1,"rows":2,"cols":2,"entries":[1,0,2,0]}')
+
+    def test_entries_not_an_array(self):
+        with pytest.raises(ParseError, match="'entries' must be an array of numbers"):
+            parse_matrix('{"version":1,"rows":1,"cols":1,"entries":{"re":1,"im":0}}')
 
     def test_odd_float_count(self):
         with pytest.raises(ParseError, match="pairs"):
@@ -166,3 +184,45 @@ class TestVectorFormat:
 
     def test_csv_column(self):
         assert np.array_equal(parse_vector("1\n2\n3"), [1, 2, 3])
+
+
+#: Any finite float64: signed zeros, subnormals and values up to the float maximum.
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def complex_arrays(draw, ndim):
+    shape = draw(st.tuples(*[st.integers(1, 4)] * ndim))
+    size = int(np.prod(shape))
+    parts = draw(st.lists(st.tuples(finite_floats, finite_floats), min_size=size, max_size=size))
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = np.reshape([real for real, _ in parts], shape)
+    z.imag = np.reshape([imag for _, imag in parts], shape)
+    return z
+
+
+FORMATS = {
+    "frame": (lambda z: serialize_frame(Frame(z)), lambda text: parse_frame(text).vectors, 2),
+    "matrix": (serialize_matrix, parse_matrix, 2),
+    "vector": (serialize_vector, parse_vector, 1),
+}
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+def test_roundtrip_is_exact(kind):
+    """Every finite float, signed zeros included, survives a round trip bit for bit."""
+    serialize, parse, ndim = FORMATS[kind]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(z=complex_arrays(ndim))
+    @example(z=np.full((1,) * ndim, complex(1.0, -0.0)))
+    @example(z=np.full((2,) * ndim, complex(-0.0, -0.0)))
+    @example(z=np.full((1,) * ndim, complex(-1.7e308, 5e-324)))
+    def check(z):
+        text = serialize(z)
+        again = parse(text)
+        assert again.shape == z.shape
+        assert np.array_equal(again.view(np.uint64), z.view(np.uint64))
+        assert serialize(again) == text
+
+    check()

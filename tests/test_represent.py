@@ -45,6 +45,10 @@ class TestLinearOperator:
         op = LinearOperator([[2, 0], [0, 3]])
         assert np.allclose(op([1, 1]), [2, 3], atol=0)
 
+    def test_dimensions(self):
+        op = LinearOperator(np.ones((3, 2)))
+        assert (op.dim_in, op.dim_out) == (2, 3)
+
     def test_apply_dim_check(self):
         with pytest.raises(DimensionMismatch):
             LinearOperator([[2, 0], [0, 3]])([1, 1, 1])
@@ -102,6 +106,16 @@ def test_product_results_are_read_only(product, psi0):
     result = product(psi0)
     with pytest.raises(ValueError):
         result.matrix[0, 0] = 7
+
+
+@pytest.mark.parametrize("product", [
+    lambda rep: identity_operator(2) @ 3,
+    lambda rep: rep @ 3,
+    lambda rep: rep.compose(3),
+], ids=["operator_matmul", "representation_matmul", "representation_compose"])
+def test_product_with_a_non_operand_is_a_type_error(product, psi0):
+    with pytest.raises(TypeError):
+        product(matrix_of_operator(identity_operator(2), psi0, psi0.canonical_dual()))
 
 
 class TestRankOne:
@@ -568,12 +582,16 @@ class TestProductOverflow:
         (lambda f: f.analyze([1e160, 0]), "analysis coefficients C f"),
         (lambda f: f.synthesize([1e160, 0, 0]), "synthesis D c"),
         (lambda f: LinearOperator(np.eye(2) * 1e200)((1e200, 0)), "operator image O f"),
+        # the representation over (f, psi0's dual) is finite, its image of C_psi0 f is not
+        (lambda f: range_map_check(identity_operator(2), f, Frame([[1, 0], [0, 1], [1, 1]]),
+                                   (1e200, 1e200)),
+         "representation image M C_psi f"),
         # the dual of a tiny frame leaves the float range
         (lambda f: Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e-310).canonical_dual(),
          "canonical dual"),
     ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator",
             "frame_multiplier", "operator_matmul", "rank_one", "representation_matmul",
-            "analyze", "synthesize", "operator_call", "canonical_dual"])
+            "analyze", "synthesize", "operator_call", "range_map_check", "canonical_dual"])
     def test_overflow_is_named(self, product, what):
         huge = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e160)
         message = re.escape(f"the {what} overflows the float range")

@@ -14,7 +14,9 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("np.linalg.norm", {"linalg.py"}),
     # operand agreement goes through linalg.require_shape; io checks file contents
     ("raise DimensionMismatch", {"linalg.py", "io.py"}),
-], ids=["norm", "dimension_check"])
+    # every array a frame, operator or representation keeps is frozen by linalg.frozen
+    ("setflags(", {"linalg.py"}),
+], ids=["norm", "dimension_check", "freeze"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
