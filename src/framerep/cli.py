@@ -22,6 +22,7 @@ import numpy as np
 from . import io
 from .exceptions import FrameRepError, ParseError
 from .frames import Frame, gram
+from .linalg import wrap_checked
 from .represent import (
     LinearOperator,
     frame_multiplier,
@@ -44,7 +45,7 @@ def _load_frame(path: str) -> Frame:
 
 
 def _load_operator(path: str) -> LinearOperator:
-    return LinearOperator(io.parse_matrix(_read(path)))
+    return wrap_checked(LinearOperator, "matrix", io.parse_matrix(_read(path)))
 
 
 def _load_vector(path: str) -> np.ndarray:

@@ -161,8 +161,8 @@ def frozen(a: np.ndarray) -> np.ndarray:
 def wrap_checked(cls, field: str, array: np.ndarray, **others):
     """A ``cls`` holding ``array`` as ``field``, plus ``others``, built without its constructor.
 
-    Only for a fresh result of :func:`finite_product` or :func:`require_finite`:
-    ``array`` is frozen in place, neither checked again nor copied.
+    Only for a fresh, already checked array that nothing else holds, such as a
+    result of :func:`finite_product`: it is frozen in place, not checked again or copied.
     """
     obj = object.__new__(cls)
     obj.__dict__.update({field: frozen(array)}, **others)

@@ -168,13 +168,18 @@ def operator_of_matrix(matrix, synthesis_frame: Frame, analysis_frame: Frame) ->
 def roundtrip_reconstruct(op: LinearOperator, phi: Frame, psi: Frame) -> LinearOperator:
     """Rebuild an operator from its representation over the dual frame pair.
 
-    Represents ``op`` over ``(dual(phi), dual(psi))`` and induces an operator
-    back over ``(phi, psi)``; the result equals ``op`` up to conditioning,
-    which realizes the expansion ``O = sum_{k,j} <O dual(psi)_j, dual(phi)_k>
-    phi_k (x) conj(psi_j)``.
+    Realizes ``O = D_phi M C_psi`` for ``M`` the representation of ``op`` over
+    ``(dual(phi), dual(psi))``, associated as ``(D_phi C_dual(phi)) O
+    (D_dual(psi) C_psi)``: the K x K ``M`` is never formed, the cost is O(K n^2
+    + n^3), and each frame's scale cancels against its dual's in an n x n factor.
     """
-    rep = matrix_of_operator(op, phi.canonical_dual(), psi.canonical_dual())
-    return operator_of_matrix(rep.matrix, phi, psi)
+    phi_dual, psi_dual = phi.canonical_dual(), psi.canonical_dual()
+    require_shape("operator matrix", op.matrix.shape, (phi.space_dim, psi.space_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = phi.synthesis_matrix @ phi_dual.analysis_matrix
+        right = psi_dual.synthesis_matrix @ psi.analysis_matrix
+    return wrap_checked(LinearOperator, "matrix", finite_product(
+        "reconstructed operator D_phi C_dual(phi) O D_dual(psi) C_psi", left, op.matrix, right))
 
 
 def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> LinearOperator:
@@ -224,16 +229,19 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
 def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the analysis-range mapping identity.
 
-    The representation of ``op`` over ``(phi, dual(psi))`` sends the
+    The representation ``M`` of ``op`` over ``(phi, dual(psi))`` sends the
     psi-coefficients of ``f`` to the phi-coefficients of ``op(f)``; returns
-    ``(lhs, rhs)`` where ``lhs`` pushes the coefficients through the
-    representation matrix and ``rhs`` analyzes ``op(f)`` directly.  Raises
-    FrameRepError if an entry of either side leaves the float range.
+    ``(lhs, rhs)``: ``lhs = M C_psi f``, evaluated right to left as ``C_phi (O
+    (D_dual(psi) (C_psi f)))`` in O(K n + n^2) without forming ``M``, and ``rhs``
+    analyzes ``op(f)`` directly.  Raises FrameRepError if an entry leaves the
+    float range.
     """
-    rep = matrix_of_operator(op, phi, psi.canonical_dual())
-    lhs = finite_product("representation image M C_psi f", rep.matrix, psi.analyze(f))
-    rhs = phi.analyze(op(f))
-    return lhs, rhs
+    psi_dual = psi.canonical_dual()
+    require_shape("operator matrix", op.matrix.shape, (phi.space_dim, psi.space_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = op.matrix @ (psi_dual.synthesis_matrix @ psi.analyze(f))
+    lhs = finite_product("representation image M C_psi f", phi.analysis_matrix, g)
+    return lhs, phi.analyze(op(f))
 
 
 def kernel_of_representation(matrix, phi: Frame, psi: Frame) -> np.ndarray:

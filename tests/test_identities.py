@@ -1,7 +1,8 @@
 """Property tests of the paper's identities over random shapes and conditions.
 
 Each frame is drawn with K >= n vectors in C^n, optimal bounds
-``(t^2, t^2 * B/A)`` for a random scale ``t`` and ``B/A <= 1e6``.  Every
+``(t^2, t^2 * B/A)`` for a random scale ``t`` and ``B/A <= 1e6``; ``t`` ranges
+over 10^±300 for the round trip and the range mapping, 10^±3 elsewhere.  Every
 identity is checked to ``TOL * eps`` relative to the scale of its inputs,
 times the condition factor through which rounding can grow: ``sqrt(B/A)`` of
 each frame whose canonical dual enters the computation.
@@ -23,6 +24,7 @@ from framerep import (
     range_map_check,
     roundtrip_reconstruct,
 )
+from framerep.linalg import euclidean_norm
 from helpers import frame_with_condition, random_complex, random_operator, rank_one_expansion
 
 EPS = np.finfo(np.float64).eps
@@ -32,10 +34,16 @@ TOL = 1e3
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
-#: (n, K - n, log10(B/A), log10 t) of one frame.
-frame_spec = st.tuples(
-    st.integers(1, 6), st.integers(0, 6), st.floats(0.0, 6.0), st.floats(-3.0, 3.0)
-)
+
+def frame_specs(max_log_scale: float):
+    """(n, K - n, log10(B/A), log10 t) of one frame, with |log10 t| <= max_log_scale."""
+    return st.tuples(st.integers(1, 6), st.integers(0, 6), st.floats(0.0, 6.0),
+                     st.floats(-max_log_scale, max_log_scale))
+
+
+frame_spec = frame_specs(3.0)
+#: Frame scales across the float range, for the identities that hold at any scale.
+wide_frame_spec = frame_specs(300.0)
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -52,7 +60,8 @@ def kappa(*frames) -> float:
 
 def upper(*frames) -> float:
     """sqrt of the product of upper bounds: the norm of the frame operators' action."""
-    return float(np.prod([np.sqrt(frame.bounds.upper) for frame in frames]))
+    # the largest singular value, since the bound B = s_max^2 overflows beyond 1e154
+    return float(np.prod([frame.r_svd[1][0] for frame in frames]))
 
 
 def lower(*frames) -> float:
@@ -60,7 +69,7 @@ def lower(*frames) -> float:
 
 
 @SETTINGS
-@given(phi_spec=frame_spec, psi_spec=frame_spec, seed=seeds)
+@given(phi_spec=wide_frame_spec, psi_spec=wide_frame_spec, seed=seeds)
 def test_roundtrip(phi_spec, psi_spec, seed):
     """O = D_phi C_dual(phi) O D_dual(psi) C_psi."""
     rng = np.random.default_rng(seed)
@@ -112,7 +121,7 @@ def test_norm_bounds(phi_spec, psi_spec, seed):
 
 
 @SETTINGS
-@given(phi_spec=frame_spec, psi_spec=frame_spec, seed=seeds)
+@given(phi_spec=wide_frame_spec, psi_spec=wide_frame_spec, seed=seeds)
 def test_range_mapping(phi_spec, psi_spec, seed):
     """rep(O) over (phi, dual(psi)) sends C_psi f to C_phi O f."""
     rng = np.random.default_rng(seed)
@@ -120,8 +129,8 @@ def test_range_mapping(phi_spec, psi_spec, seed):
     op = random_operator(rng, phi.space_dim, psi.space_dim)
     f = random_complex(rng, psi.space_dim)
     lhs, rhs = range_map_check(op, phi, psi, f)
-    scale = upper(phi) * frobenius_norm(op.matrix) * np.linalg.norm(f)
-    assert np.linalg.norm(lhs - rhs) <= TOL * EPS * kappa(psi) * scale
+    scale = upper(phi) * frobenius_norm(op.matrix) * euclidean_norm(f)
+    assert euclidean_norm(lhs - rhs) <= TOL * EPS * kappa(psi) * scale
 
 
 @SETTINGS

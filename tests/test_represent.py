@@ -1,6 +1,7 @@
 """Tests for frame-coordinate operator representations and their identities."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from framerep import (
     rank_one,
     roundtrip_reconstruct,
 )
+from framerep.linalg import euclidean_norm
 from helpers import (
     LAYOUTS,
     imaginary_nan,
@@ -241,6 +243,10 @@ class TestOperatorOfMatrix:
             operator_of_matrix(np.eye(2), psi0, onb2)
 
 
+#: Frame scales whose squares or inverse squares lie outside the normal float range.
+SCALES = [1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300]
+
+
 class TestRoundtrip:
     def test_golden(self, psi0):
         op = LinearOperator([[1, 2], [3, 4]])
@@ -280,6 +286,22 @@ class TestRoundtrip:
     def test_requires_frames(self, psi0):
         with pytest.raises(NotAFrame):
             roundtrip_reconstruct(identity_operator(2), psi0, Frame([[1, 0], [2, 0]]))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_identity_at_any_scale(self, psi0, scale):
+        # the representation over the duals has entries near scale**-2, which
+        # leave the float range; the round trip must not pass through them
+        frame = Frame(psi0.vectors * scale)
+        back = roundtrip_reconstruct(identity_operator(2), frame, frame)
+        assert np.abs(back.matrix - np.eye(2)).max() <= 1e-14
+
+    def test_riesz_basis_at_large_scale(self):
+        rng = np.random.default_rng(61)
+        phi = Frame(random_riesz_basis(rng, 3, 1e2).vectors * 1e160)
+        psi = Frame(random_riesz_basis(rng, 3, 1e2).vectors * 1e160)
+        op = random_operator(rng, 3, 3)
+        back = roundtrip_reconstruct(op, phi, psi)
+        assert frobenius_norm(back.matrix - op.matrix) <= 1e-14 * frobenius_norm(op.matrix)
 
 
 class TestRepresentationCompose:
@@ -495,6 +517,31 @@ class TestRangeMapCheck:
         back = matrix_of_operator(identity_operator(2), psi0, mercedes.canonical_dual())
         c = psi0.analyze(f)
         assert np.allclose(back.matrix @ (there.matrix @ c), c, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_sides_agree_at_any_scale(self, psi0, scale):
+        frame = Frame(psi0.vectors * scale)
+        lhs, rhs = range_map_check(LinearOperator([[1, 2], [3, 4]]), frame, frame, [1.0, -2.0])
+        assert euclidean_norm(lhs - rhs) <= 1e-14 * euclidean_norm(rhs)
+
+
+class TestNoCoefficientSquareMatrix:
+    def test_peak_memory_stays_below_one_k_by_k_array(self):
+        # K = 1024 vectors in C^3: one K x K complex128 array takes 16 MB, a
+        # K x n one 48 kB; numpy's allocations are traced
+        rng = np.random.default_rng(62)
+        phi = Frame(random_complex(rng, 1024, 3))
+        psi = Frame(random_complex(rng, 1024, 3))
+        op = random_operator(rng, 3, 3)
+        phi.canonical_dual(), psi.canonical_dual()  # cached outside the traced calls
+        tracemalloc.start()
+        try:
+            roundtrip_reconstruct(op, phi, psi)
+            range_map_check(op, phi, psi, random_complex(rng, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestKernelOfRepresentation:
