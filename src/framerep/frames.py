@@ -15,15 +15,18 @@ are still valid Bessel sequences).  Conventions used throughout:
 Frames are immutable: the vectors, the cached matrices and every cached
 spectral factor, the canonical dual's included, are read-only arrays.
 Each frame's one spectral primitive is the thin SVD ``C = U diag(s) V*`` of
-its analysis matrix, computed lazily, cached, and split into two layers
+its analysis matrix, computed lazily, cached, and split into three layers
 (Chan's R-SVD):
 
-* ``Frame.r_svd`` factors ``C = Q R`` without forming Q and takes the SVD
-  ``R = W diag(s) V*`` of the small ``min(K, n) x n`` triangular factor.
-  Its ``s`` and ``V`` are C's singular values and right singular vectors.
-  The bounds ``(s_min^2, s_max^2)``, ``is_frame``, the condition and the
-  classification read only this layer, and so does the solver in
-  :mod:`framerep.solve` for every section size, which never forms U.
+* ``Frame.singular_values`` factors ``C = Q R`` without forming Q and takes
+  the singular values ``s`` of the small ``min(K, n) x n`` triangular factor
+  R alone, without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
+  ``is_frame``, the condition and the classification read only this layer,
+  and so does the solver in :mod:`framerep.solve` when its cutoff provably
+  keeps every singular value.
+* ``Frame.r_svd`` adds R's singular vectors, ``R = W diag(s) V*`` with the
+  same ``s``; its V holds C's right singular vectors.  The solver's cutoff
+  path reads ``(s, V)`` for every section size and never forms U.
 * ``Frame.analysis_svd`` adds the left factor ``U = Q W``, with Q
   taken from a second, reduced QR of C, on first use only.  The canonical
   dual's analysis matrix ``U diag(1/s) V*`` and the projection onto the
@@ -45,7 +48,7 @@ import numpy as np
 
 from .exceptions import NotAFrame
 from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frozen,
-                     require_finite, require_shape, svd, wrap_checked)
+                     require_finite, require_shape, singular_values, svd, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -143,13 +146,17 @@ class Frame:
                                      self.analysis_matrix))
 
     @cached_property
-    def r_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached thin SVD ``(W, s, V)`` of R in ``C = Q R``, so ``C = (Q W) diag(s) V*``.
+    def _triangular_factor(self) -> np.ndarray:
+        """Read-only ``min(K, n) x n`` R of ``C = Q R``, Q not formed; FrameRepError on overflow."""
+        r = np.linalg.qr(self.analysis_matrix, mode="r")
+        return frozen(require_finite("frame analysis matrix's triangular factor R", r))
 
-        ``s`` holds C's ``min(K, n)`` singular values in descending order and
-        V its right singular vectors.  Only the QR's triangular factor is
-        computed, so the SVD runs on at most n rows and no K x n factor is
-        formed.
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """C's ``min(K, n)`` singular values in descending order, read-only.
+
+        They are R's, computed without singular vectors, so the SVD runs on at
+        most n rows and no K x n factor is formed.
 
         Raises
         ------
@@ -158,10 +165,19 @@ class Frame:
         DecompositionFailed
             If the SVD does not converge.
         """
-        r = np.linalg.qr(self.analysis_matrix, mode="r")
-        w, s, v = svd(require_finite("frame analysis matrix's triangular factor R", r),
-                      "frame analysis matrix")
-        return frozen(w), frozen(s), frozen(v)
+        return frozen(singular_values(self._triangular_factor, "frame analysis matrix"))
+
+    @cached_property
+    def r_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached thin SVD ``(W, s, V)`` of R in ``C = Q R``, so ``C = (Q W) diag(s) V*``.
+
+        ``s`` is :attr:`singular_values`, so a frame has one ``s``; W and V
+        are R's singular vectors, and V holds C's right singular vectors.
+
+        Raises like :attr:`singular_values`.
+        """
+        w, _, v = svd(self._triangular_factor, "frame analysis matrix")
+        return frozen(w), self.singular_values, frozen(v)
 
     @cached_property
     def analysis_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,7 +199,7 @@ class Frame:
     @cached_property
     def bounds(self) -> FrameBounds:
         """Optimal bounds (A, B); A > 0 exactly when the family spans C^n."""
-        s = self.r_svd[1]
+        s = self.singular_values
         with np.errstate(over="ignore"):
             upper = float(np.square(s[0]))
             lower = float(np.square(s[-1])) if self.count >= self.space_dim else 0.0
@@ -192,7 +208,7 @@ class Frame:
     @property
     def is_frame(self) -> bool:
         """Whether A > RANK_RTOL * B, decided on the unsquared singular values."""
-        s = self.r_svd[1]
+        s = self.singular_values
         return self.count >= self.space_dim and bool(s[-1] > math.sqrt(RANK_RTOL) * s[0])
 
     def require_frame(self, operation: str) -> None:
@@ -207,7 +223,7 @@ class Frame:
     @property
     def condition(self) -> float:
         """B/A, or inf for families that do not span."""
-        s = self.r_svd[1]
+        s = self.singular_values
         return float(s[0] / s[-1]) ** 2 if self.is_frame else math.inf
 
     # -- analysis / synthesis --------------------------------------------
@@ -228,7 +244,7 @@ class Frame:
         """The canonical dual frame (S^-1 psi_k).
 
         Built from the cached SVD: the dual's analysis matrix is
-        ``U diag(1/s) V*``, and the dual inherits both layers, reversed and
+        ``U diag(1/s) V*``, and the dual inherits every layer, reversed and
         inverted, so its bounds (1/B, 1/A) need no second decomposition.  (The
         two frames share their analysis range, so the dual's inherited W is
         expressed in this frame's Q.)  The dual of the dual is this
@@ -256,7 +272,8 @@ class Frame:
                 vectors = require_finite("canonical dual", (u.conj() / s) @ v.T)
             # reversed views of frozen factors are read-only as well
             s_dual, v_dual = frozen(1.0 / s[::-1]), v[:, ::-1]
-            dual = wrap_checked(Frame, "_vectors", vectors, r_svd=(w[:, ::-1], s_dual, v_dual),
+            dual = wrap_checked(Frame, "_vectors", vectors, singular_values=s_dual,
+                                r_svd=(w[:, ::-1], s_dual, v_dual),
                                 analysis_svd=(u[:, ::-1], s_dual, v_dual),
                                 _primal=weakref.ref(self))
             self.__dict__["_canonical_dual"] = dual
@@ -266,7 +283,7 @@ class Frame:
     def classification(self) -> FrameClass:
         if not self.is_frame:
             return FrameClass.BESSEL_ONLY
-        s = self.r_svd[1]
+        s = self.singular_values
         if self.count == self.space_dim:
             # |Gram - I|_F = |diag(s^2) - I|_F when U is square
             with np.errstate(over="ignore"):

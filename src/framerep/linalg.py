@@ -117,6 +117,22 @@ def singular_values(a, what: str = "matrix") -> np.ndarray:
         return np.linalg.svd(as_matrix(a, what), compute_uv=False)
 
 
+def solve_with_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(a^-1 b, a^-1)`` for a square ``a`` and a vector ``b``, from one LU factorization.
+
+    None if ``a`` is singular to working precision (a zero pivot) or an entry
+    of either result leaves the float range; no warning is emitted.
+    """
+    n = a.shape[0]
+    try:
+        x = np.linalg.solve(a, np.column_stack([b, np.eye(n)]))
+    except np.linalg.LinAlgError:  # a zero pivot, or inf - inf in the substitution
+        return None
+    if not _is_finite(x):
+        return None
+    return x[:, 0], x[:, 1:]
+
+
 def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
     """The matrix product of finite complex128 ``factors``, taken left to right.
 

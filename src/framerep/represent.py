@@ -220,7 +220,7 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     if not diagnose:
         return op
     s_stack = singular_values(np.vstack([frame.synthesis_matrix, e.T]), "stacked frame and images")
-    s_syn = frame.r_svd[1]  # D = C* has C's singular values
+    s_syn = frame.singular_values  # D = C* has C's singular values
     cutoff = RANK_RTOL * s_stack[0]
     consistent = int(np.sum(s_stack > cutoff)) == int(np.sum(s_syn > cutoff))
     return op, consistent

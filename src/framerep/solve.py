@@ -9,22 +9,36 @@ N x N block ``M_N c_N = d_N`` instead and pads ``c_N`` with zeros.
 
 Neither M nor ``M_N`` is formed, and neither is pseudo-inverted.  With the
 frame's thin SVD ``C = U diag(s) V*``, ``M = U core U*`` for the n x n
-``core = diag(s) V* O V diag(1/s)``.  The solve reads only the frame's first
-spectral layer ``(s, V)`` (see :mod:`framerep.frames`), works on
-``U* d = diag(s) V* g`` and returns ``y = U* c``, from which the solution is
-``V diag(1/s) y``; the coefficient residual ``|M c - d|`` equals
-``|core y - U* d|``.
+``core = diag(s) V* O V diag(1/s)``.  The relative cutoff ``rel_tol``
+(``SolveOptions.pseudoinverse_rel_tol``) drops the singular values of ``M_N``
+at or below ``rel_tol`` times the largest.
 
-* Full system (N = K): U is an isometry, so ``M^+ = U core^+ U*`` and
-  ``y = core^+ U* d``; the coefficients ``c = U y`` are computed as ``C f``.
-* Section (N < K): ``M_N = U_N core U_N*`` for the first N rows
-  ``U_N = C[:N] V diag(1/s)`` of U.  With the reduced QR ``U_N = Q1 R1`` and
-  the ``min(N, n)``-square ``X = R1 core R1*``, ``M_N = Q1 X Q1*``, so
-  ``c_N = Q1 X^+ R1 U* d`` and ``y = U_N* c_N = R1* X^+ R1 U* d``.
+* Closed form (N = K, the cutoff provably drops nothing).  ``kappa_2(core) <=
+  (B/A) kappa_2(O) <= (B/A) |O|_F |O^-1|_F``, so when this bound is below
+  ``1 / rel_tol`` every singular value is kept, ``M^+ = U core^-1 U*`` and the
+  solution ``V diag(1/s) core^-1 diag(s) V* g`` is ``O^-1 g``.  One LU
+  factorization of O gives both ``O^-1 g`` and ``|O^-1|_F``.  The
+  coefficients are ``c = C f``, and ``M c - d = C (O f - g)`` because
+  ``D_dual C = I``.  Only the frame's singular values are read (see
+  :mod:`framerep.frames`); neither the core nor a singular vector is formed,
+  so no intermediate leaves the float range when the solution does not.
+* Cutoff path (every other case: a section, a singular or ill-conditioned O,
+  a large ``rel_tol``).  The solve reads the frame's ``(s, V)``, works on
+  ``U* d = diag(s) V* g`` and returns ``y = U* c``, from which the solution is
+  ``V diag(1/s) y``; the coefficient residual ``|M c - d|`` equals
+  ``|core y - U* d|``.
 
-In both cases the small matrix (core or X) has the nonzero singular values
-of ``M_N``, so the relative cutoff means the same as for an explicit
-pseudoinverse of ``M_N``.  Every solve costs O(K n^2 + n^3).
+  - Full system (N = K): U is an isometry, so ``M^+ = U core^+ U*`` and
+    ``y = core^+ U* d``; the coefficients ``c = U y`` are computed as ``C f``.
+  - Section (N < K): ``M_N = U_N core U_N*`` for the first N rows
+    ``U_N = C[:N] V diag(1/s)`` of U.  With the reduced QR ``U_N = Q1 R1`` and
+    the ``min(N, n)``-square ``X = R1 core R1*``, ``M_N = Q1 X Q1*``, so
+    ``c_N = Q1 X^+ R1 U* d`` and ``y = U_N* c_N = R1* X^+ R1 U* d``.
+
+  The small matrix (core or X) has the nonzero singular values of ``M_N``,
+  so the cutoff means the same as for an explicit pseudoinverse of ``M_N``.
+
+Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -35,7 +49,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import EPS, as_vector, euclidean_norm, require_finite, require_shape, svd
+from .linalg import (EPS, as_vector, euclidean_norm, require_finite, require_shape,
+                     solve_with_inverse, svd)
 from .represent import LinearOperator
 
 
@@ -67,10 +82,12 @@ class SolveOptions:
 class SolveReport:
     """Solution vector plus diagnostics for one solve.
 
-    ``residual_operator`` is ``|O f - g| / (1 + |g|)`` in the original space;
-    ``residual_matrix`` is ``|M c - d| / (1 + |d|)`` for the full discretized
-    system and the zero-padded coefficients ``c`` (so a truncated solve shows
-    its truncation error here).  ``section_used`` is N.
+    ``residual_operator`` is ``|O f - g| / |g|`` in the original space;
+    ``residual_matrix`` is ``|M c - d| / |d|`` for the full discretized
+    system, ``d = C g`` and the zero-padded coefficients ``c`` (so a truncated
+    solve shows its truncation error here).  Both are relative, so scaling g,
+    O or the frame leaves them unchanged; each is 0 when its denominator is
+    0.  ``section_used`` is N.
     """
 
     solution: np.ndarray
@@ -97,6 +114,9 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
 #: What :func:`solve` names when the coefficients it returns leave the float range.
 _COEFFICIENTS = "solution's coefficient vector"
 
+#: What :func:`solve` names when the right-hand side's coefficients leave the float range.
+_RHS_COEFFICIENTS = "right-hand side's coefficient vector U* C g"
+
 
 def solve(op: LinearOperator, g, frame: Frame,
           options: SolveOptions | None = None) -> SolveReport:
@@ -105,9 +125,11 @@ def solve(op: LinearOperator, g, frame: Frame,
     Solves ``M_N c_N = d_N`` for the leading N x N section of ``M c = C g``
     (N = K unless ``options.section_size`` truncates it) with the cutoff
     pseudoinverse, zero-pads ``c_N`` to K coefficients and synthesizes the
-    solution with the dual frame.  Every section size runs in factored form
-    on the frame's ``(s, V)`` (see the module docstring); no K x K array is
-    formed.
+    solution with the dual frame.  When the cutoff provably keeps every
+    singular value of the full system, the solution is ``O^-1 g`` and is
+    computed in that closed form; otherwise every section size runs in
+    factored form on the frame's ``(s, V)`` (see the module docstring).  No
+    K x K array is formed.
 
     Inconsistent systems are reported through a large residual, not an error.
 
@@ -136,6 +158,48 @@ def solve(op: LinearOperator, g, frame: Frame,
     if rel_tol is None:
         rel_tol = n_section * EPS
 
+    f_hat = _inverse_if_all_kept(op.matrix, g, frame.condition, rel_tol) if n_section == k else None
+    if f_hat is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = require_finite(_RHS_COEFFICIENTS, frame.analysis_matrix @ g)
+            # D_dual C = I, so c = C f solves M c = d, lies in M's range, and
+            # M c - d = C (O f - g)
+            c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)
+            operator_residual = op(f_hat) - g
+            matrix_residual = frame.analysis_matrix @ operator_residual
+    else:
+        # the residual and right-hand side come as U* (M c - d) and U* d, of equal norms
+        f_hat, c, matrix_residual, d = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
+        operator_residual = op(f_hat) - g
+    return SolveReport(
+        solution=f_hat,
+        coefficients=c,
+        residual_operator=_relative(operator_residual, g),
+        residual_matrix=_relative(matrix_residual, d),
+        section_used=n_section,
+        conditioning_warning=frame.condition > CONDITION_WARN_RATIO,
+    )
+
+
+def _inverse_if_all_kept(o, g, condition, rel_tol):
+    """``O^-1 g`` if the cutoff provably keeps every singular value of the core, else None.
+
+    ``kappa_2(core) <= (B/A) kappa_2(O) <= condition * |O|_F |O^-1|_F``; below
+    ``1 / rel_tol`` no singular value is at or below the cutoff.  None also
+    for a singular O and for an inverse or solution beyond the float range.
+    """
+    solved = solve_with_inverse(o, g)
+    if solved is None:
+        return None
+    f, inverse = solved
+    # |O|_F |O^-1|_F >= n overflows only when kappa does; condition * |O|_F alone could
+    bound = condition * (euclidean_norm(o) * euclidean_norm(inverse))
+    return f if rel_tol * bound < 1.0 else None
+
+
+def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
+    """``(f, c, core y - U* d, U* d)`` of the factored cutoff solve (module docstring)."""
+    k = frame.count
     _, s, v = frame.r_svd
     vh = v.conj().T
     # an array that leaves the float range turns inf or NaN, and the first
@@ -145,7 +209,7 @@ def solve(op: LinearOperator, g, frame: Frame,
         core = require_finite("discretized system's core",
                               (s[:, None] * (vh @ op.matrix @ v)) / s)
         # U* d for d = C g = U diag(s) V* g
-        ud = require_finite("right-hand side's coefficient vector U* C g", s * (vh @ g))
+        ud = require_finite(_RHS_COEFFICIENTS, s * (vh @ g))
         if n_section == k:
             # y = U* c for c = M^+ d = U core^+ U* d
             y = _solve_above_cutoff(core, ud, rel_tol, "discretized system's core")
@@ -161,17 +225,13 @@ def solve(op: LinearOperator, g, frame: Frame,
         f_hat = require_finite("solution V diag(1/s) y", v @ (y / s))
         if n_section == k:
             c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)  # = U y
-    # |M c - d| = |U (core y - U* d)| and |d| = |U* d|
-    residual_matrix = euclidean_norm(core @ y - ud) / (1.0 + euclidean_norm(ud))
-    residual_operator = euclidean_norm(op(f_hat) - g) / (1.0 + euclidean_norm(g))
-    return SolveReport(
-        solution=f_hat,
-        coefficients=c,
-        residual_operator=residual_operator,
-        residual_matrix=residual_matrix,
-        section_used=n_section,
-        conditioning_warning=frame.condition > CONDITION_WARN_RATIO,
-    )
+        return f_hat, c, core @ y - ud, ud
+
+
+def _relative(residual, reference) -> float:
+    """``|residual| / |reference|``, or 0 when ``reference`` is zero."""
+    scale = euclidean_norm(reference)
+    return euclidean_norm(residual) / scale if scale > 0.0 else 0.0
 
 
 def _solve_above_cutoff(a, b, rel_tol, what):

@@ -86,6 +86,7 @@ class TestConstruction:
         target = pick(Frame(vectors))
         kept = {"vectors": target.vectors, "analysis_matrix": target.analysis_matrix,
                 "frame_operator": target.frame_operator}
+        kept["singular values"] = target.singular_values
         kept.update(zip(["r_svd W", "r_svd s", "r_svd V"], target.r_svd))
         kept.update(zip(["analysis_svd U", "analysis_svd s", "analysis_svd V"],
                         target.analysis_svd))
@@ -291,7 +292,7 @@ class TestCanonicalDual:
         dual = random_frame(rng, 4, 9).canonical_dual()
         assert {"r_svd", "analysis_svd"} <= dual.__dict__.keys()
         u, s, v = dual.analysis_svd
-        assert dual.r_svd[1] is s and dual.r_svd[2] is v
+        assert dual.r_svd[1] is s and dual.r_svd[2] is v and dual.singular_values is s
         assert np.all(np.diff(s) <= 0)
         scale = np.linalg.norm(dual.analysis_matrix)
         assert np.linalg.norm((u * s) @ v.conj().T - dual.analysis_matrix) <= 1e-12 * scale
@@ -334,10 +335,27 @@ class TestSpectralLayers:
         assert np.linalg.norm(v.conj().T @ v - np.eye(m)) <= 1e-13
         assert np.linalg.norm((u * s) @ v.conj().T - c) <= 1e-13 * np.linalg.norm(c)
 
-    def test_reading_bounds_forms_no_left_factor(self, psi0):
+    def test_reading_bounds_forms_no_left_factor(self, psi0, monkeypatch):
+        # only R's singular values: neither W and V (r_svd) nor U (analysis_svd)
+        real_svd, computes_vectors = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            computes_vectors.append(kwargs.get("compute_uv", True))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         psi0.bounds, psi0.is_frame, psi0.condition, psi0.classification
-        assert "r_svd" in psi0.__dict__
-        assert "analysis_svd" not in psi0.__dict__
+        assert computes_vectors == [False]
+        assert "singular_values" in psi0.__dict__
+        assert not {"r_svd", "analysis_svd"} & psi0.__dict__.keys()
+
+    def test_one_set_of_singular_values(self):
+        frame = random_frame(np.random.default_rng(25), 5, 13)
+        s = frame.singular_values
+        w, s_r, v = frame.r_svd
+        assert frame.analysis_svd[1] is s_r is s
+        r = np.linalg.qr(frame.analysis_matrix, mode="r")
+        assert np.linalg.norm((w * s) @ v.conj().T - r) <= 1e-14 * s[0]
 
 
 class TestGram:

@@ -24,6 +24,7 @@ from framerep import (
     project_onto_analysis_range,
     solve,
 )
+from framerep.linalg import euclidean_norm
 from helpers import (
     conditioned_operator,
     explicit_system,
@@ -69,13 +70,13 @@ class TestDiscretize:
     def test_zero_operator(self, psi0):
         # M = 0 keeps no singular value: zero coefficients, and |M c - d| = |d|
         g = np.array([1.0, -2.0])
-        d_norm = np.linalg.norm(psi0.analyze(g))
         for section in (None, 2):
             report = solve(LinearOperator(np.zeros((2, 2))), g, psi0,
                            SolveOptions(section_size=section))
             assert np.array_equal(report.coefficients, np.zeros(3))
             assert np.array_equal(report.solution, np.zeros(2))
-            assert report.residual_matrix == pytest.approx(d_norm / (1.0 + d_norm), rel=1e-15)
+            assert report.residual_matrix == pytest.approx(1.0, rel=1e-15)
+            assert report.residual_operator == pytest.approx(1.0, rel=1e-15)
 
     def test_requires_frame(self):
         with pytest.raises(NotAFrame, match="discretization requires a frame"):
@@ -138,7 +139,7 @@ class TestFiniteSection:
         assert report.coefficients[0] == pytest.approx(d[0] / m[0, 0], rel=1e-12)
         assert np.array_equal(report.coefficients[1:], np.zeros(7))
         c = report.coefficients
-        residual = np.linalg.norm(m @ c - d) / (1.0 + np.linalg.norm(d))
+        residual = np.linalg.norm(m @ c - d) / np.linalg.norm(d)
         assert report.residual_matrix == pytest.approx(residual, rel=1e-12)
 
     def test_too_large(self):
@@ -223,7 +224,7 @@ class TestSolve:
         op = LinearOperator([[2, 0], [0, 3]])
         g = np.array([2.0, 3.0])
         report = solve(op, g, psi0)
-        expected = np.linalg.norm(op(report.solution) - g) / (1 + np.linalg.norm(g))
+        expected = np.linalg.norm(op(report.solution) - g) / np.linalg.norm(g)
         assert report.residual_operator == pytest.approx(expected, abs=1e-15)
 
     def test_truncated_section_pads_coefficients(self):
@@ -304,49 +305,70 @@ class TestSolveOptions:
 class TestFactoredSolve:
     """Every section is solved through the n x n core, never as a K x K system."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        n=st.integers(1, 8),
-        extra=st.integers(0, 16),
-        log_condition=st.floats(0.0, 8.0),
-        tol=st.sampled_from([None, 1e-6, 10.0]),
-        seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
-    )
-    def test_matches_explicit_system(self, n, extra, log_condition, tol, seed, data):
-        k = n + extra
-        rank = data.draw(st.integers(0, n), label="rank")
-        section = data.draw(
-            st.sampled_from([None] + sorted({min(max(size, 1), k)
-                                             for size in (1, n - 1, n, n + 1, k - 1)})),
-            label="section",
+    def test_matches_explicit_system(self):
+        # both sides of the closed-form guard run: the closed form, which never
+        # reads (s, V), and the cutoff path, which does
+        sides = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(
+            n=st.integers(1, 8),
+            extra=st.integers(0, 16),
+            log_condition=st.floats(0.0, 8.0),
+            tol=st.sampled_from([None, 1e-6, 10.0]),
+            seed=st.integers(0, 2**32 - 1),
+            data=st.data(),
         )
-        rng = np.random.default_rng(seed)
-        frame = frame_with_condition(rng, n, k, 10.0**log_condition)
-        s = np.exp(rng.uniform(0.0, np.log(1e2), n))
-        s[rank:] = 0.0
-        op = LinearOperator((random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T)
-        g = random_complex(rng, n)
+        def check(n, extra, log_condition, tol, seed, data):
+            k = n + extra
+            rank = data.draw(st.integers(0, n), label="rank")
+            section = data.draw(
+                st.sampled_from([None] + sorted({min(max(size, 1), k)
+                                                 for size in (1, n - 1, n, n + 1, k - 1)})),
+                label="section",
+            )
+            rng = np.random.default_rng(seed)
+            frame = frame_with_condition(rng, n, k, 10.0**log_condition)
+            s = np.exp(rng.uniform(0.0, np.log(1e2), n))
+            s[rank:] = 0.0
+            op = LinearOperator((random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T)
+            g = random_complex(rng, n)
 
-        options = SolveOptions(section_size=section, pseudoinverse_rel_tol=tol)
-        report = solve(op, g, frame, options)
+            options = SolveOptions(section_size=section, pseudoinverse_rel_tol=tol)
+            report = solve(op, g, frame, options)
+            closed_form = "r_svd" not in frame.__dict__
+            sides.add(closed_form)
 
-        # the oracle: the SVD pseudoinverse of the explicit N x N section of M
-        n_section = k if section is None else section
-        m, d = explicit_system(op, frame), frame.analyze(g)
-        m_section = m[:n_section, :n_section]
-        c_ref = np.zeros(k, dtype=np.complex128)
-        c_ref[:n_section] = pseudoinverse(m_section, tol) @ d[:n_section]
-        solution_ref = frame.canonical_dual().synthesize(c_ref)
-        residual_ref = np.linalg.norm(m @ c_ref - d) / (1.0 + np.linalg.norm(d))
-        # condition of the part of M_N the pseudoinverse keeps, and of the dual
-        sv = np.linalg.svd(m_section, compute_uv=False)
-        kept = sv[sv > (tol if tol is not None else n_section * EPS) * sv[0]]
-        cond = max(kept[0] / kept[-1] if kept.size else 1.0, np.sqrt(frame.condition))
-        bound = 1e3 * EPS * cond
-        assert np.linalg.norm(report.coefficients - c_ref) <= bound * np.linalg.norm(c_ref)
-        assert np.linalg.norm(report.solution - solution_ref) <= bound * np.linalg.norm(solution_ref)
-        assert abs(report.residual_matrix - residual_ref) <= bound
+            # the oracle: the SVD pseudoinverse of the explicit N x N section of M
+            n_section = k if section is None else section
+            rel_tol = tol if tol is not None else n_section * EPS
+            m, d = explicit_system(op, frame), frame.analyze(g)
+            m_section = m[:n_section, :n_section]
+            c_ref = np.zeros(k, dtype=np.complex128)
+            c_ref[:n_section] = pseudoinverse(m_section, tol) @ d[:n_section]
+            solution_ref = frame.canonical_dual().synthesize(c_ref)
+            residual_ref = np.linalg.norm(m @ c_ref - d) / np.linalg.norm(d)
+            # condition of the part of M_N the pseudoinverse keeps, and of the dual
+            sv = np.linalg.svd(m_section, compute_uv=False)
+            kept = sv[sv > rel_tol * sv[0]]
+            cond = max(kept[0] / kept[-1] if kept.size else 1.0, np.sqrt(frame.condition))
+            bound = 1e3 * EPS * cond
+            assert np.linalg.norm(report.coefficients - c_ref) <= bound * np.linalg.norm(c_ref)
+            assert (np.linalg.norm(report.solution - solution_ref)
+                    <= bound * np.linalg.norm(solution_ref))
+            assert abs(report.residual_matrix - residual_ref) <= bound
+
+            # the closed form runs where the guard proves that the full system's
+            # cutoff keeps all n singular values, and nowhere else
+            if closed_form:
+                assert n_section == k and rank == n and kept.size == n
+            elif n_section == k and rank == n:
+                guard = (rel_tol * frame.condition * np.linalg.norm(op.matrix)
+                         * np.linalg.norm(np.linalg.inv(op.matrix)))
+                assert guard >= 0.99
+
+        check()
+        assert sides == {True, False}
 
     def test_never_forms_the_left_factor(self, monkeypatch):
         rng = np.random.default_rng(26)
@@ -377,11 +399,13 @@ class TestFactoredSolve:
             assert np.array_equal(got, expected)
 
     def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
+        # a singular operator takes the cutoff path, which takes the core's SVD
         psi0.r_svd  # the frame's own SVD succeeds; the core's fails
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         for section in (None, 2):
             with pytest.raises(DecompositionFailed, match="core"):
-                solve(identity_operator(2), [1, 0], psi0, SolveOptions(section_size=section))
+                solve(LinearOperator(np.diag([1.0, 0.0])), [1, 0], psi0,
+                      SolveOptions(section_size=section))
 
 
 class TestScaleEquivariance:
@@ -420,17 +444,12 @@ class TestScaleEquivariance:
         op = LinearOperator(random_complex(rng, 3, 2) @ random_complex(rng, 2, 3))
         g = random_complex(rng, 3)
         options = SolveOptions(section_size=section, pseudoinverse_rel_tol=1e-8)
-        base = Frame(vectors)
-        base_report = solve(op, g, base, options)
-        d_norm = np.linalg.norm(base.analyze(g))
+        base_report = solve(op, g, Frame(vectors), options)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = solve(op, g, Frame(vectors * t), options)
-        # M c - d and d scale by t, so |M c - d| / (1 + |d|) becomes
-        # |r| / (1/t + |d|) for the unscaled residual r and right-hand side d
-        expected = base_report.residual_matrix * (1.0 + d_norm) / (1.0 / t + d_norm)
-        assert np.isfinite(report.residual_matrix)
-        assert report.residual_matrix == pytest.approx(expected, rel=1e-10, abs=0)
+        # M c - d and d both scale by t, so |M c - d| / |d| does not change
+        assert report.residual_matrix == pytest.approx(base_report.residual_matrix, rel=1e-10)
         assert report.residual_operator == pytest.approx(base_report.residual_operator, rel=1e-10)
         assert rel(report.solution, base_report.solution) <= 1e-12
 
@@ -440,8 +459,49 @@ class TestScaleEquivariance:
         frame = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e-300)
         report = solve(LinearOperator([[2, 1], [0, 1]]), [1, 2], frame,
                        SolveOptions(section_size=section))
-        assert 0 <= report.residual_matrix <= 1e-300
+        assert 0 <= report.residual_matrix <= 1e-14
         assert report.residual_operator <= 1e-15
+
+    @pytest.mark.parametrize("frame_scale, op_scale", [(1e-170, 1e-170), (1e-100, 1e-250)])
+    def test_solution_beyond_the_product_of_scales(self, frame_scale, op_scale):
+        # the core's numerator s_i (V* O V)_ij, near frame_scale * op_scale,
+        # underflowed to zero before the division by s_j, and solve returned
+        # (0, 0); the closed form never forms the core
+        frame = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * frame_scale)
+        op = LinearOperator(op_scale * np.array([[2.0, 1.0], [0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(op, [1, 2], frame)
+        expected = np.array([-0.5, 2.0]) / op_scale
+        assert euclidean_norm(report.solution - expected) <= 1e-14 * euclidean_norm(expected)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        scaled=st.sampled_from(["g", "operator", "frame"]),
+        exponent=st.integers(-150, 150),
+        closed_form=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_residuals_are_scale_free(self, scaled, exponent, closed_form, seed):
+        # an invertible operator takes the closed form, with residuals at
+        # rounding level; one of rank 2 on C^3 takes the cutoff path, and its
+        # inconsistent system has O(1) residuals
+        rng = np.random.default_rng(seed)
+        inputs = {"frame": random_complex(rng, 7, 3), "g": random_complex(rng, 3),
+                  "operator": (conditioned_operator(rng, 3).matrix if closed_form
+                               else random_complex(rng, 3, 2) @ random_complex(rng, 2, 3))}
+        options = SolveOptions(pseudoinverse_rel_tol=1e-8)
+        base = solve(LinearOperator(inputs["operator"]), inputs["g"], Frame(inputs["frame"]),
+                     options)
+        inputs[scaled] = inputs[scaled] * 10.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = Frame(inputs["frame"])
+            report = solve(LinearOperator(inputs["operator"]), inputs["g"], frame, options)
+        assert ("r_svd" not in frame.__dict__) == closed_form
+        for residual in ("residual_operator", "residual_matrix"):
+            got, expected = getattr(report, residual), getattr(base, residual)
+            assert abs(got - expected) <= 1e-9 * expected + 1e3 * EPS, residual
 
     def test_bounds_beyond_float_range_read_inf(self):
         frame = Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])
@@ -478,3 +538,18 @@ class TestOverflow:
             with pytest.raises(FrameRepError, match=product) as info:
                 solve(LinearOperator(op), [g, g], frame, SolveOptions(section_size=section))
         assert not isinstance(info.value, DimensionMismatch)
+
+    def test_closed_form_forms_no_core(self):
+        # B/A is about 1.3e8, so the core s_i (V* O V)_ij / s_j reaches about 1e309
+        # where O's entries are 1e305; O is well conditioned, so the full system
+        # takes the closed form, which never forms the core, while a section
+        # still takes the core and names its overflow
+        frame = Frame([[1, 0], [0, 1e-4], [1, 1e-4]])
+        op = LinearOperator([[1e305, 1e305], [0, 1e305]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(op, [1.0, 1.0], frame)
+            with pytest.raises(FrameRepError, match="discretized system's core"):
+                solve(op, [1.0, 1.0], frame, SolveOptions(section_size=2))
+        assert euclidean_norm(report.solution - [0.0, 1e-305]) <= 1e-14 * 1e-305
+        assert report.residual_operator <= 1e-15
