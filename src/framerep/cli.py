@@ -142,7 +142,7 @@ def _cmd_solve(args):
     op = _load_operator(args.op)
     rhs = _load_vector(args.rhs)
     frame = _load_frame(args.frame)
-    options = SolveOptions(section_size=args.section, pseudoinverse_rel_tol=args.tol)
+    options = SolveOptions(section_size=args.section, rel_tol=args.tol)
     report = solve(op, rhs, frame, options)
     payload = {
         "solution": io.vector_payload(report.solution),

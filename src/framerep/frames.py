@@ -34,6 +34,13 @@ its analysis matrix, computed lazily, cached, and split into three layers
 
 Working on the singular values rather than on ``S = C* C`` keeps the
 condition number and the dynamic range unsquared.
+
+Besides the spectral layers a frame caches, on first use, its reconstruction
+factor ``D C_dual = sum_k psi_k dual_k*`` (n x n, the identity up to
+rounding), the outer factor of :func:`framerep.represent.roundtrip_reconstruct`.
+Numerical rank has one rule, :func:`numerical_rank`, which ``is_frame``
+applies to C and the diagnosis of ``operator_from_images`` to its stacked
+blocks.
 """
 
 from __future__ import annotations
@@ -207,9 +214,8 @@ class Frame:
 
     @property
     def is_frame(self) -> bool:
-        """Whether A > RANK_RTOL * B, decided on the unsquared singular values."""
-        s = self.singular_values
-        return self.count >= self.space_dim and bool(s[-1] > math.sqrt(RANK_RTOL) * s[0])
+        """Whether A > RANK_RTOL * B, i.e. whether the :func:`numerical_rank` of C is n."""
+        return numerical_rank(self.singular_values) == self.space_dim
 
     def require_frame(self, operation: str) -> None:
         """Raise NotAFrame, naming ``operation``, unless the family is a frame."""
@@ -280,6 +286,17 @@ class Frame:
         return dual
 
     @cached_property
+    def _reconstruction_factor(self) -> np.ndarray:
+        """Read-only n x n ``D C_dual = sum_k psi_k dual_k*``, the identity up to rounding.
+
+        Raises NotAFrame like :meth:`canonical_dual`.  An entry beyond the
+        float range is kept as inf or NaN, for the product that reads it to name.
+        """
+        dual = self.canonical_dual()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return frozen(self.synthesis_matrix @ dual.analysis_matrix)
+
+    @cached_property
     def classification(self) -> FrameClass:
         if not self.is_frame:
             return FrameClass.BESSEL_ONLY
@@ -314,6 +331,16 @@ class Frame:
             return True
         a, b = a / scale, b / scale
         return euclidean_norm(a - b) <= SAME_FRAME_RTOL * max(euclidean_norm(a), euclidean_norm(b))
+
+
+def numerical_rank(s: np.ndarray) -> int:
+    """How many of the descending singular values ``s`` exceed ``sqrt(RANK_RTOL) * s[0]``.
+
+    The one rank rule: a family is a frame when its analysis matrix has full
+    rank n by it, which is ``A > RANK_RTOL * B``.  It is relative, so scaling
+    the matrix does not change it.
+    """
+    return int(np.count_nonzero(s > math.sqrt(RANK_RTOL) * s[0]))
 
 
 def gram(psi: Frame, phi: Frame) -> np.ndarray:

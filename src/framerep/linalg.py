@@ -3,7 +3,8 @@
 Everything in the package runs on ``numpy.complex128`` arrays: matrices are
 2-d, vectors 1-d.  The helpers here coerce inputs to that form, hold the one
 shape rule (for each argument and for the agreement of several operands) and
-the one scale-safe entrywise 2-norm, refuse non-finite entries and
+the one scale-safe entrywise 2-norm, the one exact split of a scale into a
+power of two (:func:`power_of_two_below`), refuse non-finite entries and
 overflowing products, freeze every array the package keeps (:func:`frozen`),
 and wrap the numpy/LAPACK decompositions behind the small set of operations
 the frame and representation modules rely on.  A LAPACK decomposition that
@@ -183,6 +184,17 @@ def wrap_checked(cls, field: str, array: np.ndarray, **others):
     obj = object.__new__(cls)
     obj.__dict__.update({field: frozen(array)}, **others)
     return obj
+
+
+def power_of_two_below(x: float) -> float:
+    """The power of two ``p`` with ``p <= x < 2 p`` for a finite ``x > 0`` (1/2 for ``x = 0``).
+
+    The one place a scale is split off in binary: dividing or multiplying by
+    ``p`` is exact wherever the result stays a normal float, so an array
+    divided by it keeps every digit while its largest value moves into
+    ``[1, 2)``.  ``p`` itself is a float for every positive float ``x``.
+    """
+    return float(np.ldexp(1.0, np.frexp(x)[1] - 1))
 
 
 def euclidean_norm(x: np.ndarray) -> float:

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import IncompatibleFrames
-from .frames import RANK_RTOL, Frame
+from .frames import Frame, numerical_rank
 from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, frozen,
-                     require_finite, require_shape, singular_values, wrap_checked)
+                     power_of_two_below, require_finite, require_shape, singular_values,
+                     wrap_checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,14 +171,14 @@ def roundtrip_reconstruct(op: LinearOperator, phi: Frame, psi: Frame) -> LinearO
 
     Realizes ``O = D_phi M C_psi`` for ``M`` the representation of ``op`` over
     ``(dual(phi), dual(psi))``, associated as ``(D_phi C_dual(phi)) O
-    (D_dual(psi) C_psi)``: the K x K ``M`` is never formed, the cost is O(K n^2
-    + n^3), and each frame's scale cancels against its dual's in an n x n factor.
+    (D_dual(psi) C_psi)``: the K x K ``M`` is never formed, and each frame's
+    scale cancels against its dual's in an n x n factor.  Each frame caches
+    its factor (``psi``'s is its dual's, whose dual is ``psi``), so the first
+    call costs O(K n^2 + n^3) and a call on warm frames O(n^3).
     """
-    phi_dual, psi_dual = phi.canonical_dual(), psi.canonical_dual()
+    left = phi._reconstruction_factor
+    right = psi.canonical_dual()._reconstruction_factor
     require_shape("operator matrix", op.matrix.shape, (phi.space_dim, psi.space_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = phi.synthesis_matrix @ phi_dual.analysis_matrix
-        right = psi_dual.synthesis_matrix @ psi.analysis_matrix
     return wrap_checked(LinearOperator, "matrix", finite_product(
         "reconstructed operator D_phi C_dual(phi) O D_dual(psi) C_psi", left, op.matrix, right))
 
@@ -219,11 +220,13 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
                       finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
-    s_stack = singular_values(np.vstack([frame.synthesis_matrix, e.T]), "stacked frame and images")
-    s_syn = frame.singular_values  # D = C* has C's singular values
-    cutoff = RANK_RTOL * s_stack[0]
-    consistent = int(np.sum(s_stack > cutoff)) == int(np.sum(s_syn > cutoff))
-    return op, consistent
+    # each block divided by a power of two near its largest singular value, so
+    # neither block's scale sets the other's rank cutoff; D = C* has C's singular values
+    s_syn = frame.singular_values
+    blocks = [frame.synthesis_matrix / power_of_two_below(s_syn[0]),
+              e.T / power_of_two_below(singular_values(e.T, "images")[0])]
+    s_stack = singular_values(np.vstack(blocks), "stacked frame and images")
+    return op, numerical_rank(s_stack) == numerical_rank(s_syn)
 
 
 def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.ndarray, np.ndarray]:

@@ -9,9 +9,9 @@ N x N block ``M_N c_N = d_N`` instead and pads ``c_N`` with zeros.
 
 Neither M nor ``M_N`` is formed, and neither is pseudo-inverted.  With the
 frame's thin SVD ``C = U diag(s) V*``, ``M = U core U*`` for the n x n
-``core = diag(s) V* O V diag(1/s)``.  The relative cutoff ``rel_tol``
-(``SolveOptions.pseudoinverse_rel_tol``) drops the singular values of ``M_N``
-at or below ``rel_tol`` times the largest.
+``core = diag(s) V* O V diag(1/s)``.  The relative cutoff
+``SolveOptions.rel_tol`` drops the singular values of ``M_N`` at or below
+``rel_tol`` times the largest.
 
 * Closed form (N = K, the cutoff provably drops nothing).  ``kappa_2(core) <=
   (B/A) kappa_2(O) <= (B/A) |O|_F |O^-1|_F``, so when this bound is below
@@ -37,6 +37,12 @@ at or below ``rel_tol`` times the largest.
 
   The small matrix (core or X) has the nonzero singular values of ``M_N``,
   so the cutoff means the same as for an explicit pseudoinverse of ``M_N``.
+  The path first divides ``s`` by the power of two ``p`` with ``p <= s[0] <
+  2 p``.  That is exact in binary, cancels in the core and in ``V diag(1/s)
+  y``, and leaves ``U* d`` and y divided by p; so neither the core nor
+  ``U* d`` underflows or overflows merely because the frame's scale is far
+  from 1, and in range every value is bit for bit what the unscaled ``s``
+  gives.
 
 Every solve costs O(K n^2 + n^3).
 """
@@ -49,8 +55,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, euclidean_norm, require_finite, require_shape,
-                     solve_with_inverse, svd)
+from .linalg import (EPS, as_vector, euclidean_norm, power_of_two_below, require_finite,
+                     require_shape, solve_with_inverse, svd)
 from .represent import LinearOperator
 
 
@@ -61,21 +67,21 @@ class SolveOptions:
     section_size
         Solve only the leading N x N section of the K x K discretized system
         (default: N = K, the full system).
-    pseudoinverse_rel_tol
+    rel_tol
         Singular values of the section ``M_N`` at or below this multiple of
         its largest one are treated as zero (default: ``N * machine
         epsilon``).
     """
 
     section_size: int | None = None
-    pseudoinverse_rel_tol: float | None = None
+    rel_tol: float | None = None
 
     def __post_init__(self):
         if self.section_size is not None and self.section_size < 1:
             raise ValueError(f"section_size must be positive, got {self.section_size}")
-        tol = self.pseudoinverse_rel_tol
+        tol = self.rel_tol
         if tol is not None and not 0 <= tol < np.inf:
-            raise ValueError(f"pseudoinverse_rel_tol must be finite and nonnegative, got {tol}")
+            raise ValueError(f"rel_tol must be finite and nonnegative, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +114,8 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     frame.require_frame("analysis-range projection")
     c = as_vector(c, "coefficient vector", frame.count)
     u = frame.analysis_svd[0]
-    return u @ (u.conj().T @ c)
+    # (c* U)* is U* c without a conjugated copy of U
+    return u @ (c.conj() @ u).conj()
 
 
 #: What :func:`solve` names when the coefficients it returns leave the float range.
@@ -154,7 +161,7 @@ def solve(op: LinearOperator, g, frame: Frame,
     n_section = options.section_size if options.section_size is not None else k
     if n_section > k:
         raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
-    rel_tol = options.pseudoinverse_rel_tol
+    rel_tol = options.rel_tol
     if rel_tol is None:
         rel_tol = n_section * EPS
 
@@ -198,20 +205,27 @@ def _inverse_if_all_kept(o, g, condition, rel_tol):
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
-    """``(f, c, core y - U* d, U* d)`` of the factored cutoff solve (module docstring)."""
+    """``(f, c, (core y - U* d) / p, U* d / p)`` of the factored cutoff solve (module docstring).
+
+    ``p`` is the power of two with ``p <= s[0] < 2 p``; the caller reads only
+    the ratio of the last two norms.
+    """
     k = frame.count
     _, s, v = frame.r_svd
+    scale = power_of_two_below(s[0])
+    s_unit = s / scale
     vh = v.conj().T
     # an array that leaves the float range turns inf or NaN, and the first
     # check it meets names it
     with np.errstate(over="ignore", invalid="ignore"):
         # s_i / s_j reaches sqrt(B/A), so the core can overflow where O does not
         core = require_finite("discretized system's core",
-                              (s[:, None] * (vh @ op.matrix @ v)) / s)
-        # U* d for d = C g = U diag(s) V* g
-        ud = require_finite(_RHS_COEFFICIENTS, s * (vh @ g))
+                              (s_unit[:, None] * (vh @ op.matrix @ v)) / s_unit)
+        # U* d / p for d = C g = U diag(s) V* g
+        ud = s_unit * (vh @ g)
+        require_finite(_RHS_COEFFICIENTS, ud * scale)
         if n_section == k:
-            # y = U* c for c = M^+ d = U core^+ U* d
+            # y = U* c / p for c = M^+ d = U core^+ U* d
             y = _solve_above_cutoff(core, ud, rel_tol, "discretized system's core")
         else:
             # M_N = U_N core U_N* = Q1 X Q1* with U_N = Q1 R1 and X = R1 core R1*,
@@ -220,11 +234,13 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
             z = _solve_above_cutoff(r1 @ core @ r1.conj().T, r1 @ ud, rel_tol,
                                     "finite section's core")
             y = r1.conj().T @ z
-            c = np.zeros(k, dtype=np.complex128)
-            c[:n_section] = require_finite(_COEFFICIENTS, q1 @ z)
-        f_hat = require_finite("solution V diag(1/s) y", v @ (y / s))
+        # V diag(1/s) y: p cancels between y and s_unit
+        f_hat = require_finite("solution V diag(1/s) y", v @ (y / s_unit))
         if n_section == k:
             c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)  # = U y
+        else:
+            c = np.zeros(k, dtype=np.complex128)
+            c[:n_section] = require_finite(_COEFFICIENTS, q1 @ (z * scale))
         return f_hat, c, core @ y - ud, ud
 
 
@@ -237,12 +253,11 @@ def _relative(residual, reference) -> float:
 def _solve_above_cutoff(a, b, rel_tol, what):
     """``a^+ b`` for the pseudoinverse that drops singular values ``<= rel_tol * s_max``.
 
-    ``a^+ b`` has the norm of the solution's coefficients, so it is where
-    they first leave the float range; :func:`solve` calls it under its
-    ``np.errstate``.
+    Not checked for overflow: :func:`_solve_with_cutoff` calls it under its
+    ``np.errstate`` and names an inf or NaN where it reaches the solution or
+    its coefficients.
     """
     ua, sa, va = svd(a, what)
     # reciprocals of the kept singular values, zero for the dropped ones
     inv_s = np.divide(1.0, sa, out=np.zeros_like(sa), where=sa > rel_tol * sa[0])
-    x = va @ (inv_s * (ua.conj().T @ b))
-    return require_finite(_COEFFICIENTS, x)
+    return va @ (inv_s * (ua.conj().T @ b))

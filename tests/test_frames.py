@@ -4,6 +4,7 @@ import gc
 import pickle
 import re
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from framerep import (
     gram,
     identity_operator,
     operator_norm,
+    roundtrip_reconstruct,
     solve,
 )
 from helpers import (
@@ -84,12 +86,21 @@ class TestConstruction:
             return frame if side == "frame" else frame.canonical_dual()
 
         target = pick(Frame(vectors))
-        kept = {"vectors": target.vectors, "analysis_matrix": target.analysis_matrix,
-                "frame_operator": target.frame_operator}
-        kept["singular values"] = target.singular_values
-        kept.update(zip(["r_svd W", "r_svd s", "r_svd V"], target.r_svd))
-        kept.update(zip(["analysis_svd U", "analysis_svd s", "analysis_svd V"],
-                        target.analysis_svd))
+        owners = {"frame": target, "dual": target.canonical_dual()}
+        # fill every cached layer of both, whatever layers Frame has
+        for frame in owners.values():
+            for name, layer in vars(Frame).items():
+                if isinstance(layer, cached_property):
+                    getattr(frame, name)
+        roundtrip_reconstruct(identity_operator(2), target, target)
+        kept = {}
+        for owner, frame in owners.items():
+            for name, value in vars(frame).items():
+                arrays = value if isinstance(value, tuple) else (value,)
+                if all(isinstance(array, np.ndarray) for array in arrays):
+                    kept.update({f"{owner}.{name}[{i}]": array for i, array in enumerate(arrays)})
+        assert {"frame._vectors[0]", "frame._reconstruction_factor[0]",
+                "dual.analysis_svd[2]"} <= kept.keys()
         for name, array in kept.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 100.0
@@ -280,10 +291,16 @@ class TestCanonicalDual:
 
     def test_pickles_with_cached_dual(self, psi0):
         dual = psi0.canonical_dual()
+        roundtrip_reconstruct(identity_operator(2), psi0, psi0)  # fills both frames' factor
         for frame in (psi0, dual):
+            assert "_reconstruction_factor" in frame.__dict__
             copy = pickle.loads(pickle.dumps(frame))
             assert np.array_equal(copy.vectors, frame.vectors)
+            assert copy.allclose(frame)
             assert not copy.vectors.flags.writeable
+        copy = pickle.loads(pickle.dumps(psi0))
+        assert np.array_equal(roundtrip_reconstruct(identity_operator(2), copy, copy).matrix,
+                              roundtrip_reconstruct(identity_operator(2), psi0, psi0).matrix)
         assert np.allclose(pickle.loads(pickle.dumps(dual)).canonical_dual().vectors, psi0.vectors,
                            atol=1e-12)
 

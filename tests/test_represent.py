@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framerep import (
     DimensionMismatch,
@@ -304,6 +306,52 @@ class TestRoundtrip:
         assert frobenius_norm(back.matrix - op.matrix) <= 1e-14 * frobenius_norm(op.matrix)
 
 
+class TestRoundtripCache:
+    """Each frame keeps its n x n factor D C_dual; a warm round trip multiplies three n x n arrays."""
+
+    @staticmethod
+    def uncached(op, phi, psi):
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = phi.synthesis_matrix @ phi.canonical_dual().analysis_matrix
+            right = psi.canonical_dual().synthesis_matrix @ psi.analysis_matrix
+            return left @ op.matrix @ right
+
+    @pytest.mark.parametrize("scale", [1.0, *SCALES])
+    def test_equals_uncached_product_bit_for_bit(self, scale):
+        rng = np.random.default_rng(62)
+        phi = Frame(random_complex(rng, 9, 4) * scale)
+        psi = Frame(random_complex(rng, 7, 3) / scale)
+        op = random_operator(rng, 4, 3)
+        for args in ((op, phi, psi), (random_operator(rng, 3, 3), psi, psi)):
+            expected = self.uncached(*args)
+            for _ in range(2):  # the call that fills the caches, then one that reads them
+                assert np.array_equal(roundtrip_reconstruct(*args).matrix, expected)
+
+    def test_warm_call_reads_no_frame_matrix(self, monkeypatch, psi0, mercedes):
+        op = LinearOperator([[1, 2], [3, 4]])
+        reads = []
+        for name in ("analysis_matrix", "synthesis_matrix"):
+            def counted(frame, original=Frame.__dict__[name], name=name):
+                reads.append(name)
+                return original.__get__(frame, Frame)
+            monkeypatch.setattr(Frame, name, property(counted))
+        first = roundtrip_reconstruct(op, psi0, mercedes)
+        assert reads  # the cold call reads them, so the counter sees reads
+        reads.clear()
+        second = roundtrip_reconstruct(op, psi0, mercedes)
+        assert reads == []
+        assert np.array_equal(second.matrix, first.matrix)
+
+    def test_requires_frames_before_checking_the_operator(self, psi0):
+        with pytest.raises(NotAFrame):
+            roundtrip_reconstruct(identity_operator(3), Frame([[1, 0], [2, 0]]), psi0)
+        with pytest.raises(NotAFrame):
+            roundtrip_reconstruct(identity_operator(3), psi0, Frame([[1, 0], [2, 0]]))
+        roundtrip_reconstruct(identity_operator(2), psi0, psi0)
+        with pytest.raises(DimensionMismatch):
+            roundtrip_reconstruct(identity_operator(3), psi0, psi0)
+
+
 class TestRepresentationCompose:
     def test_multiplicative_with_dual_sandwich(self):
         rng = np.random.default_rng(40)
@@ -462,6 +510,29 @@ class TestOperatorFromImages:
         op, consistent = operator_from_images(psi0, images, diagnose=True)
         assert consistent
         assert np.allclose(op.matrix, a, atol=1e-10)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        scaled=st.sampled_from(["images", "frame"]),
+        exponent=st.integers(-150, 150),
+        consistent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_diagnosis_is_scale_free(self, scaled, exponent, consistent, seed):
+        # images A psi_k inherit every dependency among the frame vectors;
+        # generic images of a redundant frame inherit none
+        rng = np.random.default_rng(seed)
+        n, m = (int(d) for d in rng.integers(1, 5, size=2))
+        inputs = {"frame": random_complex(rng, n + int(rng.integers(1, 5)), n)}
+        count = inputs["frame"].shape[0]
+        inputs["images"] = (inputs["frame"] @ random_complex(rng, m, n).T if consistent
+                            else random_complex(rng, count, m))
+        inputs[scaled] = inputs[scaled] * 10.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, verdict = operator_from_images(Frame(inputs["frame"]), inputs["images"],
+                                              diagnose=True)
+        assert verdict == consistent
 
     def test_requires_frame(self):
         with pytest.raises(NotAFrame):

@@ -275,10 +275,10 @@ class TestSolveOptions:
     def test_defaults(self):
         options = SolveOptions()
         assert options.section_size is None
-        assert options.pseudoinverse_rel_tol is None
+        assert options.rel_tol is None
         assert [f.name for f in dataclasses.fields(SolveOptions)] == [
             "section_size",
-            "pseudoinverse_rel_tol",
+            "rel_tol",
         ]
 
     def test_rejects_bad_section(self):
@@ -287,16 +287,16 @@ class TestSolveOptions:
 
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
-            SolveOptions(pseudoinverse_rel_tol=-1e-3)
+            SolveOptions(rel_tol=-1e-3)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            SolveOptions(pseudoinverse_rel_tol=tol)
+            SolveOptions(rel_tol=tol)
 
     def test_huge_tol_collapses_solution(self, psi0):
         report = solve(
-            identity_operator(2), [1, 1], psi0, SolveOptions(pseudoinverse_rel_tol=10.0)
+            identity_operator(2), [1, 1], psi0, SolveOptions(rel_tol=10.0)
         )
         assert np.allclose(report.coefficients, np.zeros(3), atol=0)
         assert np.allclose(report.solution, np.zeros(2), atol=0)
@@ -334,7 +334,7 @@ class TestFactoredSolve:
             op = LinearOperator((random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T)
             g = random_complex(rng, n)
 
-            options = SolveOptions(section_size=section, pseudoinverse_rel_tol=tol)
+            options = SolveOptions(section_size=section, rel_tol=tol)
             report = solve(op, g, frame, options)
             closed_form = "r_svd" not in frame.__dict__
             sides.add(closed_form)
@@ -443,7 +443,7 @@ class TestScaleEquivariance:
         vectors = random_complex(rng, 7, 3)
         op = LinearOperator(random_complex(rng, 3, 2) @ random_complex(rng, 2, 3))
         g = random_complex(rng, 3)
-        options = SolveOptions(section_size=section, pseudoinverse_rel_tol=1e-8)
+        options = SolveOptions(section_size=section, rel_tol=1e-8)
         base_report = solve(op, g, Frame(vectors), options)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -475,6 +475,24 @@ class TestScaleEquivariance:
         expected = np.array([-0.5, 2.0]) / op_scale
         assert euclidean_norm(report.solution - expected) <= 1e-14 * euclidean_norm(expected)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    @pytest.mark.parametrize("matrix, g, options", [
+        ([[2.0, 1.0], [0.0, 1.0]], [1, 2], SolveOptions(section_size=2)),
+        ([[2.0, 1.0], [0.0, 1.0]], [1, 2], SolveOptions(rel_tol=0.5)),
+        ([[2.0, 0.0], [0.0, 0.0]], [1, 0], SolveOptions()),
+    ], ids=["section", "large_rel_tol", "singular"])
+    def test_cutoff_path_beyond_the_product_of_scales(self, matrix, g, options, scale):
+        # the core's numerator s_i (V* O V)_ij, near scale**2, underflowed to
+        # zero (solve returned (0, 0)) or overflowed (a false core overflow)
+        psi0 = np.array([[1, 0], [0, 1], [1, 1]])
+        expected = solve(LinearOperator(matrix), g, Frame(psi0), options).solution / scale
+        frame = Frame(psi0 * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(LinearOperator(np.array(matrix) * scale), g, frame, options)
+        assert "r_svd" in frame.__dict__  # the cutoff path ran
+        assert euclidean_norm(report.solution - expected) <= 1e-14 * euclidean_norm(expected)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         scaled=st.sampled_from(["g", "operator", "frame"]),
@@ -490,7 +508,7 @@ class TestScaleEquivariance:
         inputs = {"frame": random_complex(rng, 7, 3), "g": random_complex(rng, 3),
                   "operator": (conditioned_operator(rng, 3).matrix if closed_form
                                else random_complex(rng, 3, 2) @ random_complex(rng, 2, 3))}
-        options = SolveOptions(pseudoinverse_rel_tol=1e-8)
+        options = SolveOptions(rel_tol=1e-8)
         base = solve(LinearOperator(inputs["operator"]), inputs["g"], Frame(inputs["frame"]),
                      options)
         inputs[scaled] = inputs[scaled] * 10.0**exponent

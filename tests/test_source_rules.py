@@ -16,7 +16,10 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("raise DimensionMismatch", {"linalg.py", "io.py"}),
     # every array a frame, operator or representation keeps is frozen by linalg.frozen
     ("setflags(", {"linalg.py"}),
-], ids=["norm", "dimension_check", "freeze"])
+    # a scale is split off in binary only by linalg.power_of_two_below
+    ("frexp", {"linalg.py"}),
+    ("ldexp", {"linalg.py"}),
+], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
