@@ -17,16 +17,7 @@ from .exceptions import (
     ParseError,
     SectionTooLarge,
 )
-from .frames import (
-    CONDITION_WARN_RATIO,
-    RANK_RTOL,
-    TIGHT_RTOL,
-    Frame,
-    FrameBounds,
-    FrameClass,
-    biorthogonal,
-    gram,
-)
+from .frames import Frame, FrameClass, biorthogonal, gram
 from .io import (
     parse_frame,
     parse_matrix,
@@ -35,11 +26,7 @@ from .io import (
     serialize_matrix,
     serialize_vector,
 )
-from .linalg import (
-    frobenius_norm,
-    operator_norm,
-    svd,
-)
+from .linalg import frobenius_norm, operator_norm
 from .represent import (
     LinearOperator,
     Representation,
@@ -64,23 +51,19 @@ from .solve import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONDITION_WARN_RATIO",
     "DecompositionFailed",
     "DimensionMismatch",
     "Frame",
-    "FrameBounds",
     "FrameClass",
     "FrameRepError",
     "IncompatibleFrames",
     "LinearOperator",
     "NotAFrame",
     "ParseError",
-    "RANK_RTOL",
     "Representation",
     "SectionTooLarge",
     "SolveOptions",
     "SolveReport",
-    "TIGHT_RTOL",
     "biorthogonal",
     "frame_multiplier",
     "frobenius_norm",
@@ -103,5 +86,4 @@ __all__ = [
     "serialize_matrix",
     "serialize_vector",
     "solve",
-    "svd",
 ]

@@ -5,15 +5,13 @@ One subcommand per capability; results go to stdout (canonical JSON with
 2 usage or input-parsing error, 3 violated numerical precondition (for
 example a family that is not a frame, or an SVD that did not converge).
 
-The environment variable ``FRAMEREP_TOL`` sets the default relative
-singular-value cutoff used by the least-squares solver; ``--tol`` overrides
-it per invocation.
+``solve --tol`` sets the relative singular-value cutoff of the least-squares
+solve (default: N * machine epsilon); no output depends on the environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -54,20 +52,6 @@ def _load_vector(path: str) -> np.ndarray:
 
 def _format_array(a: np.ndarray) -> str:
     return np.array2string(a, separator=", ", max_line_width=120)
-
-
-def _default_tol() -> float | None:
-    """Read FRAMEREP_TOL; raises ParseError on malformed values."""
-    raw = os.environ.get("FRAMEREP_TOL")
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(f"FRAMEREP_TOL must be a decimal float, got {raw!r}") from None
-    if value < 0 or not np.isfinite(value):
-        raise ParseError(f"FRAMEREP_TOL must be a finite nonnegative float, got {value}")
-    return value
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -223,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", type=int, metavar="N", help="finite-section size")
     p.add_argument("--tol", type=float, metavar="T",
                    help="relative singular-value cutoff of the least-squares solve "
-                        "(default: FRAMEREP_TOL, else N * machine epsilon)")
+                        "(default: N * machine epsilon)")
 
     return parser
 
@@ -236,8 +220,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "solve" and args.tol is None:
-            args.tol = _default_tol()
         payload, render = args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

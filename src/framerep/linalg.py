@@ -213,8 +213,16 @@ def euclidean_norm(x: np.ndarray) -> float:
 
 
 def operator_norm(a) -> float:
-    """Spectral norm: the largest singular value."""
-    return float(np.linalg.norm(as_matrix(a), 2))
+    """Spectral norm: the largest singular value, inf beyond the float range.
+
+    The real and imaginary parts are divided by a power of two near the
+    largest of them (a modulus itself may overflow, and numpy divides a
+    complex array by a subnormal number through its overflowing reciprocal),
+    and the norm is multiplied back.
+    """
+    parts = np.ascontiguousarray(as_matrix(a)).view(np.float64)
+    scale = power_of_two_below(float(np.abs(parts).max()))
+    return scale * float(np.linalg.norm((parts / scale).view(np.complex128), 2))
 
 
 def frobenius_norm(a) -> float:

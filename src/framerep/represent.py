@@ -194,8 +194,10 @@ def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> 
     require_shape("vectors of analysis_frame", analysis_frame.vectors.shape,
                   (synthesis_frame.count, None))
     w = as_vector(weights, "multiplier weights", synthesis_frame.count)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_product names an overflow
+        scaled = synthesis_frame.synthesis_matrix * w
     return wrap_checked(LinearOperator, "matrix", finite_product(
-        "frame multiplier", synthesis_frame.synthesis_matrix * w, analysis_frame.analysis_matrix))
+        "frame multiplier", scaled, analysis_frame.analysis_matrix))
 
 
 def operator_from_images(frame: Frame, images, diagnose: bool = False):

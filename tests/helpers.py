@@ -120,7 +120,6 @@ def run_cli(args, cwd=None, env_extra=None):
 def run_python(args, cwd=None, env_extra=None):
     """Run ``python args`` in a subprocess that imports the package from SRC."""
     env = os.environ.copy()
-    env.pop("FRAMEREP_TOL", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)

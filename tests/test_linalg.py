@@ -22,9 +22,8 @@ from framerep import (
     operator_of_matrix,
     project_onto_analysis_range,
     solve,
-    svd,
 )
-from framerep.linalg import as_matrix, as_vector, euclidean_norm, require_shape
+from framerep.linalg import as_matrix, as_vector, euclidean_norm, require_shape, svd
 from helpers import no_convergence, random_complex
 
 
@@ -110,10 +109,24 @@ class TestNorms:
         assert frobenius_norm(np.eye(3) * t) == pytest.approx(np.sqrt(3) * t, rel=1e-15)
         assert euclidean_norm(np.full(4, 1j * t)) == pytest.approx(2 * t, rel=1e-15)
 
+    def test_operator_norm_beyond_float_range_is_inf(self):
+        # the modulus of the entry overflows although both of its parts are finite
+        a = [[1.7e308 + 1.7e308j]]
+        assert operator_norm(a) == frobenius_norm(a) == np.inf
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_operator_norm_is_homogeneous(self, t):
+        a = random_complex(np.random.default_rng(8), 4, 3)
+        assert operator_norm(t * a) == pytest.approx(t * operator_norm(a), rel=1e-14)
+        assert operator_norm(t * a) <= frobenius_norm(t * a)
+
     def test_subnormal_largest_modulus(self):
         # dividing by a subnormal modulus stays finite for the real moduli
         assert euclidean_norm(np.array([3e-320, 1e-320j])) == pytest.approx(np.sqrt(10) * 1e-320,
                                                                              rel=1e-3)
+        # a rank-one row: its operator norm is its Frobenius norm
+        for row in ([3e-320, 1e-320j], [3e-320 + 1e-320j]):
+            assert operator_norm([row]) == pytest.approx(euclidean_norm(np.array(row)), rel=1e-3)
 
     def test_matches_numpy_in_range(self):
         rng = np.random.default_rng(7)

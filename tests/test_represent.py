@@ -693,6 +693,8 @@ class TestProductOverflow:
         (lambda f: gram(f, f), "Gram matrix"),
         (lambda f: f.frame_operator, "frame operator"),
         (lambda f: frame_multiplier(np.ones(3), f, f), "frame multiplier"),
+        # the weighted synthesis matrix D_phi diag(w) itself leaves the float range
+        (lambda f: frame_multiplier([1e200, 1, 1], f, f), "frame multiplier"),
         (lambda f: LinearOperator(np.eye(2) * 1e200) @ LinearOperator(np.eye(2) * 1e200),
          "composition"),
         (lambda f: rank_one([1e200, 1], [1e200, 1]), "rank-one operator f g*"),
@@ -708,7 +710,7 @@ class TestProductOverflow:
         (lambda f: Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e-310).canonical_dual(),
          "canonical dual"),
     ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator",
-            "frame_multiplier", "operator_matmul", "rank_one", "representation_matmul",
+            "frame_multiplier", "frame_multiplier_weights", "operator_matmul", "rank_one", "representation_matmul",
             "analyze", "synthesize", "operator_call", "range_map_check", "canonical_dual"])
     def test_overflow_is_named(self, product, what):
         huge = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e160)

@@ -19,7 +19,9 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     # a scale is split off in binary only by linalg.power_of_two_below
     ("frexp", {"linalg.py"}),
     ("ldexp", {"linalg.py"}),
-], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp"])
+    # no result depends on the environment: settings come from arguments only
+    ("os.environ", set()),
+], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "environ"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
