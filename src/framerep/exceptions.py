@@ -18,7 +18,7 @@ class SectionTooLarge(FrameRepError):
 
 
 class DecompositionFailed(FrameRepError):
-    """A LAPACK matrix decomposition did not converge."""
+    """A LAPACK decomposition did not converge, or an inversion met a singular matrix."""
 
 
 class IncompatibleFrames(FrameRepError):

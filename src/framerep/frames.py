@@ -14,23 +14,20 @@ are still valid Bessel sequences).  Conventions used throughout:
 
 Frames are immutable: the vectors, the cached matrices and every cached
 spectral factor, the canonical dual's included, are read-only arrays.
-Each frame's one spectral primitive is the thin SVD ``C = U diag(s) V*`` of
-its analysis matrix, computed lazily, cached, and split into three layers
-(Chan's R-SVD):
+Each frame's spectral data comes from the QR factorization ``C = Q R`` of its
+analysis matrix, in layers computed lazily and cached:
 
-* ``Frame.singular_values`` factors ``C = Q R`` without forming Q and takes
-  the singular values ``s`` of the small ``min(K, n) x n`` triangular factor
-  R alone, without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
-  ``is_frame``, the condition and the classification read only this layer,
-  and so does the solver in :mod:`framerep.solve` when its cutoff provably
-  keeps every singular value.
-* ``Frame.r_svd`` adds R's singular vectors, ``R = W diag(s) V*`` with the
-  same ``s``; its V holds C's right singular vectors.  The solver's cutoff
-  path reads ``(s, V)`` for every section size and never forms U.
-* ``Frame.analysis_svd`` adds the left factor ``U = Q W``, with Q
-  taken from a second, reduced QR of C, on first use only.  The canonical
-  dual's analysis matrix ``U diag(1/s) V*`` and the projection onto the
-  analysis range (the columns of U) need this layer.
+* ``Frame.singular_values`` are C's singular values ``s``: those of the small
+  ``min(K, n) x n`` triangular R alone (Q not formed), without singular
+  vectors.  The bounds ``(s_min^2, s_max^2)``, ``is_frame``, the condition,
+  the classification and the closed form of :mod:`framerep.solve` read only
+  this layer.
+* ``Frame.r_svd`` adds R's SVD ``R = W diag(s) V*`` with the same ``s``; V
+  holds C's right singular vectors.  Only the solver's cutoff path reads it.
+* ``Frame._orthonormal_factor`` is the QR's Q, from a second, reduced QR of
+  C with the same R.  The canonical dual's analysis matrix
+  ``C S^-1 = (C^+)* = Q R^-*`` and the projection ``Q Q*`` onto the analysis
+  range need it and no singular vector.
 
 Working on the singular values rather than on ``S = C* C`` keeps the
 condition number and the dynamic range unsquared.
@@ -54,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NotAFrame
-from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frozen,
+from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frozen, inverse,
                      require_finite, require_shape, singular_values, svd, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
@@ -179,7 +176,8 @@ class Frame:
         """Cached thin SVD ``(W, s, V)`` of R in ``C = Q R``, so ``C = (Q W) diag(s) V*``.
 
         ``s`` is :attr:`singular_values`, so a frame has one ``s``; W and V
-        are R's singular vectors, and V holds C's right singular vectors.
+        are R's singular vectors, and V holds C's right singular vectors.  Its
+        one reader is the cutoff path of :func:`framerep.solve.solve`.
 
         Raises like :attr:`singular_values`.
         """
@@ -187,21 +185,9 @@ class Frame:
         return frozen(w), self.singular_values, frozen(v)
 
     @cached_property
-    def analysis_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached thin SVD ``(U, s, V)`` of the analysis matrix, ``C = U diag(s) V*``.
-
-        ``s`` and V come from :attr:`r_svd`; the left factor is ``U = Q W``
-        for the orthonormal Q of a reduced QR of C.  (``C V diag(1/s)`` would
-        lose U's orthonormality in proportion to the frame's condition.)
-
-        Raises
-        ------
-        DecompositionFailed
-            If the SVD does not converge.
-        """
-        w, s, v = self.r_svd
-        q = np.linalg.qr(self.analysis_matrix, mode="reduced")[0]
-        return frozen(q @ w), s, v
+    def _orthonormal_factor(self) -> np.ndarray:
+        """Read-only Q of the reduced QR ``C = Q R``; its R is :attr:`_triangular_factor`."""
+        return frozen(np.linalg.qr(self.analysis_matrix, mode="reduced")[0])
 
     @cached_property
     def bounds(self) -> FrameBounds:
@@ -249,20 +235,21 @@ class Frame:
     def canonical_dual(self) -> "Frame":
         """The canonical dual frame (S^-1 psi_k).
 
-        Built from the cached SVD: the dual's analysis matrix is
-        ``U diag(1/s) V*``, and the dual inherits every layer, reversed and
-        inverted, so its bounds (1/B, 1/A) need no second decomposition.  (The
-        two frames share their analysis range, so the dual's inherited W is
-        expressed in this frame's Q.)  The dual of the dual is this
-        frame again (the same object while this frame is alive; the dual only
-        holds a weak reference back).
+        Built from the cached QR ``C = Q R``: the dual's analysis matrix is
+        ``C S^-1 = Q R^-*``.  The dual inherits the singular values, reversed
+        and inverted, so its bounds (1/B, 1/A) need no decomposition.  The dual
+        of the dual is this frame again (the same object while this frame is
+        alive; the dual only holds a weak reference back).
 
         Raises
         ------
         NotAFrame
             If the family does not span C^n.
         FrameRepError
-            If an entry of the dual leaves the float range.
+            If an entry or the largest singular value of the dual leaves the
+            float range.
+        DecompositionFailed
+            If LAPACK fails to invert R.
         """
         self.require_frame("canonical dual")
         dual = self.__dict__.get("_canonical_dual")
@@ -270,17 +257,13 @@ class Frame:
             primal = self.__dict__.get("_primal")
             dual = primal() if primal is not None else None
         if dual is None:
-            u, s, v = self.analysis_svd
-            w = self.r_svd[0]
-            # rows of `vectors` are conj(C) = conj(U) diag(s) V^T; invert s.  numpy
-            # divides by s through 1/s, so finite vectors mean finite dual values 1/s
+            q, s = self._orthonormal_factor, self.singular_values
+            r_inverse = inverse(self._triangular_factor, "frame's triangular factor R")
             with np.errstate(over="ignore", invalid="ignore"):
-                vectors = require_finite("canonical dual", (u.conj() / s) @ v.T)
-            # reversed views of frozen factors are read-only as well
-            s_dual, v_dual = frozen(1.0 / s[::-1]), v[:, ::-1]
-            dual = wrap_checked(Frame, "_vectors", vectors, singular_values=s_dual,
-                                r_svd=(w[:, ::-1], s_dual, v_dual),
-                                analysis_svd=(u[:, ::-1], s_dual, v_dual),
+                # rows of `vectors` are conj(Q R^-*) = conj(Q) R^-T
+                vectors = require_finite("canonical dual", q.conj() @ r_inverse.T)
+                s_dual = require_finite("canonical dual's largest singular value", 1.0 / s[::-1])
+            dual = wrap_checked(Frame, "_vectors", vectors, singular_values=frozen(s_dual),
                                 _primal=weakref.ref(self))
             self.__dict__["_canonical_dual"] = dual
         return dual

@@ -4,11 +4,12 @@ Everything in the package runs on ``numpy.complex128`` arrays: matrices are
 2-d, vectors 1-d.  The helpers here coerce inputs to that form, hold the one
 shape rule (for each argument and for the agreement of several operands) and
 the one scale-safe entrywise 2-norm, the one exact split of a scale into a
-power of two (:func:`power_of_two_below`), refuse non-finite entries and
-overflowing products, freeze every array the package keeps (:func:`frozen`),
-and wrap the numpy/LAPACK decompositions behind the small set of operations
-the frame and representation modules rely on.  A LAPACK decomposition that
-does not converge raises :class:`DecompositionFailed`.
+power of two (:func:`power_of_two_below`; :func:`split_scale` for an array),
+refuse non-finite entries and overflowing products, freeze every array the
+package keeps (:func:`frozen`), and wrap the numpy/LAPACK decompositions
+behind the small set of operations the frame and representation modules rely
+on.  A LAPACK decomposition or inversion that fails raises
+:class:`DecompositionFailed`.
 
 Singular values come in descending order.  All tolerances are relative to
 the scale of the input (its largest singular value); there are no absolute
@@ -87,12 +88,12 @@ def _is_finite(a: np.ndarray) -> bool:
 
 
 @contextmanager
-def _converging(what: str):
-    """Re-raise LAPACK non-convergence as DecompositionFailed naming ``what``."""
+def _converging(step: str):
+    """Re-raise a LAPACK failure as DecompositionFailed naming ``step``."""
     try:
         yield
     except np.linalg.LinAlgError as exc:
-        raise DecompositionFailed(f"SVD of the {what} did not converge: {exc}") from exc
+        raise DecompositionFailed(f"{step} failed: {exc}") from exc
 
 
 def svd(a, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,15 +108,21 @@ def svd(a, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     DecompositionFailed
         If the SVD does not converge.
     """
-    with _converging(what):
+    with _converging(f"SVD of the {what}"):
         u, s, vh = np.linalg.svd(as_matrix(a, what), full_matrices=False)
     return u, s, vh.conj().T
 
 
 def singular_values(a, what: str = "matrix") -> np.ndarray:
     """The singular values of :func:`svd` alone, without computing the factors."""
-    with _converging(what):
+    with _converging(f"SVD of the {what}"):
         return np.linalg.svd(as_matrix(a, what), compute_uv=False)
+
+
+def inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``a^-1`` for a finite square ``a``; DecompositionFailed naming ``what`` if it is singular."""
+    with _converging(f"inverse of the {what}"):
+        return np.linalg.inv(a)
 
 
 def solve_with_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -197,6 +204,18 @@ def power_of_two_below(x: float) -> float:
     return float(np.ldexp(1.0, np.frexp(x)[1] - 1))
 
 
+def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(p, a / p)``, ``p`` the :func:`power_of_two_below` the largest real or imaginary part.
+
+    The quotient's largest part is in ``[1, 2)``.  The parts are divided, as a
+    modulus may overflow and numpy divides a complex array by a subnormal
+    number through its overflowing reciprocal.
+    """
+    parts = np.ascontiguousarray(a).view(np.float64)
+    scale = power_of_two_below(float(np.abs(parts).max()))
+    return scale, (parts / scale).view(np.complex128)
+
+
 def euclidean_norm(x: np.ndarray) -> float:
     """The entrywise 2-norm ``sqrt(sum |x_i|^2)`` of an array of any shape, at any scale.
 
@@ -215,14 +234,10 @@ def euclidean_norm(x: np.ndarray) -> float:
 def operator_norm(a) -> float:
     """Spectral norm: the largest singular value, inf beyond the float range.
 
-    The real and imaginary parts are divided by a power of two near the
-    largest of them (a modulus itself may overflow, and numpy divides a
-    complex array by a subnormal number through its overflowing reciprocal),
-    and the norm is multiplied back.
+    Taken of the :func:`split_scale` quotient and multiplied back.
     """
-    parts = np.ascontiguousarray(as_matrix(a)).view(np.float64)
-    scale = power_of_two_below(float(np.abs(parts).max()))
-    return scale * float(np.linalg.norm((parts / scale).view(np.complex128), 2))
+    scale, unit = split_scale(as_matrix(a))
+    return scale * float(np.linalg.norm(unit, 2))
 
 
 def frobenius_norm(a) -> float:

@@ -23,8 +23,7 @@ import numpy as np
 from .exceptions import IncompatibleFrames
 from .frames import Frame, numerical_rank
 from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, frozen,
-                     power_of_two_below, require_finite, require_shape, singular_values,
-                     wrap_checked)
+                     require_finite, require_shape, singular_values, split_scale, wrap_checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +221,12 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
                       finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
-    # each block divided by a power of two near its largest singular value, so
-    # neither block's scale sets the other's rank cutoff; D = C* has C's singular values
-    s_syn = frame.singular_values
-    blocks = [frame.synthesis_matrix / power_of_two_below(s_syn[0]),
-              e.T / power_of_two_below(singular_values(e.T, "images")[0])]
+    # each block divided by a power of two near its largest real or imaginary
+    # part, so neither block's scale sets the other's rank cutoff; D = C* has
+    # C's singular values
+    blocks = [split_scale(frame.synthesis_matrix)[1], split_scale(e.T)[1]]
     s_stack = singular_values(np.vstack(blocks), "stacked frame and images")
-    return op, numerical_rank(s_stack) == numerical_rank(s_syn)
+    return op, numerical_rank(s_stack) == numerical_rank(frame.singular_values)
 
 
 def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.ndarray, np.ndarray]:

@@ -56,7 +56,7 @@ import numpy as np
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
 from .linalg import (EPS, as_vector, euclidean_norm, power_of_two_below, require_finite,
-                     require_shape, solve_with_inverse, svd)
+                     require_shape, solve_with_inverse, split_scale, svd)
 from .represent import LinearOperator
 
 
@@ -107,15 +107,17 @@ class SolveReport:
 def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     """Orthogonal projection of coefficients onto the frame's analysis range.
 
-    Applies ``U U*`` for the frame's cached SVD ``C = U diag(s) V*``, which
-    equals ``gram(frame, dual(frame))``; idempotent, self-adjoint, and the
-    identity on any vector of the form ``C f``.
+    Applies ``Q Q*`` for the orthonormal Q of the frame's cached QR ``C = Q R``,
+    which equals ``gram(frame, dual(frame))``; idempotent, self-adjoint, and
+    the identity on any vector of the form ``C f``.  ``c`` is scaled first
+    (:func:`~framerep.linalg.split_scale`); FrameRepError only if the result overflows.
     """
     frame.require_frame("analysis-range projection")
-    c = as_vector(c, "coefficient vector", frame.count)
-    u = frame.analysis_svd[0]
-    # (c* U)* is U* c without a conjugated copy of U
-    return u @ (c.conj() @ u).conj()
+    scale, c = split_scale(as_vector(c, "coefficient vector", frame.count))
+    q = frame._orthonormal_factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (c* Q)* is Q* c without a conjugated copy of Q
+        return require_finite("analysis-range projection", q @ (c.conj() @ q).conj() * scale)
 
 
 #: What :func:`solve` names when the coefficients it returns leave the float range.

@@ -3,11 +3,14 @@
 import gc
 import pickle
 import re
+import warnings
 import weakref
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framerep import (
     DecompositionFailed,
@@ -25,6 +28,7 @@ from framerep import (
 )
 from helpers import (
     LAYOUTS,
+    frame_with_condition,
     imaginary_nan,
     no_convergence,
     random_complex,
@@ -32,6 +36,8 @@ from helpers import (
     random_riesz_basis,
     random_unitary,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestConstruction:
@@ -100,7 +106,7 @@ class TestConstruction:
                 if all(isinstance(array, np.ndarray) for array in arrays):
                     kept.update({f"{owner}.{name}[{i}]": array for i, array in enumerate(arrays)})
         assert {"frame._vectors[0]", "frame._reconstruction_factor[0]",
-                "dual.analysis_svd[2]"} <= kept.keys()
+                "dual._orthonormal_factor[0]", "dual.r_svd[2]"} <= kept.keys()
         for name, array in kept.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 100.0
@@ -306,13 +312,53 @@ class TestCanonicalDual:
 
     def test_dual_inherits_factors(self):
         rng = np.random.default_rng(23)
-        dual = random_frame(rng, 4, 9).canonical_dual()
-        assert {"r_svd", "analysis_svd"} <= dual.__dict__.keys()
-        u, s, v = dual.analysis_svd
-        assert dual.r_svd[1] is s and dual.r_svd[2] is v and dual.singular_values is s
+        frame = random_frame(rng, 4, 9)
+        dual = frame.canonical_dual()
+        # only the singular values, reversed and inverted; the dual's own QR
+        # and its R's SVD are computed when first read
+        assert "singular_values" in dual.__dict__
+        assert not {"_triangular_factor", "_orthonormal_factor", "r_svd"} & dual.__dict__.keys()
+        s = dual.singular_values
+        assert np.array_equal(s, 1.0 / frame.singular_values[::-1])
         assert np.all(np.diff(s) <= 0)
+        w, s_r, v = dual.r_svd
+        assert s_r is s
+        q, r = dual._orthonormal_factor, dual._triangular_factor
         scale = np.linalg.norm(dual.analysis_matrix)
-        assert np.linalg.norm((u * s) @ v.conj().T - dual.analysis_matrix) <= 1e-12 * scale
+        assert np.linalg.norm((q @ w * s) @ v.conj().T - dual.analysis_matrix) <= 1e-12 * scale
+        assert np.linalg.norm(q @ r - dual.analysis_matrix) <= 1e-14 * scale
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 6),
+        extra=st.integers(0, 12),
+        log_condition=st.floats(0.0, 9.0),
+        log_scale=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_pseudoinverse_at_any_scale(self, n, extra, log_condition, log_scale,
+                                                     seed):
+        # the dual of t v is dual(v) / t, and dual(v)'s vectors are conj(pinv(D))
+        frame = frame_with_condition(np.random.default_rng(seed), n, n + extra,
+                                     10.0**log_condition)
+        scale = 10.0**log_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dual = Frame(frame.vectors * scale).canonical_dual()
+        expected = np.linalg.pinv(frame.synthesis_matrix).conj()
+        error = np.linalg.norm(dual.vectors * scale - expected) / np.linalg.norm(expected)
+        assert error <= 1e3 * EPS * 10.0 ** (log_condition / 2)
+
+    def test_cold_dual_takes_one_svd_without_vectors(self, monkeypatch):
+        real_svd, computes_vectors = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            computes_vectors.append(kwargs.get("compute_uv", True))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        Frame(random_complex(np.random.default_rng(28), 9, 4)).canonical_dual()
+        assert computes_vectors == [False]
 
     def test_perfect_reconstruction_both_ways(self):
         rng = np.random.default_rng(19)
@@ -330,7 +376,7 @@ class TestCanonicalDual:
 
 
 class TestSpectralLayers:
-    """``r_svd`` (from the QR's triangular factor) and ``analysis_svd`` (adding U = Q W)."""
+    """``r_svd`` (the SVD of the QR's triangular factor R) and the QR's Q."""
 
     @pytest.mark.parametrize("condition", [1.0, 1e6, 1e10], ids=lambda c: f"BA{c:g}")
     @pytest.mark.parametrize("k", [11, 12, 24, 96], ids=["K=n-1", "K=n", "K=2n", "K=8n"])
@@ -343,17 +389,19 @@ class TestSpectralLayers:
         right = random_unitary(rng, n)[:, :m]
         c = (left * np.sqrt(condition ** np.linspace(0.0, 1.0, m))[::-1]) @ right.conj().T
         frame = Frame(c.conj())
-        _, s_r, v_r = frame.r_svd
-        u, s, v = frame.analysis_svd
-        assert s is s_r and v is v_r
+        w, s, v = frame.r_svd
+        q, r = frame._orthonormal_factor, frame._triangular_factor
+        assert s is frame.singular_values
         s_ref = np.linalg.svd(c, compute_uv=False)
         assert np.max(np.abs(s - s_ref)) <= 1e-14 * s_ref[0]
-        assert np.linalg.norm(u.conj().T @ u - np.eye(m)) <= 1e-13
+        assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13
         assert np.linalg.norm(v.conj().T @ v - np.eye(m)) <= 1e-13
-        assert np.linalg.norm((u * s) @ v.conj().T - c) <= 1e-13 * np.linalg.norm(c)
+        assert np.array_equal(r, np.linalg.qr(c, mode="reduced")[1])
+        # C = (Q W) diag(s) V*
+        assert np.linalg.norm((q @ w * s) @ v.conj().T - c) <= 1e-13 * np.linalg.norm(c)
 
     def test_reading_bounds_forms_no_left_factor(self, psi0, monkeypatch):
-        # only R's singular values: neither W and V (r_svd) nor U (analysis_svd)
+        # only R's singular values: neither W and V (r_svd) nor the QR's Q
         real_svd, computes_vectors = np.linalg.svd, []
 
         def recording_svd(a, *args, **kwargs):
@@ -364,13 +412,13 @@ class TestSpectralLayers:
         psi0.bounds, psi0.is_frame, psi0.condition, psi0.classification
         assert computes_vectors == [False]
         assert "singular_values" in psi0.__dict__
-        assert not {"r_svd", "analysis_svd"} & psi0.__dict__.keys()
+        assert not {"r_svd", "_orthonormal_factor"} & psi0.__dict__.keys()
 
     def test_one_set_of_singular_values(self):
         frame = random_frame(np.random.default_rng(25), 5, 13)
         s = frame.singular_values
         w, s_r, v = frame.r_svd
-        assert frame.analysis_svd[1] is s_r is s
+        assert s_r is s
         r = np.linalg.qr(frame.analysis_matrix, mode="r")
         assert np.linalg.norm((w * s) @ v.conj().T - r) <= 1e-14 * s[0]
 
@@ -482,6 +530,16 @@ class TestDecompositionFailure:
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(DecompositionFailed, match="frame analysis matrix"):
             Frame([[1, 0], [0, 1], [1, 1]]).bounds
+
+    def test_dual_inversion_failure(self, psi0, monkeypatch):
+        psi0.bounds  # the frame's own SVD succeeds; the inversion of R fails
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(DecompositionFailed, match="inverse of the frame's triangular factor"):
+            psi0.canonical_dual()
 
 
 class TestBiorthogonal:

@@ -511,6 +511,19 @@ class TestOperatorFromImages:
         assert consistent
         assert np.allclose(op.matrix, a, atol=1e-10)
 
+    @pytest.mark.parametrize("images, consistent", [
+        (np.full((3, 2), 1e308), False),
+        ([[1.5e308, 0], [0, 1.5e308], [1.5e308, 1.5e308]], True),
+    ], ids=["generic", "consistent"])
+    def test_diagnosis_near_the_float_range(self, psi0, images, consistent):
+        # the images' largest singular value overflows; their entries do not
+        expected = np.transpose(images) @ psi0.canonical_dual().analysis_matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op, verdict = operator_from_images(psi0, images, diagnose=True)
+        assert verdict == consistent
+        assert np.allclose(op.matrix, expected, rtol=1e-14, atol=0)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         scaled=st.sampled_from(["images", "frame"]),
@@ -709,9 +722,13 @@ class TestProductOverflow:
         # the dual of a tiny frame leaves the float range
         (lambda f: Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e-310).canonical_dual(),
          "canonical dual"),
+        # its vectors reach 1.3e308, its largest singular value 2e308
+        (lambda f: Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 5e-309).canonical_dual(),
+         "canonical dual's largest singular value"),
     ], ids=["matrix_of_operator", "operator_of_matrix", "gram", "frame_operator",
             "frame_multiplier", "frame_multiplier_weights", "operator_matmul", "rank_one", "representation_matmul",
-            "analyze", "synthesize", "operator_call", "range_map_check", "canonical_dual"])
+            "analyze", "synthesize", "operator_call", "range_map_check", "canonical_dual",
+            "canonical_dual_singular_value"])
     def test_overflow_is_named(self, product, what):
         huge = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 1e160)
         message = re.escape(f"the {what} overflows the float range")

@@ -113,6 +113,16 @@ class TestProjectOntoAnalysisRange:
         with pytest.raises(DimensionMismatch):
             project_onto_analysis_range(psi0, [1, 2])
 
+    def test_near_the_float_range(self, psi0):
+        # c divided by a power of two first: c* Q Q* c no longer overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projected = project_onto_analysis_range(psi0, [1.2e308] * 3)
+            assert np.allclose(projected, [8e307, 8e307, 1.6e308], rtol=1e-14, atol=0)
+            # the exact projection's third entry is 2.27e308
+            with pytest.raises(FrameRepError, match="analysis-range projection overflows"):
+                project_onto_analysis_range(psi0, [1.7e308] * 3)
+
 
 class TestFiniteSection:
     """A section solves the leading N x N block of ``M c = C g``."""
@@ -385,7 +395,7 @@ class TestFactoredSolve:
             frame = Frame(random_complex(rng, k, n))
             solve(conditioned_operator(rng, n), random_complex(rng, n), frame,
                   SolveOptions(section_size=section))
-            assert "analysis_svd" not in frame.__dict__, section
+            assert "_orthonormal_factor" not in frame.__dict__, section
             assert shapes and all(rows <= n for rows, _ in shapes), (section, shapes)
 
     def test_dual_after_solve_equals_fresh_dual(self):
@@ -395,7 +405,8 @@ class TestFactoredSolve:
         solve(conditioned_operator(rng, 5), random_complex(rng, 5), frame)
         dual, fresh = frame.canonical_dual(), Frame(vectors).canonical_dual()
         assert np.array_equal(dual.vectors, fresh.vectors)
-        for got, expected in zip(dual.analysis_svd + dual.r_svd, fresh.analysis_svd + fresh.r_svd):
+        for got, expected in zip((dual.singular_values, dual._orthonormal_factor, *dual.r_svd),
+                                 (fresh.singular_values, fresh._orthonormal_factor, *fresh.r_svd)):
             assert np.array_equal(got, expected)
 
     def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
