@@ -17,17 +17,18 @@ spectral factor, the canonical dual's included, are read-only arrays.
 Each frame's spectral data comes from the QR factorization ``C = Q R`` of its
 analysis matrix, in layers computed lazily and cached:
 
-* ``Frame.singular_values`` are C's singular values ``s``: those of the small
-  ``min(K, n) x n`` triangular R alone (Q not formed), without singular
-  vectors.  The bounds ``(s_min^2, s_max^2)``, ``is_frame``, the condition,
-  the classification and the closed form of :mod:`framerep.solve` read only
-  this layer.
-* ``Frame.r_svd`` adds R's SVD ``R = W diag(s) V*`` with the same ``s``; V
-  holds C's right singular vectors.  Only the solver's cutoff path reads it.
+* ``Frame._triangular_factor`` is the small ``min(K, n) x n`` R, Q not
+  formed.  The cutoff path of :mod:`framerep.solve` works on it directly.
+* ``Frame.singular_values`` are C's singular values ``s``: those of R alone,
+  without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
+  ``is_frame``, the condition, the classification and the closed form of
+  :mod:`framerep.solve` read only this layer.
 * ``Frame._orthonormal_factor`` is the QR's Q, from a second, reduced QR of
   C with the same R.  The canonical dual's analysis matrix
   ``C S^-1 = (C^+)* = Q R^-*`` and the projection ``Q Q*`` onto the analysis
   range need it and no singular vector.
+
+No layer holds singular vectors.
 
 Working on the singular values rather than on ``S = C* C`` keeps the
 condition number and the dynamic range unsquared.
@@ -52,7 +53,7 @@ import numpy as np
 
 from .exceptions import NotAFrame
 from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frozen, inverse,
-                     require_finite, require_shape, singular_values, svd, wrap_checked)
+                     require_finite, require_shape, singular_values, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -170,19 +171,6 @@ class Frame:
             If the SVD does not converge.
         """
         return frozen(singular_values(self._triangular_factor, "frame analysis matrix"))
-
-    @cached_property
-    def r_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached thin SVD ``(W, s, V)`` of R in ``C = Q R``, so ``C = (Q W) diag(s) V*``.
-
-        ``s`` is :attr:`singular_values`, so a frame has one ``s``; W and V
-        are R's singular vectors, and V holds C's right singular vectors.  Its
-        one reader is the cutoff path of :func:`framerep.solve.solve`.
-
-        Raises like :attr:`singular_values`.
-        """
-        w, _, v = svd(self._triangular_factor, "frame analysis matrix")
-        return frozen(w), self.singular_values, frozen(v)
 
     @cached_property
     def _orthonormal_factor(self) -> np.ndarray:

@@ -8,55 +8,53 @@ range, so it needs no projection.  A finite section solves the leading
 N x N block ``M_N c_N = d_N`` instead and pads ``c_N`` with zeros.
 
 Neither M nor ``M_N`` is formed, and neither is pseudo-inverted.  With the
-frame's thin SVD ``C = U diag(s) V*``, ``M = U core U*`` for the n x n
-``core = diag(s) V* O V diag(1/s)``.  The relative cutoff
-``SolveOptions.rel_tol`` drops the singular values of ``M_N`` at or below
-``rel_tol`` times the largest.
+frame's QR ``C = Q R`` (see :mod:`framerep.frames`), ``D_dual = C^+ = R^-1
+Q*``, so ``M = Q X Q*`` for the n x n core ``X = R O R^-1``.  The relative
+cutoff ``SolveOptions.rel_tol`` drops the singular values of ``M_N`` at or
+below ``rel_tol`` times the largest.
 
-* Closed form (N = K, the cutoff provably drops nothing).  ``kappa_2(core) <=
+* Closed form (N = K, the cutoff provably drops nothing).  ``kappa_2(X) <=
   (B/A) kappa_2(O) <= (B/A) |O|_F |O^-1|_F``, so when this bound is below
-  ``1 / rel_tol`` every singular value is kept, ``M^+ = U core^-1 U*`` and the
-  solution ``V diag(1/s) core^-1 diag(s) V* g`` is ``O^-1 g``.  One LU
-  factorization of O gives both ``O^-1 g`` and ``|O^-1|_F``.  The
-  coefficients are ``c = C f``, and ``M c - d = C (O f - g)`` because
-  ``D_dual C = I``.  Only the frame's singular values are read (see
-  :mod:`framerep.frames`); neither the core nor a singular vector is formed,
-  so no intermediate leaves the float range when the solution does not.
+  ``1 / rel_tol`` every singular value is kept, ``M^+ = Q X^-1 Q*`` and the
+  solution ``R^-1 X^-1 R g`` is ``O^-1 g``.  One LU factorization of O gives
+  both ``O^-1 g`` and ``|O^-1|_F``.  The coefficients are ``c = C f``, and
+  ``M c - d = C (O f - g)`` because ``D_dual C = I``.  Only the frame's
+  singular values are read; X is not formed, so no intermediate leaves the
+  float range when the solution does not.
 * Cutoff path (every other case: a section, a singular or ill-conditioned O,
-  a large ``rel_tol``).  The solve reads the frame's ``(s, V)``, works on
-  ``U* d = diag(s) V* g`` and returns ``y = U* c``, from which the solution is
-  ``V diag(1/s) y``; the coefficient residual ``|M c - d|`` equals
-  ``|core y - U* d|``.
+  a large ``rel_tol``).  The solve reads the frame's R, works on ``Q* d = R
+  g`` and returns ``y = Q* c``, from which the solution is ``R^-1 y``; the
+  coefficient residual ``|M c - d|`` equals ``|X y - R g|``.
 
-  - Full system (N = K): U is an isometry, so ``M^+ = U core^+ U*`` and
-    ``y = core^+ U* d``; the coefficients ``c = U y`` are computed as ``C f``.
-  - Section (N < K): ``M_N = U_N core U_N*`` for the first N rows
-    ``U_N = C[:N] V diag(1/s)`` of U.  With the reduced QR ``U_N = Q1 R1`` and
-    the ``min(N, n)``-square ``X = R1 core R1*``, ``M_N = Q1 X Q1*``, so
-    ``c_N = Q1 X^+ R1 U* d`` and ``y = U_N* c_N = R1* X^+ R1 U* d``.
+  - Full system (N = K): Q is an isometry, so ``M^+ = Q X^+ Q*`` and ``y =
+    X^+ R g``; the coefficients ``c = Q y`` are computed as ``C f``.
+  - Section (N < K): ``M_N = Q_N X Q_N*`` for the first N rows ``Q_N = C[:N]
+    R^-1`` of Q.  With the reduced QR ``Q_N = Q1 R1`` and the
+    ``min(N, n)``-square ``X_N = R1 X R1*``, ``M_N = Q1 X_N Q1*``, so
+    ``c_N = Q1 X_N^+ R1 R g`` and ``y = Q_N* c_N = R1* X_N^+ R1 R g``.
 
-  The small matrix (core or X) has the nonzero singular values of ``M_N``,
-  so the cutoff means the same as for an explicit pseudoinverse of ``M_N``.
-  The path first divides ``s`` by the power of two ``p`` with ``p <= s[0] <
-  2 p``.  That is exact in binary, cancels in the core and in ``V diag(1/s)
-  y``, and leaves ``U* d`` and y divided by p; so neither the core nor
-  ``U* d`` underflows or overflows merely because the frame's scale is far
-  from 1, and in range every value is bit for bit what the unscaled ``s``
-  gives.
+  The small matrix (X or ``X_N``) has the nonzero singular values of
+  ``M_N``, so the cutoff means the same as for an explicit pseudoinverse of
+  ``M_N``.  The path first divides R by the power of two ``p`` with ``p <=
+  s[0] < 2 p``.  That is exact in binary, cancels in X and in ``R^-1 y``,
+  and leaves ``R g`` and y divided by p; ``C[:N]`` is divided by p before it
+  meets ``(R/p)^-1``.  So neither X nor ``R g`` underflows or overflows
+  merely because the frame's scale is far from 1.  Q itself is never formed.
 
 Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, euclidean_norm, power_of_two_below, require_finite,
-                     require_shape, solve_with_inverse, split_scale, svd)
+from .linalg import (EPS, as_vector, euclidean_norm, inverse, power_of_two_below,
+                     require_finite, require_shape, solve_with_inverse, split_scale, svd)
 from .represent import LinearOperator
 
 
@@ -77,8 +75,15 @@ class SolveOptions:
     rel_tol: float | None = None
 
     def __post_init__(self):
-        if self.section_size is not None and self.section_size < 1:
-            raise ValueError(f"section_size must be positive, got {self.section_size}")
+        if self.section_size is not None:
+            try:
+                size = operator.index(self.section_size)
+            except TypeError:
+                raise ValueError(
+                    f"section_size must be an integer, got {self.section_size!r}") from None
+            if size < 1:
+                raise ValueError(f"section_size must be positive, got {size}")
+            object.__setattr__(self, "section_size", size)
         tol = self.rel_tol
         if tol is not None and not 0 <= tol < np.inf:
             raise ValueError(f"rel_tol must be finite and nonnegative, got {tol}")
@@ -124,7 +129,7 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
 _COEFFICIENTS = "solution's coefficient vector"
 
 #: What :func:`solve` names when the right-hand side's coefficients leave the float range.
-_RHS_COEFFICIENTS = "right-hand side's coefficient vector U* C g"
+_RHS_COEFFICIENTS = "right-hand side's coefficient vector Q* C g"
 
 
 def solve(op: LinearOperator, g, frame: Frame,
@@ -137,8 +142,8 @@ def solve(op: LinearOperator, g, frame: Frame,
     solution with the dual frame.  When the cutoff provably keeps every
     singular value of the full system, the solution is ``O^-1 g`` and is
     computed in that closed form; otherwise every section size runs in
-    factored form on the frame's ``(s, V)`` (see the module docstring).  No
-    K x K array is formed.
+    factored form on the frame's triangular factor R (see the module
+    docstring).  No K x K array is formed.
 
     Inconsistent systems are reported through a large residual, not an error.
 
@@ -149,9 +154,9 @@ def solve(op: LinearOperator, g, frame: Frame,
     SectionTooLarge
         If the section is larger than the K x K system.
     DecompositionFailed
-        If an SVD does not converge.
+        If an SVD does not converge or R cannot be inverted.
     FrameRepError
-        If the core, the right-hand side's coefficients, the solution or its
+        If the core X, the right-hand side's coefficients, the solution or its
         coefficients leave the float range.
     """
     if options is None:
@@ -177,7 +182,7 @@ def solve(op: LinearOperator, g, frame: Frame,
             operator_residual = op(f_hat) - g
             matrix_residual = frame.analysis_matrix @ operator_residual
     else:
-        # the residual and right-hand side come as U* (M c - d) and U* d, of equal norms
+        # the residual and right-hand side come as Q* (M c - d) and Q* d, of equal norms
         f_hat, c, matrix_residual, d = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
         operator_residual = op(f_hat) - g
     return SolveReport(
@@ -191,9 +196,9 @@ def solve(op: LinearOperator, g, frame: Frame,
 
 
 def _inverse_if_all_kept(o, g, condition, rel_tol):
-    """``O^-1 g`` if the cutoff provably keeps every singular value of the core, else None.
+    """``O^-1 g`` if the cutoff provably keeps every singular value of X, else None.
 
-    ``kappa_2(core) <= (B/A) kappa_2(O) <= condition * |O|_F |O^-1|_F``; below
+    ``kappa_2(X) <= (B/A) kappa_2(O) <= condition * |O|_F |O^-1|_F``; below
     ``1 / rel_tol`` no singular value is at or below the cutoff.  None also
     for a singular O and for an inverse or solution beyond the float range.
     """
@@ -207,43 +212,41 @@ def _inverse_if_all_kept(o, g, condition, rel_tol):
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
-    """``(f, c, (core y - U* d) / p, U* d / p)`` of the factored cutoff solve (module docstring).
+    """``(f, c, (X y - R g) / p, R g / p)`` of the factored cutoff solve (module docstring).
 
     ``p`` is the power of two with ``p <= s[0] < 2 p``; the caller reads only
     the ratio of the last two norms.
     """
     k = frame.count
-    _, s, v = frame.r_svd
-    scale = power_of_two_below(s[0])
-    s_unit = s / scale
-    vh = v.conj().T
+    scale = power_of_two_below(frame.singular_values[0])
+    r_unit = frame._triangular_factor / scale
+    r_unit_inverse = inverse(r_unit, "frame's triangular factor R")
     # an array that leaves the float range turns inf or NaN, and the first
     # check it meets names it
     with np.errstate(over="ignore", invalid="ignore"):
-        # s_i / s_j reaches sqrt(B/A), so the core can overflow where O does not
-        core = require_finite("discretized system's core",
-                              (s_unit[:, None] * (vh @ op.matrix @ v)) / s_unit)
-        # U* d / p for d = C g = U diag(s) V* g
-        ud = s_unit * (vh @ g)
-        require_finite(_RHS_COEFFICIENTS, ud * scale)
+        # kappa(R) reaches sqrt(B/A), so X can overflow where O does not
+        x = require_finite("discretized system's core", r_unit @ op.matrix @ r_unit_inverse)
+        # Q* d / p for d = C g = Q R g
+        rg = r_unit @ g
+        require_finite(_RHS_COEFFICIENTS, rg * scale)
         if n_section == k:
-            # y = U* c / p for c = M^+ d = U core^+ U* d
-            y = _solve_above_cutoff(core, ud, rel_tol, "discretized system's core")
+            # y = Q* c / p for c = M^+ d = Q X^+ Q* d
+            y = _solve_above_cutoff(x, rg, rel_tol, "discretized system's core")
         else:
-            # M_N = U_N core U_N* = Q1 X Q1* with U_N = Q1 R1 and X = R1 core R1*,
-            # so c_N = Q1 X^+ Q1* d_N = Q1 X^+ R1 U* d and y = U_N* c_N = R1* X^+ R1 U* d
-            q1, r1 = np.linalg.qr((frame.analysis_matrix[:n_section] @ v) / s)
-            z = _solve_above_cutoff(r1 @ core @ r1.conj().T, r1 @ ud, rel_tol,
+            # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = Q1 R1 and X_N = R1 X R1*,
+            # so c_N = Q1 X_N^+ Q1* d_N = Q1 X_N^+ R1 R g and y = Q_N* c_N = R1* X_N^+ R1 R g
+            q1, r1 = np.linalg.qr((frame.analysis_matrix[:n_section] / scale) @ r_unit_inverse)
+            z = _solve_above_cutoff(r1 @ x @ r1.conj().T, r1 @ rg, rel_tol,
                                     "finite section's core")
             y = r1.conj().T @ z
-        # V diag(1/s) y: p cancels between y and s_unit
-        f_hat = require_finite("solution V diag(1/s) y", v @ (y / s_unit))
+        # R^-1 y: p cancels between y and r_unit
+        f_hat = require_finite("solution R^-1 y", r_unit_inverse @ y)
         if n_section == k:
-            c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)  # = U y
+            c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)  # = Q y
         else:
             c = np.zeros(k, dtype=np.complex128)
             c[:n_section] = require_finite(_COEFFICIENTS, q1 @ (z * scale))
-        return f_hat, c, core @ y - ud, ud
+        return f_hat, c, x @ y - rg, rg
 
 
 def _relative(residual, reference) -> float:

@@ -1,12 +1,15 @@
 """Shared helpers for the test suite: seeded random generators, the solver's
 explicit oracle and subprocess runners."""
 
+import importlib
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from framerep import Frame, LinearOperator
 
@@ -105,6 +108,24 @@ def pseudoinverse(a, rel_tol=None):
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     return (vh.conj().T * inv_s) @ u.conj().T
+
+
+@contextmanager
+def cutoff_solves():
+    """A list that gains one entry for each solve in the block that takes the cutoff path.
+
+    A solve that leaves it empty took the closed form.
+    """
+    module = importlib.import_module("framerep.solve")
+    real, runs = module._solve_with_cutoff, []
+
+    def recording(*args):
+        runs.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_solve_with_cutoff", recording)
+        yield runs
 
 
 def no_convergence(*args, **kwargs):

@@ -267,4 +267,5 @@ def test_11_cli_bit_stability(tmp_path):
     solution = np.asarray(report["solution"]["entries"])[0::2]
     ok &= bool(np.allclose(solution, [1.0, 1.0], atol=1e-10))
     ok &= report["residual_operator"] <= 1e-10
-    _verdict(11, "CLI outputs reproduce bit-stably across consecutive runs", ok)
+    _verdict(11, "CLI outputs reproduce bit-stably across consecutive runs "
+             "(one BLAS thread count)", ok)

@@ -16,7 +16,7 @@ from framerep import (
     serialize_vector,
 )
 from framerep.cli import main
-from helpers import no_convergence, run_cli
+from helpers import conditioned_operator, no_convergence, random_complex, run_cli
 
 
 @pytest.fixture
@@ -257,3 +257,28 @@ class TestTolerance:
         payload = json.loads(result.stdout)
         solution = parse_matrix(json.dumps(payload["solution"])).ravel()
         assert np.array_equal(solution, [0, 0])
+
+
+class TestThreadCount:
+    """Output is byte-stable for one BLAS build and thread count, not across thread counts."""
+
+    def test_outputs_agree_across_blas_thread_counts(self, tmp_path):
+        # at n=64, K=512 the QR's last bits, so the printed bytes of `dual` and
+        # `solve --section`, depend on OPENBLAS_NUM_THREADS; the values agree to rounding
+        rng = np.random.default_rng(93)
+        (tmp_path / "frame.json").write_text(serialize_frame(Frame(random_complex(rng, 512, 64))))
+        (tmp_path / "op.json").write_text(serialize_matrix(conditioned_operator(rng, 64).matrix))
+        (tmp_path / "g.json").write_text(serialize_vector(random_complex(rng, 64)))
+        commands = {
+            "dual": (["dual", "--frame", "frame.json", "--json"],
+                     lambda text: parse_frame(text).vectors),
+            "section": (["solve", "--op", "op.json", "--rhs", "g.json", "--frame", "frame.json",
+                         "--section", "64", "--json"],
+                        lambda text: parse_matrix(json.dumps(json.loads(text)["solution"]))),
+        }
+        for name, (command, values) in commands.items():
+            runs = [run_cli(command, cwd=tmp_path, env_extra={"OPENBLAS_NUM_THREADS": threads})
+                    for threads in ("1", "2")]
+            assert [run.returncode for run in runs] == [0, 0], name
+            one, two = (values(run.stdout) for run in runs)
+            assert np.linalg.norm(one - two) <= 1e-12 * np.linalg.norm(one), name

@@ -19,6 +19,7 @@ from framerep import (
     FrameClass,
     FrameRepError,
     NotAFrame,
+    SolveOptions,
     biorthogonal,
     gram,
     identity_operator,
@@ -28,6 +29,7 @@ from framerep import (
 )
 from helpers import (
     LAYOUTS,
+    conditioned_operator,
     frame_with_condition,
     imaginary_nan,
     no_convergence,
@@ -106,7 +108,7 @@ class TestConstruction:
                 if all(isinstance(array, np.ndarray) for array in arrays):
                     kept.update({f"{owner}.{name}[{i}]": array for i, array in enumerate(arrays)})
         assert {"frame._vectors[0]", "frame._reconstruction_factor[0]",
-                "dual._orthonormal_factor[0]", "dual.r_svd[2]"} <= kept.keys()
+                "dual._orthonormal_factor[0]", "dual._triangular_factor[0]"} <= kept.keys()
         for name, array in kept.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 100.0
@@ -315,17 +317,16 @@ class TestCanonicalDual:
         frame = random_frame(rng, 4, 9)
         dual = frame.canonical_dual()
         # only the singular values, reversed and inverted; the dual's own QR
-        # and its R's SVD are computed when first read
+        # is computed when first read
         assert "singular_values" in dual.__dict__
-        assert not {"_triangular_factor", "_orthonormal_factor", "r_svd"} & dual.__dict__.keys()
+        assert not {"_triangular_factor", "_orthonormal_factor"} & dual.__dict__.keys()
         s = dual.singular_values
         assert np.array_equal(s, 1.0 / frame.singular_values[::-1])
         assert np.all(np.diff(s) <= 0)
-        w, s_r, v = dual.r_svd
-        assert s_r is s
         q, r = dual._orthonormal_factor, dual._triangular_factor
+        # the inherited s are the singular values of the dual's own R
+        assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - s)) <= 1e-12 * s[0]
         scale = np.linalg.norm(dual.analysis_matrix)
-        assert np.linalg.norm((q @ w * s) @ v.conj().T - dual.analysis_matrix) <= 1e-12 * scale
         assert np.linalg.norm(q @ r - dual.analysis_matrix) <= 1e-14 * scale
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -348,6 +349,27 @@ class TestCanonicalDual:
         expected = np.linalg.pinv(frame.synthesis_matrix).conj()
         error = np.linalg.norm(dual.vectors * scale - expected) / np.linalg.norm(expected)
         assert error <= 1e3 * EPS * 10.0 ** (log_condition / 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 8),
+        extra=st.integers(0, 16),
+        log_condition=st.floats(0.0, 8.0),
+        log_scale=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reconstruction_is_the_identity_at_any_scale(self, n, extra, log_condition,
+                                                         log_scale, seed):
+        # |D C_dual - I|_2 stays within eps sqrt(B/A) through the QR's Q; a dual
+        # built from R alone, C R^-1 R^-*, loses it in proportion to B/A
+        frame = frame_with_condition(np.random.default_rng(seed), n, n + extra,
+                                     10.0**log_condition)
+        frame = Frame(frame.vectors * 10.0**log_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            product = frame.synthesis_matrix @ frame.canonical_dual().analysis_matrix
+        error = np.linalg.norm(product - np.eye(n), 2)
+        assert error <= 50 * EPS * np.sqrt(frame.condition)
 
     def test_cold_dual_takes_one_svd_without_vectors(self, monkeypatch):
         real_svd, computes_vectors = np.linalg.svd, []
@@ -376,7 +398,7 @@ class TestCanonicalDual:
 
 
 class TestSpectralLayers:
-    """``r_svd`` (the SVD of the QR's triangular factor R) and the QR's Q."""
+    """The QR's triangular factor R, its singular values and the QR's Q."""
 
     @pytest.mark.parametrize("condition", [1.0, 1e6, 1e10], ids=lambda c: f"BA{c:g}")
     @pytest.mark.parametrize("k", [11, 12, 24, 96], ids=["K=n-1", "K=n", "K=2n", "K=8n"])
@@ -389,19 +411,16 @@ class TestSpectralLayers:
         right = random_unitary(rng, n)[:, :m]
         c = (left * np.sqrt(condition ** np.linspace(0.0, 1.0, m))[::-1]) @ right.conj().T
         frame = Frame(c.conj())
-        w, s, v = frame.r_svd
+        s = frame.singular_values
         q, r = frame._orthonormal_factor, frame._triangular_factor
-        assert s is frame.singular_values
         s_ref = np.linalg.svd(c, compute_uv=False)
         assert np.max(np.abs(s - s_ref)) <= 1e-14 * s_ref[0]
         assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13
-        assert np.linalg.norm(v.conj().T @ v - np.eye(m)) <= 1e-13
         assert np.array_equal(r, np.linalg.qr(c, mode="reduced")[1])
-        # C = (Q W) diag(s) V*
-        assert np.linalg.norm((q @ w * s) @ v.conj().T - c) <= 1e-13 * np.linalg.norm(c)
+        assert np.linalg.norm(q @ r - c) <= 1e-13 * np.linalg.norm(c)
 
     def test_reading_bounds_forms_no_left_factor(self, psi0, monkeypatch):
-        # only R's singular values: neither W and V (r_svd) nor the QR's Q
+        # only R's singular values: neither singular vectors nor the QR's Q
         real_svd, computes_vectors = np.linalg.svd, []
 
         def recording_svd(a, *args, **kwargs):
@@ -412,15 +431,18 @@ class TestSpectralLayers:
         psi0.bounds, psi0.is_frame, psi0.condition, psi0.classification
         assert computes_vectors == [False]
         assert "singular_values" in psi0.__dict__
-        assert not {"r_svd", "_orthonormal_factor"} & psi0.__dict__.keys()
+        assert "_orthonormal_factor" not in psi0.__dict__
 
     def test_one_set_of_singular_values(self):
-        frame = random_frame(np.random.default_rng(25), 5, 13)
-        s = frame.singular_values
-        w, s_r, v = frame.r_svd
-        assert s_r is s
-        r = np.linalg.qr(frame.analysis_matrix, mode="r")
-        assert np.linalg.norm((w * s) @ v.conj().T - r) <= 1e-14 * s[0]
+        # a cutoff-path solve reads the frame's cached s and R, and computes neither again
+        rng = np.random.default_rng(25)
+        frame = random_frame(rng, 5, 13)
+        s, r = frame.singular_values, frame._triangular_factor
+        solve(conditioned_operator(rng, 5), random_complex(rng, 5), frame,
+              SolveOptions(section_size=7))
+        assert frame.singular_values is s and frame._triangular_factor is r
+        assert np.array_equal(r, np.linalg.qr(frame.analysis_matrix, mode="r"))
+        assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - s)) <= 1e-14 * s[0]
 
 
 class TestGram:

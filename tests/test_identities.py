@@ -61,7 +61,7 @@ def kappa(*frames) -> float:
 def upper(*frames) -> float:
     """sqrt of the product of upper bounds: the norm of the frame operators' action."""
     # the largest singular value, since the bound B = s_max^2 overflows beyond 1e154
-    return float(np.prod([frame.r_svd[1][0] for frame in frames]))
+    return float(np.prod([frame.singular_values[0] for frame in frames]))
 
 
 def lower(*frames) -> float:

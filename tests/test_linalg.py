@@ -64,7 +64,7 @@ class TestDecompositionFailure:
         # the solver's cutoff pseudoinverse of the n x n core is the
         # package's one pseudoinverse, which a singular operator reaches;
         # the frame's own SVD succeeds first
-        psi0.r_svd
+        psi0.singular_values
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(DecompositionFailed, match="core") as info:
             solve(LinearOperator(np.diag([1.0, 0.0])), [1, 0], psi0)

@@ -27,6 +27,7 @@ from framerep import (
 from framerep.linalg import euclidean_norm
 from helpers import (
     conditioned_operator,
+    cutoff_solves,
     explicit_system,
     frame_with_condition,
     no_convergence,
@@ -295,6 +296,18 @@ class TestSolveOptions:
         with pytest.raises(ValueError):
             SolveOptions(section_size=0)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", 1j])
+    def test_rejects_non_integer_section(self, size):
+        with pytest.raises(ValueError, match="section_size must be an integer"):
+            SolveOptions(section_size=size)
+
+    @pytest.mark.parametrize("size, expected", [(True, 1), (np.int64(2), 2)])
+    def test_integer_like_section_becomes_int(self, psi0, size, expected):
+        options = SolveOptions(section_size=size)
+        assert type(options.section_size) is int and options.section_size == expected
+        report = solve(identity_operator(2), [1, 1], psi0, options)
+        assert type(report.section_used) is int and report.section_used == expected
+
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             SolveOptions(rel_tol=-1e-3)
@@ -317,7 +330,7 @@ class TestFactoredSolve:
 
     def test_matches_explicit_system(self):
         # both sides of the closed-form guard run: the closed form, which never
-        # reads (s, V), and the cutoff path, which does
+        # forms the n x n system X, and the cutoff path, which does
         sides = set()
 
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -345,8 +358,9 @@ class TestFactoredSolve:
             g = random_complex(rng, n)
 
             options = SolveOptions(section_size=section, rel_tol=tol)
-            report = solve(op, g, frame, options)
-            closed_form = "r_svd" not in frame.__dict__
+            with cutoff_solves() as runs:
+                report = solve(op, g, frame, options)
+            closed_form = not runs
             sides.add(closed_form)
 
             # the oracle: the SVD pseudoinverse of the explicit N x N section of M
@@ -405,13 +419,12 @@ class TestFactoredSolve:
         solve(conditioned_operator(rng, 5), random_complex(rng, 5), frame)
         dual, fresh = frame.canonical_dual(), Frame(vectors).canonical_dual()
         assert np.array_equal(dual.vectors, fresh.vectors)
-        for got, expected in zip((dual.singular_values, dual._orthonormal_factor, *dual.r_svd),
-                                 (fresh.singular_values, fresh._orthonormal_factor, *fresh.r_svd)):
-            assert np.array_equal(got, expected)
+        for layer in ("singular_values", "_orthonormal_factor", "_triangular_factor"):
+            assert np.array_equal(getattr(dual, layer), getattr(fresh, layer)), layer
 
     def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
         # a singular operator takes the cutoff path, which takes the core's SVD
-        psi0.r_svd  # the frame's own SVD succeeds; the core's fails
+        psi0.singular_values  # the frame's own SVD succeeds; the core's fails
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         for section in (None, 2):
             with pytest.raises(DecompositionFailed, match="core"):
@@ -498,10 +511,10 @@ class TestScaleEquivariance:
         psi0 = np.array([[1, 0], [0, 1], [1, 1]])
         expected = solve(LinearOperator(matrix), g, Frame(psi0), options).solution / scale
         frame = Frame(psi0 * scale)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), cutoff_solves() as runs:
             warnings.simplefilter("error")
             report = solve(LinearOperator(np.array(matrix) * scale), g, frame, options)
-        assert "r_svd" in frame.__dict__  # the cutoff path ran
+        assert runs  # the cutoff path ran
         assert euclidean_norm(report.solution - expected) <= 1e-14 * euclidean_norm(expected)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -523,11 +536,11 @@ class TestScaleEquivariance:
         base = solve(LinearOperator(inputs["operator"]), inputs["g"], Frame(inputs["frame"]),
                      options)
         inputs[scaled] = inputs[scaled] * 10.0**exponent
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), cutoff_solves() as runs:
             warnings.simplefilter("error")
-            frame = Frame(inputs["frame"])
-            report = solve(LinearOperator(inputs["operator"]), inputs["g"], frame, options)
-        assert ("r_svd" not in frame.__dict__) == closed_form
+            report = solve(LinearOperator(inputs["operator"]), inputs["g"], Frame(inputs["frame"]),
+                           options)
+        assert (not runs) == closed_form
         for residual in ("residual_operator", "residual_matrix"):
             got, expected = getattr(report, residual), getattr(base, residual)
             assert abs(got - expected) <= 1e-9 * expected + 1e3 * EPS, residual
@@ -554,7 +567,7 @@ class TestOverflow:
         # C g is about 1e300 and f about 1e150, but C f is about 1e310
         (PSI0 * 1e160, 1e-10 * np.eye(2), 1e140, "solution's coefficient vector"),
         # C g and C f are about 1e140 and 1e150, but f is about 1e310
-        (PSI0 * 1e-160, 1e-10 * np.eye(2), 1e300, "solution V diag"),
+        (PSI0 * 1e-160, 1e-10 * np.eye(2), 1e300, r"solution R\^-1 y"),
         # B/A is about 1e8, and the core's off-diagonal entry about 1e309
         ([[1, 0], [0, 1e-4], [1, 1e-4]], [[0, 1e305], [0, 0]], 1.0, "discretized system's core"),
         # the column norms 2e308 of the frame's triangular factor R
