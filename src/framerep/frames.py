@@ -17,16 +17,21 @@ spectral factor, the canonical dual's included, are read-only arrays.
 Each frame's spectral data comes from the QR factorization ``C = Q R`` of its
 analysis matrix, in layers computed lazily and cached:
 
-* ``Frame._triangular_factor`` is the small ``min(K, n) x n`` R, Q not
-  formed.  The cutoff path of :mod:`framerep.solve` works on it directly.
+* ``Frame._triangular_factor`` is the small ``min(K, n) x n`` R.  Read
+  first, it comes from a QR that does not form Q.
 * ``Frame.singular_values`` are C's singular values ``s``: those of R alone,
   without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
   ``is_frame``, the condition, the classification and the closed form of
   :mod:`framerep.solve` read only this layer.
-* ``Frame._orthonormal_factor`` is the QR's Q, from a second, reduced QR of
-  C with the same R.  The canonical dual's analysis matrix
+* ``Frame._orthonormal_factor`` is the QR's Q.  The reduced QR that forms it
+  also supplies R when R is not cached yet, so a cold canonical dual or
+  range projection takes one QR; a frame whose R was read first takes a
+  second QR for Q.  The canonical dual's analysis matrix
   ``C S^-1 = (C^+)* = Q R^-*`` and the projection ``Q Q*`` onto the analysis
-  range need it and no singular vector.
+  range need Q and no singular vector.
+* ``Frame._unit_triangular_factor`` is ``(p, R/p, (R/p)^-1)`` for the power
+  of two ``p <= s[0] < 2 p``: the frame's one inverse of R, which the dual
+  and the cutoff path of :mod:`framerep.solve` share.
 
 No layer holds singular vectors.
 
@@ -52,8 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NotAFrame
-from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frozen, inverse,
-                     require_finite, require_shape, singular_values, wrap_checked)
+from .linalg import (as_matrix, as_vector, divide_parts, euclidean_norm, finite_product, frozen,
+                     inverse, power_of_two_below, require_finite, require_shape,
+                     singular_values, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -153,8 +159,7 @@ class Frame:
     @cached_property
     def _triangular_factor(self) -> np.ndarray:
         """Read-only ``min(K, n) x n`` R of ``C = Q R``, Q not formed; FrameRepError on overflow."""
-        r = np.linalg.qr(self.analysis_matrix, mode="r")
-        return frozen(require_finite("frame analysis matrix's triangular factor R", r))
+        return _checked_triangular_factor(np.linalg.qr(self.analysis_matrix, mode="r"))
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -174,8 +179,21 @@ class Frame:
 
     @cached_property
     def _orthonormal_factor(self) -> np.ndarray:
-        """Read-only Q of the reduced QR ``C = Q R``; its R is :attr:`_triangular_factor`."""
-        return frozen(np.linalg.qr(self.analysis_matrix, mode="reduced")[0])
+        """Read-only Q of the reduced QR ``C = Q R``; caches its R (the same bits) if none is."""
+        q, r = np.linalg.qr(self.analysis_matrix, mode="reduced")
+        if "_triangular_factor" not in self.__dict__:
+            self.__dict__["_triangular_factor"] = _checked_triangular_factor(r)
+        return frozen(q)
+
+    @cached_property
+    def _unit_triangular_factor(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """Read-only ``(p, R/p, (R/p)^-1)``, ``p`` the :func:`power_of_two_below` ``s[0]``.
+
+        The one inverse of R, for a frame (R square); DecompositionFailed if LAPACK fails.
+        """
+        scale = power_of_two_below(self.singular_values[0])
+        unit = frozen(divide_parts(self._triangular_factor, scale))
+        return scale, unit, frozen(inverse(unit, "frame's triangular factor R"))
 
     @cached_property
     def bounds(self) -> FrameBounds:
@@ -224,10 +242,12 @@ class Frame:
         """The canonical dual frame (S^-1 psi_k).
 
         Built from the cached QR ``C = Q R``: the dual's analysis matrix is
-        ``C S^-1 = Q R^-*``.  The dual inherits the singular values, reversed
-        and inverted, so its bounds (1/B, 1/A) need no decomposition.  The dual
-        of the dual is this frame again (the same object while this frame is
-        alive; the dual only holds a weak reference back).
+        ``C S^-1 = Q R^-*``, formed as ``Q (R/p)^-*`` from the frame's cached
+        inverse and divided by ``p`` exactly.  The dual inherits the singular
+        values, reversed and inverted, so its bounds (1/B, 1/A) need no
+        decomposition.  The dual of the dual is this frame again (the same
+        object while this frame is alive; the dual only holds a weak reference
+        back).
 
         Raises
         ------
@@ -239,17 +259,21 @@ class Frame:
         DecompositionFailed
             If LAPACK fails to invert R.
         """
-        self.require_frame("canonical dual")
         dual = self.__dict__.get("_canonical_dual")
         if dual is None:
             primal = self.__dict__.get("_primal")
             dual = primal() if primal is not None else None
         if dual is None:
-            q, s = self._orthonormal_factor, self.singular_values
-            r_inverse = inverse(self._triangular_factor, "frame's triangular factor R")
+            # Q before the rank check: its QR caches R too, so the check takes no second QR
+            q = self._orthonormal_factor
+        self.require_frame("canonical dual")
+        if dual is None:
+            scale, _, unit_inverse = self._unit_triangular_factor
+            s = self.singular_values
             with np.errstate(over="ignore", invalid="ignore"):
-                # rows of `vectors` are conj(Q R^-*) = conj(Q) R^-T
-                vectors = require_finite("canonical dual", q.conj() @ r_inverse.T)
+                # rows of `vectors` are conj(Q R^-*) = conj(Q) (R/p)^-T / p
+                vectors = require_finite("canonical dual",
+                                         divide_parts(q.conj() @ unit_inverse.T, scale))
                 s_dual = require_finite("canonical dual's largest singular value", 1.0 / s[::-1])
             dual = wrap_checked(Frame, "_vectors", vectors, singular_values=frozen(s_dual),
                                 _primal=weakref.ref(self))
@@ -302,6 +326,11 @@ class Frame:
             return True
         a, b = a / scale, b / scale
         return euclidean_norm(a - b) <= SAME_FRAME_RTOL * max(euclidean_norm(a), euclidean_norm(b))
+
+
+def _checked_triangular_factor(r: np.ndarray) -> np.ndarray:
+    """``r``, a frame's R, frozen; FrameRepError if an entry left the float range."""
+    return frozen(require_finite("frame analysis matrix's triangular factor R", r))
 
 
 def numerical_rank(s: np.ndarray) -> int:

@@ -4,7 +4,8 @@ Everything in the package runs on ``numpy.complex128`` arrays: matrices are
 2-d, vectors 1-d.  The helpers here coerce inputs to that form, hold the one
 shape rule (for each argument and for the agreement of several operands) and
 the one scale-safe entrywise 2-norm, the one exact split of a scale into a
-power of two (:func:`power_of_two_below`; :func:`split_scale` for an array),
+power of two (:func:`power_of_two_below`; :func:`split_scale` for an array,
+:func:`divide_parts` to divide by it exactly),
 refuse non-finite entries and overflowing products, freeze every array the
 package keeps (:func:`frozen`), and wrap the numpy/LAPACK decompositions
 behind the small set of operations the frame and representation modules rely
@@ -207,13 +208,22 @@ def power_of_two_below(x: float) -> float:
 def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
     """``(p, a / p)``, ``p`` the :func:`power_of_two_below` the largest real or imaginary part.
 
-    The quotient's largest part is in ``[1, 2)``.  The parts are divided, as a
-    modulus may overflow and numpy divides a complex array by a subnormal
-    number through its overflowing reciprocal.
+    The quotient's largest part is in ``[1, 2)``.  The parts are compared, as
+    a modulus may overflow, and divided by :func:`divide_parts`.
     """
-    parts = np.ascontiguousarray(a).view(np.float64)
-    scale = power_of_two_below(float(np.abs(parts).max()))
-    return scale, (parts / scale).view(np.complex128)
+    a = np.ascontiguousarray(a)
+    scale = power_of_two_below(float(np.abs(a.view(np.float64)).max()))
+    return scale, divide_parts(a, scale)
+
+
+def divide_parts(a: np.ndarray, scale: float) -> np.ndarray:
+    """``a / scale`` for a complex128 ``a``, its real and imaginary parts divided.
+
+    Exact for a power of two ``scale`` wherever the result is a normal float.
+    numpy divides a complex array by a subnormal number through its
+    overflowing reciprocal; dividing the parts does not.
+    """
+    return (np.ascontiguousarray(a).view(np.float64) / scale).view(np.complex128)
 
 
 def euclidean_norm(x: np.ndarray) -> float:

@@ -214,9 +214,8 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     among the images (a kernel-containment rank test).  Raises FrameRepError
     if an entry of the operator leaves the float range.
     """
-    frame.require_frame("prescribing images")
-    e = as_matrix(images, "images", (frame.count, None))
     dual = frame.canonical_dual()
+    e = as_matrix(images, "images", (frame.count, None))
     op = wrap_checked(LinearOperator, "matrix",
                       finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:

@@ -35,17 +35,20 @@ below ``rel_tol`` times the largest.
 
   The small matrix (X or ``X_N``) has the nonzero singular values of
   ``M_N``, so the cutoff means the same as for an explicit pseudoinverse of
-  ``M_N``.  The path first divides R by the power of two ``p`` with ``p <=
-  s[0] < 2 p``.  That is exact in binary, cancels in X and in ``R^-1 y``,
-  and leaves ``R g`` and y divided by p; ``C[:N]`` is divided by p before it
+  ``M_N``.  The path reads R as ``R/p`` and its inverse ``(R/p)^-1``, both
+  cached by the frame, for the power of two ``p`` with ``p <= s[0] < 2 p``.
+  The division is exact in binary, cancels in X and in ``R^-1 y``, and
+  leaves ``R g`` and y divided by p; ``C[:N]`` is divided by p before it
   meets ``(R/p)^-1``.  So neither X nor ``R g`` underflows or overflows
-  merely because the frame's scale is far from 1.  Q itself is never formed.
+  merely because the frame's scale is far from 1.  Q itself is never formed,
+  and R is not inverted again.
 
 Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -53,8 +56,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, euclidean_norm, inverse, power_of_two_below,
-                     require_finite, require_shape, solve_with_inverse, split_scale, svd)
+from .linalg import (EPS, as_vector, euclidean_norm, require_finite, require_shape,
+                     solve_with_inverse, split_scale, svd)
 from .represent import LinearOperator
 
 
@@ -85,8 +88,8 @@ class SolveOptions:
                 raise ValueError(f"section_size must be positive, got {size}")
             object.__setattr__(self, "section_size", size)
         tol = self.rel_tol
-        if tol is not None and not 0 <= tol < np.inf:
-            raise ValueError(f"rel_tol must be finite and nonnegative, got {tol}")
+        if tol is not None and not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+            raise ValueError(f"rel_tol must be a finite and nonnegative real number, got {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +120,10 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     the identity on any vector of the form ``C f``.  ``c`` is scaled first
     (:func:`~framerep.linalg.split_scale`); FrameRepError only if the result overflows.
     """
+    # Q before the rank check: its QR caches R too, so the check takes no second QR
+    q = frame._orthonormal_factor
     frame.require_frame("analysis-range projection")
     scale, c = split_scale(as_vector(c, "coefficient vector", frame.count))
-    q = frame._orthonormal_factor
     with np.errstate(over="ignore", invalid="ignore"):
         # (c* Q)* is Q* c without a conjugated copy of Q
         return require_finite("analysis-range projection", q @ (c.conj() @ q).conj() * scale)
@@ -127,9 +131,6 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
 
 #: What :func:`solve` names when the coefficients it returns leave the float range.
 _COEFFICIENTS = "solution's coefficient vector"
-
-#: What :func:`solve` names when the right-hand side's coefficients leave the float range.
-_RHS_COEFFICIENTS = "right-hand side's coefficient vector Q* C g"
 
 
 def solve(op: LinearOperator, g, frame: Frame,
@@ -175,7 +176,8 @@ def solve(op: LinearOperator, g, frame: Frame,
     f_hat = _inverse_if_all_kept(op.matrix, g, frame.condition, rel_tol) if n_section == k else None
     if f_hat is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            d = require_finite(_RHS_COEFFICIENTS, frame.analysis_matrix @ g)
+            d = require_finite("right-hand side's coefficient vector C g",
+                               frame.analysis_matrix @ g)
             # D_dual C = I, so c = C f solves M c = d, lies in M's range, and
             # M c - d = C (O f - g)
             c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)
@@ -218,9 +220,7 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     the ratio of the last two norms.
     """
     k = frame.count
-    scale = power_of_two_below(frame.singular_values[0])
-    r_unit = frame._triangular_factor / scale
-    r_unit_inverse = inverse(r_unit, "frame's triangular factor R")
+    scale, r_unit, r_unit_inverse = frame._unit_triangular_factor
     # an array that leaves the float range turns inf or NaN, and the first
     # check it meets names it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +228,7 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
         x = require_finite("discretized system's core", r_unit @ op.matrix @ r_unit_inverse)
         # Q* d / p for d = C g = Q R g
         rg = r_unit @ g
-        require_finite(_RHS_COEFFICIENTS, rg * scale)
+        require_finite("right-hand side's coefficient vector Q* C g", rg * scale)
         if n_section == k:
             # y = Q* c / p for c = M^+ d = Q X^+ Q* d
             y = _solve_above_cutoff(x, rg, rel_tol, "discretized system's core")

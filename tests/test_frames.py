@@ -24,6 +24,7 @@ from framerep import (
     gram,
     identity_operator,
     operator_norm,
+    project_onto_analysis_range,
     roundtrip_reconstruct,
     solve,
 )
@@ -104,11 +105,14 @@ class TestConstruction:
         kept = {}
         for owner, frame in owners.items():
             for name, value in vars(frame).items():
-                arrays = value if isinstance(value, tuple) else (value,)
-                if all(isinstance(array, np.ndarray) for array in arrays):
-                    kept.update({f"{owner}.{name}[{i}]": array for i, array in enumerate(arrays)})
+                # a tuple layer may mix arrays with floats, such as a scale
+                values = value if isinstance(value, tuple) else (value,)
+                kept.update({f"{owner}.{name}[{i}]": array for i, array in enumerate(values)
+                             if isinstance(array, np.ndarray)})
         assert {"frame._vectors[0]", "frame._reconstruction_factor[0]",
-                "dual._orthonormal_factor[0]", "dual._triangular_factor[0]"} <= kept.keys()
+                "frame._unit_triangular_factor[1]", "frame._unit_triangular_factor[2]",
+                "dual._orthonormal_factor[0]", "dual._triangular_factor[0]",
+                "dual._unit_triangular_factor[1]", "dual._unit_triangular_factor[2]"} <= kept.keys()
         for name, array in kept.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 100.0
@@ -210,6 +214,18 @@ class TestBounds:
         # the column norm 2e308 of the QR's R leaves the float range
         with pytest.raises(FrameRepError, match="triangular factor R overflows") as info:
             Frame(np.full((4, 1), 1e308)).bounds
+        assert not isinstance(info.value, DimensionMismatch)
+
+    @pytest.mark.parametrize("read", [
+        Frame.canonical_dual,
+        lambda frame: project_onto_analysis_range(frame, np.ones(4)),
+    ], ids=["canonical_dual", "project_onto_analysis_range"])
+    def test_triangular_factor_overflow_from_the_qr_that_forms_q(self, read):
+        # the dual and the projector read Q first, and its QR supplies R
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameRepError, match="triangular factor R overflows") as info:
+                read(Frame(np.full((4, 1), 1e308)))
         assert not isinstance(info.value, DimensionMismatch)
 
 

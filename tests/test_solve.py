@@ -312,7 +312,7 @@ class TestSolveOptions:
         with pytest.raises(ValueError):
             SolveOptions(rel_tol=-1e-3)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, "1e-3", 1j])
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             SolveOptions(rel_tol=tol)
@@ -562,8 +562,10 @@ class TestOverflow:
 
     @pytest.mark.parametrize("section", [None, 2])
     @pytest.mark.parametrize("vectors, op, g, product", [
-        # C g is about 1e460
-        (PSI0 * 1e160, np.eye(2), 1e300, "right-hand side's coefficient vector"),
+        # C g is about 1e460; the closed form checks C g, the cutoff path Q* C g = R g
+        (PSI0 * 1e160, np.eye(2), 1e300,
+         {None: r"right-hand side's coefficient vector C g overflows",
+          2: r"right-hand side's coefficient vector Q\* C g overflows"}),
         # C g is about 1e300 and f about 1e150, but C f is about 1e310
         (PSI0 * 1e160, 1e-10 * np.eye(2), 1e140, "solution's coefficient vector"),
         # C g and C f are about 1e140 and 1e150, but f is about 1e310
@@ -574,6 +576,8 @@ class TestOverflow:
         (np.full((4, 2), 1e308), np.eye(2), 1.0, "triangular factor R"),
     ], ids=["rhs_coefficients", "solution_coefficients", "solution", "core", "triangular_factor"])
     def test_overflow_is_named(self, vectors, op, g, product, section):
+        if isinstance(product, dict):
+            product = product[section]
         frame = Frame(vectors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -582,8 +586,8 @@ class TestOverflow:
         assert not isinstance(info.value, DimensionMismatch)
 
     def test_closed_form_forms_no_core(self):
-        # B/A is about 1.3e8, so the core s_i (V* O V)_ij / s_j reaches about 1e309
-        # where O's entries are 1e305; O is well conditioned, so the full system
+        # B/A is about 1.3e8, so the core X = R O R^-1 reaches about 1e309 where
+        # O's entries are 1e305; O is well conditioned, so the full system
         # takes the closed form, which never forms the core, while a section
         # still takes the core and names its overflow
         frame = Frame([[1, 0], [0, 1e-4], [1, 1e-4]])

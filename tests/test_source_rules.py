@@ -29,8 +29,11 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("np.linalg.pinv", {"linalg.py"}),
     ("np.linalg.eig", {"linalg.py"}),
     ("np.linalg.qr", {"frames.py", "solve.py"}),
+    # the frame's R is inverted only where its inverse is kept; the leading
+    # space keeps solve_with_inverse( from matching
+    (" inverse(", {"linalg.py", "frames.py"}),
 ], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "environ", "svd", "inv",
-        "solve", "pinv", "eig", "qr"])
+        "solve", "pinv", "eig", "qr", "inverse"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
