@@ -21,8 +21,7 @@ analysis matrix, in layers computed lazily and cached:
   first, it comes from a QR that does not form Q.
 * ``Frame.singular_values`` are C's singular values ``s``: those of R alone,
   without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
-  ``is_frame``, the condition, the classification and the closed form of
-  :mod:`framerep.solve` read only this layer.
+  ``is_frame``, the condition and the classification read only this layer.
 * ``Frame._orthonormal_factor`` is the QR's Q.  The reduced QR that forms it
   also supplies R when R is not cached yet, so a cold canonical dual or
   range projection takes one QR; a frame whose R was read first takes a
@@ -35,8 +34,21 @@ analysis matrix, in layers computed lazily and cached:
 
 No layer holds singular vectors.
 
+Beside the exact layers sits one certified screen,
+``Frame._bounds_enclosure``: the eigenvalues of the cached frame operator
+``S = D C``, widened by a stated worst-case bound on the rounding of S, of
+``eigvalsh`` and of the exact layers, enclose the bounds that
+``singular_values`` would give.  It decides, never reports: a cold
+full-system solve that may take the closed form takes its frame check,
+closed-form guard and conditioning warning from it
+(``Frame._condition_range``) and reads the exact layers only where the
+enclosure straddles a threshold, so its report is the same bits.
+Every reported bound, condition and classification is the exact layers'.
+
 Working on the singular values rather than on ``S = C* C`` keeps the
-condition number and the dynamic range unsquared.
+condition number and the dynamic range of every reported value unsquared;
+the screen works on S, where squaring only widens what it hands back
+to these layers.
 
 Besides the spectral layers a frame caches, on first use, its reconstruction
 factor ``D C_dual = sum_k psi_k dual_k*`` (n x n, the identity up to
@@ -56,10 +68,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import NotAFrame
-from .linalg import (as_matrix, as_vector, divide_parts, euclidean_norm, finite_product, frozen,
-                     inverse, power_of_two_below, require_finite, require_shape,
-                     singular_values, wrap_checked)
+from .exceptions import DecompositionFailed, FrameRepError, NotAFrame
+from .linalg import (EPS, as_matrix, as_vector, divide_parts, euclidean_norm, finite_product,
+                     frozen, hermitian_eigs, inverse, power_of_two_below, require_finite,
+                     require_shape, singular_values, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -194,6 +206,80 @@ class Frame:
         scale = power_of_two_below(self.singular_values[0])
         unit = frozen(divide_parts(self._triangular_factor, scale))
         return scale, unit, frozen(inverse(unit, "frame's triangular factor R"))
+
+    @cached_property
+    def _bounds_enclosure(self) -> tuple[FrameBounds, FrameBounds] | None:
+        """The screen: ``(least, most)`` around the bounds the exact layer computes, or None.
+
+        ``least <= (s[-1]^2, s[0]^2) <= most`` entrywise for the computed
+        singular values ``s`` of :attr:`singular_values`, without computing
+        them: the enclosure is ``lambda_i +- r`` for the extreme eigenvalues
+        ``lambda_i`` of the cached :attr:`frame_operator` S, with
+        ``r = 16 (K n + n^2) eps tr S``.  With ``u = eps / 2``, ``sigma_i``
+        the exact singular values of C and ``tr S = |C|_F^2``, the bound
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.)
+        has three parts:
+
+        * the Gram: each entry of ``D C`` is a sum of K complex products, so
+          the computed S is off by at most ``gamma_{K+2} |D| |C|`` entrywise
+          (ch. 3), a matrix of 2-norm at most ``gamma_{K+2} tr S``;
+        * ``eigvalsh``: its eigenvalues are exact for the computed S plus a
+          perturbation of 2-norm at most ``c n^2 u |S|_F <= c n^2 u tr S``
+          (Householder tridiagonalization, ch. 19);
+        * the exact layer: the Householder QR's R is exact for ``C + dC``,
+          ``|dC|_F <= c K n u |C|_F`` (ch. 19), and the SVD of R adds
+          ``c n^2 u |R|_F``; so ``s_i`` is within ``d = c (K n + n^2) u
+          |C|_F`` of ``sigma_i`` and ``s_i^2`` within ``d (2 |C|_F + d)``.
+
+        By Weyl's theorem, with every constant ``c <= 4``, ``|lambda_i -
+        s_i^2|`` is below ``8 (K n + n^2) eps tr S`` to first order.  ``r`` is
+        twice that; the spare, at least ``16 eps max(A, B)``, covers the
+        second-order terms and the few roundings (each at most ``u``
+        relative) in forming ``lambda_i +- r`` and the ratios that
+        :meth:`_condition_range` compares.  The model of one relative
+        rounding per operation fails only through underflow, whose absolute
+        error per entry, about ``K 2^-1074``, is negligible beside ``eps tr
+        S`` for ``tr S >= 2^-800``.
+
+        None when K < n, when S leaves the float range, when ``tr S`` is
+        outside ``[2^-800, 2^800]`` or when ``eigvalsh`` fails.
+        """
+        k, n = self._vectors.shape
+        if k < n:
+            return None
+        try:
+            s = self.frame_operator
+        except FrameRepError:
+            return None
+        trace = float(np.trace(s).real)
+        if not 2.0**-800 <= trace <= 2.0**800:
+            return None
+        try:
+            eigenvalues = hermitian_eigs(s, "frame operator")
+        except DecompositionFailed:
+            return None
+        radius = 16 * (k * n + n * n) * EPS * trace
+        low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+        return (FrameBounds(low - radius, high - radius),
+                FrameBounds(low + radius, high + radius))
+
+    def _condition_range(self, operation: str) -> tuple[float, float]:
+        """``(lo, hi)`` around :attr:`condition`; NotAFrame naming ``operation`` unless a frame.
+
+        While the singular values are not cached and the screen
+        (:attr:`_bounds_enclosure`) proves ``A > RANK_RTOL * B`` for the
+        exact layer's A and B, the range is ``(B_lo / A_hi, B_hi / A_lo)``
+        and no QR or SVD runs.  Otherwise both ends are the exact condition.
+        The screen decides; it never reports a bound.
+        """
+        screen = None if "singular_values" in self.__dict__ else self._bounds_enclosure
+        if screen is not None:
+            least, most = screen
+            if least.lower > RANK_RTOL * most.upper:
+                return least.upper / most.lower, most.upper / least.lower
+        self.require_frame(operation)
+        condition = self.condition
+        return condition, condition
 
     @cached_property
     def bounds(self) -> FrameBounds:
@@ -357,9 +443,13 @@ def biorthogonal(psi: Frame, phi: Frame) -> bool:
     """Whether <psi_k, phi_j> = delta_kj within tolerance.
 
     Requires equal counts and equal space dimension; true for a Riesz basis
-    paired with its canonical dual, never for a redundant frame (K > n).
+    paired with its canonical dual, never for a redundant frame (K > n): the
+    K x K Gram has rank at most n, so ``|Gram - I|_F >= sqrt(K - n)``, and it
+    is not formed.
     """
     require_shape("vectors of phi", phi.vectors.shape, psi.vectors.shape)
+    if psi.count > psi.space_dim:
+        return False
     # gram(psi, phi) = gram(phi, psi)* has the same distance from I
     deviation = euclidean_norm(gram(psi, phi) - np.eye(psi.count))
     return deviation <= TIGHT_RTOL * math.sqrt(psi.count)

@@ -120,6 +120,15 @@ def singular_values(a, what: str = "matrix") -> np.ndarray:
         return np.linalg.svd(as_matrix(a, what), compute_uv=False)
 
 
+def hermitian_eigs(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The eigenvalues of a finite Hermitian ``a`` in ascending order, without eigenvectors.
+
+    Raises DecompositionFailed naming ``what`` if LAPACK does not converge.
+    """
+    with _converging(f"eigenvalues of the {what}"):
+        return np.linalg.eigvalsh(a)
+
+
 def inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``a^-1`` for a finite square ``a``; DecompositionFailed naming ``what`` if it is singular."""
     with _converging(f"inverse of the {what}"):
@@ -208,12 +217,24 @@ def power_of_two_below(x: float) -> float:
 def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
     """``(p, a / p)``, ``p`` the :func:`power_of_two_below` the largest real or imaginary part.
 
-    The quotient's largest part is in ``[1, 2)``.  The parts are compared, as
-    a modulus may overflow, and divided by :func:`divide_parts`.
+    The quotient, a new array, has its largest part in ``[1, 2)``.  The parts
+    are compared, as a modulus may overflow, and divided by
+    :func:`split_scale_in_place`.
     """
-    a = np.ascontiguousarray(a)
-    scale = power_of_two_below(float(np.abs(a.view(np.float64)).max()))
-    return scale, divide_parts(a, scale)
+    quotient = np.array(a, dtype=np.complex128, order="C")
+    return split_scale_in_place(quotient), quotient
+
+
+def split_scale_in_place(a: np.ndarray) -> float:
+    """Divide the C-contiguous complex128 ``a`` in place as :func:`split_scale` does; return ``p``.
+
+    The largest part is ``max(max, -min)`` of the parts, so no array of
+    moduli is allocated; the quotient is the same bits as :func:`divide_parts`'s.
+    """
+    parts = a.view(np.float64)
+    scale = power_of_two_below(float(max(parts.max(), -parts.min())))
+    parts /= scale
+    return scale
 
 
 def divide_parts(a: np.ndarray, scale: float) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 from .exceptions import IncompatibleFrames
 from .frames import Frame, numerical_rank
 from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, frozen,
-                     require_finite, require_shape, singular_values, split_scale, wrap_checked)
+                     require_finite, require_shape, singular_values, split_scale_in_place,
+                     wrap_checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +221,15 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
                       finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
-    # each block divided by a power of two near its largest real or imaginary
-    # part, so neither block's scale sets the other's rank cutoff; D = C* has
-    # C's singular values
-    blocks = [split_scale(frame.synthesis_matrix)[1], split_scale(e.T)[1]]
-    s_stack = singular_values(np.vstack(blocks), "stacked frame and images")
+    # D = C* (with C's singular values) stacked on the images in one buffer,
+    # each block divided in place by a power of two near its largest real or
+    # imaginary part, so neither block's scale sets the other's rank cutoff
+    n = frame.space_dim
+    stacked = np.empty((n + e.shape[1], frame.count), dtype=np.complex128)
+    stacked[:n], stacked[n:] = frame.synthesis_matrix, e.T
+    for block in (stacked[:n], stacked[n:]):
+        split_scale_in_place(block)
+    s_stack = singular_values(stacked, "stacked frame and images")
     return op, numerical_rank(s_stack) == numerical_rank(frame.singular_values)
 
 

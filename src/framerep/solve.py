@@ -18,9 +18,17 @@ below ``rel_tol`` times the largest.
   ``1 / rel_tol`` every singular value is kept, ``M^+ = Q X^-1 Q*`` and the
   solution ``R^-1 X^-1 R g`` is ``O^-1 g``.  One LU factorization of O gives
   both ``O^-1 g`` and ``|O^-1|_F``.  The coefficients are ``c = C f``, and
-  ``M c - d = C (O f - g)`` because ``D_dual C = I``.  Only the frame's
-  singular values are read; X is not formed, so no intermediate leaves the
-  float range when the solution does not.
+  ``M c - d = C (O f - g)`` because ``D_dual C = I``.  X is not formed, so no
+  intermediate leaves the float range when the solution does not.  The LU
+  comes first; for an invertible O whose guard holds at B/A = 1 (its least
+  value), on a frame whose singular values are not cached, the frame check,
+  the guard and the conditioning warning are decided from the frame's
+  certified screen (an enclosure of B/A from the eigenvalues of S, see
+  :mod:`framerep.frames`), and the singular values are read only where the
+  enclosure straddles a threshold.  Each decision is the one the singular
+  values give, so the report is the same bits either way.  Any other solve
+  takes the cutoff path, which reads the singular values anyway, so it
+  computes no screen.
 * Cutoff path (every other case: a section, a singular or ill-conditioned O,
   a large ``rel_tol``).  The solve reads the frame's R, works on ``Q* d = R
   g`` and returns ``y = Q* c``, from which the solution is ``R^-1 y``; the
@@ -163,17 +171,26 @@ def solve(op: LinearOperator, g, frame: Frame,
     if options is None:
         options = SolveOptions()
     g = as_vector(g, "right-hand side", frame.space_dim)
-    frame.require_frame("discretization")
     n, k = frame.space_dim, frame.count
-    require_shape("operator matrix", op.matrix.shape, (n, n))
     n_section = options.section_size if options.section_size is not None else k
-    if n_section > k:
-        raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
     rel_tol = options.rel_tol
     if rel_tol is None:
         rel_tol = n_section * EPS
 
-    f_hat = _inverse_if_all_kept(op.matrix, g, frame.condition, rel_tol) if n_section == k else None
+    # the full system's LU of O comes first.  The cutoff path reads the exact
+    # singular values, so the screen runs only while the closed form is possible
+    closed = (_closed_form(op.matrix, g, rel_tol)
+              if n_section == k and op.matrix.shape == (n, n) else None)
+    if closed is None:
+        frame.require_frame("discretization")
+    condition = frame._condition_range("discretization")
+    require_shape("operator matrix", op.matrix.shape, (n, n))
+    if n_section > k:
+        raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
+
+    f_hat = None
+    if closed is not None and _decide(closed[1], condition, frame):
+        f_hat = closed[0]
     if f_hat is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             d = require_finite("right-hand side's coefficient vector C g",
@@ -193,24 +210,43 @@ def solve(op: LinearOperator, g, frame: Frame,
         residual_operator=_relative(operator_residual, g),
         residual_matrix=_relative(matrix_residual, d),
         section_used=n_section,
-        conditioning_warning=frame.condition > CONDITION_WARN_RATIO,
+        conditioning_warning=_decide(lambda ratio: ratio > CONDITION_WARN_RATIO, condition,
+                                     frame),
     )
 
 
-def _inverse_if_all_kept(o, g, condition, rel_tol):
-    """``O^-1 g`` if the cutoff provably keeps every singular value of X, else None.
+def _closed_form(o, g, rel_tol):
+    """``(O^-1 g, all_kept)`` while the closed form is possible, else None.
 
-    ``kappa_2(X) <= (B/A) kappa_2(O) <= condition * |O|_F |O^-1|_F``; below
-    ``1 / rel_tol`` no singular value is at or below the cutoff.  None also
-    for a singular O and for an inverse or solution beyond the float range.
+    ``all_kept(condition)`` is the guard: ``kappa_2(X) <= (B/A) kappa_2(O) <=
+    condition * |O|_F |O^-1|_F``, and below ``1 / rel_tol`` no singular value
+    is at or below the cutoff.  None for a singular O, for an inverse or
+    solution beyond the float range, and when the guard fails even at
+    ``B/A = 1``, its least value.
     """
     solved = solve_with_inverse(o, g)
     if solved is None:
         return None
     f, inverse = solved
     # |O|_F |O^-1|_F >= n overflows only when kappa does; condition * |O|_F alone could
-    bound = condition * (euclidean_norm(o) * euclidean_norm(inverse))
-    return f if rel_tol * bound < 1.0 else None
+    norms = euclidean_norm(o) * euclidean_norm(inverse)
+
+    def all_kept(condition):
+        return rel_tol * (condition * norms) < 1.0
+
+    return (f, all_kept) if all_kept(1.0) else None
+
+
+def _decide(predicate, condition, frame) -> bool:
+    """``predicate(frame.condition)`` for a ``predicate`` monotone in the condition.
+
+    ``condition`` is :meth:`Frame._condition_range`'s ``(lo, hi)``; when the
+    predicate agrees at both ends it holds or fails in between too, and the
+    frame's singular values are not read.  Rounding is monotone, so a
+    predicate built from floating-point products and one comparison is.
+    """
+    at_lo, at_hi = (predicate(end) for end in condition)
+    return at_lo if at_lo == at_hi else predicate(frame.condition)
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):

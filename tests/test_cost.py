@@ -29,6 +29,7 @@ DECOMPOSITIONS = ("qr", "svd", "solve", "inv", "pinv", "lstsq", "eig", "eigh", "
 R_ONLY_QR = "qr Kxn r"
 FRAME_QR = "qr Kxn reduced"
 R_VALUES = "svd nxn values"
+SCREEN = "eigvalsh nxn"
 CLOSED_FORM = "solve nxn"
 R_INVERSE = "inv nxn"
 X_SVD = "svd nxn vectors"
@@ -38,15 +39,20 @@ DUAL = [FRAME_QR, R_VALUES, R_INVERSE]
 
 #: (entry point, cold calls, warm calls).  The K x n Q of a reduced QR of C is
 #: the dual's and the projector's alone: no solve row holds "qr Kxn reduced".
+#: A full-system solve takes O's LU first; a cold frame's screen then decides
+#: the closed form without R.  A singular O, or a guard that fails even at
+#: B/A = 1, skips the screen.
 TABLE = {
     "bounds": ([R_ONLY_QR, R_VALUES], []),
     "classification": ([R_ONLY_QR, R_VALUES], []),
     "canonical_dual": (DUAL, []),
     "project_onto_analysis_range": ([FRAME_QR, R_VALUES], []),
-    "solve closed form": ([R_ONLY_QR, R_VALUES, CLOSED_FORM], [CLOSED_FORM]),
-    "solve full cutoff": ([R_ONLY_QR, R_VALUES, CLOSED_FORM, R_INVERSE, X_SVD],
+    "solve closed form": ([CLOSED_FORM, SCREEN], [CLOSED_FORM]),
+    "solve full cutoff": ([CLOSED_FORM, R_ONLY_QR, R_VALUES, R_INVERSE, X_SVD],
                           [CLOSED_FORM, X_SVD]),
-    "solve singular operator": ([R_ONLY_QR, R_VALUES, CLOSED_FORM, R_INVERSE, X_SVD],
+    "solve guard fails on the screen": ([CLOSED_FORM, SCREEN, R_ONLY_QR, R_VALUES, R_INVERSE,
+                                         X_SVD], [CLOSED_FORM, X_SVD]),
+    "solve singular operator": ([CLOSED_FORM, R_ONLY_QR, R_VALUES, R_INVERSE, X_SVD],
                                 [CLOSED_FORM, X_SVD]),
     "solve section K/2": ([R_ONLY_QR, R_VALUES, R_INVERSE, SECTION_QR, X_SVD],
                           [SECTION_QR, X_SVD]),
@@ -72,17 +78,23 @@ ORDERS = {
     # the dual and the cutoff path share the frame's one inverse of R
     "canonical_dual, then solve full cutoff": ("canonical_dual", "solve full cutoff",
                                                DUAL + [CLOSED_FORM, X_SVD]),
+    # cached singular values decide the closed form: no screen
+    "bounds, then solve closed form": ("bounds", "solve closed form",
+                                       [R_ONLY_QR, R_VALUES, CLOSED_FORM]),
+    # the screen decides and never reports: bounds still take the QR and SVD
+    "solve closed form, then bounds": ("solve closed form", "bounds",
+                                       [CLOSED_FORM, SCREEN, R_ONLY_QR, R_VALUES]),
 }
 
-#: Entry points whose result, or for ``biorthogonal`` the Gram matrix it
-#: compares with the identity, is K x K: no peak-memory bound below K^2 holds.
-K_BY_K = {"gram", "biorthogonal", "matrix_of_operator", "Representation.compose"}
+#: Entry points whose result is K x K: no peak-memory bound below K^2 holds.
+#: ``biorthogonal`` is not among them: for K > n it forms no Gram matrix.
+K_BY_K = {"gram", "matrix_of_operator", "Representation.compose"}
 
 #: A cold call's traced peak, in units of ``K n + n^2`` complex numbers, stays
 #: below this at n = 16, K = 1024, where a K x K array alone is 63 units and
-#: an (K/2) x (K/2) one 16.  The worst were 8.2 (``operator_from_images
-#: diagnose``) and 7.9 (``operator_of_matrix``: the finiteness check of its
-#: K x K input allocates 2 K^2 bytes).
+#: an (K/2) x (K/2) one 16.  The worst were 7.9 (``operator_of_matrix``: the
+#: finiteness check of its K x K input allocates 2 K^2 bytes) and 6.2
+#: (``operator_from_images diagnose``).
 PEAK_UNITS = 12
 
 
@@ -94,6 +106,8 @@ def _entry_points(vectors, n_section):
     c, weights, images = random_complex(rng, k), random_complex(rng, k), random_complex(rng, k, n)
     coefficients = random_complex(rng, k, k)
     singular = LinearOperator(np.diag(np.r_[np.ones(n - 1), 0.0]))
+    norms = np.linalg.norm(op.matrix) * np.linalg.norm(np.linalg.inv(op.matrix))
+    screen_tol = 1.0 / (norms * np.sqrt(Frame(vectors).condition))
     # equal to the canonical dual, but not the same object: compose compares them
     dual = Frame(Frame(vectors).canonical_dual().vectors)
     return {
@@ -102,8 +116,11 @@ def _entry_points(vectors, n_section):
         "canonical_dual": Frame.canonical_dual,
         "project_onto_analysis_range": lambda frame: project_onto_analysis_range(frame, c),
         "solve closed form": lambda frame: solve(op, g, frame),
-        # rel_tol * |O|_F |O^-1|_F >= 0.5 n > 1 fails the closed form's guard
+        # rel_tol * |O|_F |O^-1|_F >= 0.5 n > 1 fails the closed form's guard at any B/A
         "solve full cutoff": lambda frame: solve(op, g, frame, SolveOptions(rel_tol=0.5)),
+        # the guard holds at B/A = 1 and fails at the frame's B/A: the screen decides
+        "solve guard fails on the screen": lambda frame: solve(op, g, frame,
+                                                               SolveOptions(rel_tol=screen_tol)),
         # the LU of a singular O fails, so the closed form's attempt gives way to the cutoff path
         "solve singular operator": lambda frame: solve(singular, g, frame),
         "solve section K/2": lambda frame: solve(op, g, frame,

@@ -461,6 +461,50 @@ class TestSpectralLayers:
         assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - s)) <= 1e-14 * s[0]
 
 
+class TestScreen:
+    """The cached enclosure of the bounds, computed from the eigenvalues of S."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 12),
+        extra=st.integers(0, 40),
+        log_condition=st.floats(0.0, 12.0),
+        exponent=st.sampled_from([0, 300, -300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_encloses_the_exact_layers_bounds(self, n, extra, log_condition, exponent, seed):
+        rng = np.random.default_rng(seed)
+        vectors = frame_with_condition(rng, n, n + extra, 10.0**log_condition).vectors
+        frame = Frame(vectors * 2.0**exponent)
+        least, most = frame._bounds_enclosure
+        s = frame.singular_values
+        lower, upper = float(s[-1]) ** 2, float(s[0]) ** 2
+        assert least.lower <= lower <= most.lower
+        assert least.upper <= upper <= most.upper
+
+    def test_none_outside_its_domain(self):
+        rng = np.random.default_rng(31)
+        vectors = random_complex(rng, 6, 3)
+        assert Frame(vectors[:2])._bounds_enclosure is None  # K < n
+        assert Frame(vectors * 1e160)._bounds_enclosure is None  # S overflows
+        # tr S outside [2^-800, 2^800], S itself finite
+        for exponent in (410, -410):
+            frame = Frame(vectors * 2.0**exponent)
+            assert np.isfinite(frame.frame_operator).all()
+            assert frame._bounds_enclosure is None
+        assert Frame(vectors * 2.0**390)._bounds_enclosure is not None
+
+    def test_decides_and_never_reports(self):
+        # a screened solve leaves the bounds to the exact layer: the same bits
+        rng = np.random.default_rng(32)
+        vectors = random_complex(rng, 40, 6)
+        screened, fresh = Frame(vectors), Frame(vectors)
+        solve(conditioned_operator(rng, 6), random_complex(rng, 6), screened)
+        assert "singular_values" not in screened.__dict__
+        assert screened.bounds == fresh.bounds
+        assert screened.condition == fresh.condition
+
+
 class TestGram:
     def test_psi0_golden(self, psi0):
         expected = [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
@@ -590,6 +634,15 @@ class TestBiorthogonal:
 
     def test_onb_with_itself(self, onb2):
         assert biorthogonal(onb2, onb2)
+
+    def test_redundant_frame_forms_no_gram(self):
+        # K > n: the K x K Gram has rank n, so it is not formed, and one that
+        # would overflow is no error
+        frame = Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])
+        assert not biorthogonal(frame, frame)
+        basis = Frame([[1e160, 0], [0, 1e160]])
+        with pytest.raises(FrameRepError, match="Gram matrix"):
+            biorthogonal(basis, basis)
 
     def test_count_mismatch(self, psi0, onb2):
         with pytest.raises(DimensionMismatch,

@@ -24,6 +24,7 @@ from framerep import (
     project_onto_analysis_range,
     solve,
 )
+from framerep.frames import CONDITION_WARN_RATIO, RANK_RTOL
 from framerep.linalg import euclidean_norm
 from helpers import (
     conditioned_operator,
@@ -395,17 +396,20 @@ class TestFactoredSolve:
         assert sides == {True, False}
 
     def test_never_forms_the_left_factor(self, monkeypatch):
+        # every spectral decomposition, the cold closed form's screen on S
+        # included, runs on at most n rows
         rng = np.random.default_rng(26)
         n, k = 6, 48
-        real_svd = np.linalg.svd
+        reals = {name: getattr(np.linalg, name) for name in ("svd", "eigvalsh")}
         for section in (None, 1, n - 1, n, n + 1, k - 1):
             shapes = []
+            for name, real in reals.items():
 
-            def recording_svd(a, *args, **kwargs):
-                shapes.append(np.shape(a))
-                return real_svd(a, *args, **kwargs)
+                def recording(a, *args, _real=real, **kwargs):
+                    shapes.append(np.shape(a))
+                    return _real(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, "svd", recording_svd)
+                monkeypatch.setattr(np.linalg, name, recording)
             frame = Frame(random_complex(rng, k, n))
             solve(conditioned_operator(rng, n), random_complex(rng, n), frame,
                   SolveOptions(section_size=section))
@@ -430,6 +434,60 @@ class TestFactoredSolve:
             with pytest.raises(DecompositionFailed, match="core"):
                 solve(LinearOperator(np.diag([1.0, 0.0])), [1, 0], psi0,
                       SolveOptions(section_size=section))
+
+
+def _outcome(op, g, frame, options):
+    """Every field of ``solve``'s report, arrays as bytes, or the exception it raised."""
+    try:
+        report = solve(op, g, frame, options)
+    except NotAFrame as exc:
+        return "raised", str(exc)
+    return (report.solution.tobytes(), report.coefficients.tobytes(), report.residual_operator,
+            report.residual_matrix, report.section_used, report.conditioning_warning)
+
+
+class TestScreenedSolve:
+    """A cold full-system solve takes its decisions from the frame's screen, the
+    enclosure of its bounds; where the screen cannot decide it reads the exact
+    singular values, so every report is the one a frame with them read first gives."""
+
+    def test_reports_equal_the_exact_layers_near_each_line(self):
+        fell_back = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(
+            n=st.integers(2, 6),
+            extra=st.integers(0, 12),
+            line=st.sampled_from(["warning", "rank", "guard"]),
+            log_offset=st.floats(-12.0, -6.0),
+            side=st.sampled_from([-1.0, 1.0]),
+            log_condition=st.floats(0.0, 8.0),
+            # the screen's window on tr S holds 2^+-300 frames, not 2^+-500 ones
+            exponent=st.sampled_from([0, 300, -300, 500, -500]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(n, extra, line, log_offset, side, log_condition, exponent, seed):
+            rng = np.random.default_rng(seed)
+            # within 1e-6 relative of B/A = 1e6, of A = 1e-10 B, or of rel_tol * bound = 1
+            offset = 1.0 + side * 10.0**log_offset
+            condition = {"warning": CONDITION_WARN_RATIO * offset,
+                         "rank": offset / RANK_RTOL}.get(line, 10.0**log_condition)
+            vectors = frame_with_condition(rng, n, n + extra, condition).vectors * 2.0**exponent
+            op, g = conditioned_operator(rng, n), random_complex(rng, n)
+            warm, cold = Frame(vectors), Frame(vectors)
+            warm.singular_values
+            rel_tol = None
+            if line == "guard":
+                bound = warm.condition * (euclidean_norm(op.matrix)
+                                          * euclidean_norm(np.linalg.inv(op.matrix)))
+                rel_tol = offset / bound
+            options = SolveOptions(rel_tol=rel_tol)
+            assert _outcome(op, g, cold, options) == _outcome(op, g, warm, options)
+            fell_back.add("singular_values" in cold.__dict__)
+
+        check()
+        # the screen decided some solves alone and handed others to the exact layer
+        assert fell_back == {True, False}
 
 
 class TestScaleEquivariance:
