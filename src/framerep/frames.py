@@ -34,21 +34,12 @@ analysis matrix, in layers computed lazily and cached:
 
 No layer holds singular vectors.
 
-Beside the exact layers sits one certified screen,
-``Frame._bounds_enclosure``: the eigenvalues of the cached frame operator
-``S = D C``, widened by a stated worst-case bound on the rounding of S, of
-``eigvalsh`` and of the exact layers, enclose the bounds that
-``singular_values`` would give.  It decides, never reports: a cold
-full-system solve that may take the closed form takes its frame check,
-closed-form guard and conditioning warning from it
-(``Frame._condition_range``) and reads the exact layers only where the
-enclosure straddles a threshold, so its report is the same bits.
-Every reported bound, condition and classification is the exact layers'.
-
-Working on the singular values rather than on ``S = C* C`` keeps the
-condition number and the dynamic range of every reported value unsquared;
-the screen works on S, where squaring only widens what it hands back
-to these layers.
+Beside them sits one certified screen, ``Frame._bounds_enclosure``: the
+extreme eigenvalues of the cached frame operator ``S = D C``, widened by a
+stated rounding bound, enclose the bounds the exact layers give.  It decides,
+never reports: ``Frame._condition_below(t)`` is True only when it proves the
+exact layers' B/A below ``t``.  Working on the singular values rather than on
+``S = C* C`` keeps every reported value's condition and dynamic range unsquared.
 
 Besides the spectral layers a frame caches, on first use, its reconstruction
 factor ``D C_dual = sum_k psi_k dual_k*`` (n x n, the identity up to
@@ -235,8 +226,8 @@ class Frame:
         s_i^2|`` is below ``8 (K n + n^2) eps tr S`` to first order.  ``r`` is
         twice that; the spare, at least ``16 eps max(A, B)``, covers the
         second-order terms and the few roundings (each at most ``u``
-        relative) in forming ``lambda_i +- r`` and the ratios that
-        :meth:`_condition_range` compares.  The model of one relative
+        relative) in forming ``lambda_i +- r`` and the products that
+        :meth:`_condition_below` compares.  The model of one relative
         rounding per operation fails only through underflow, whose absolute
         error per entry, about ``K 2^-1074``, is negligible beside ``eps tr
         S`` for ``tr S >= 2^-800``.
@@ -263,23 +254,20 @@ class Frame:
         return (FrameBounds(low - radius, high - radius),
                 FrameBounds(low + radius, high + radius))
 
-    def _condition_range(self, operation: str) -> tuple[float, float]:
-        """``(lo, hi)`` around :attr:`condition`; NotAFrame naming ``operation`` unless a frame.
+    def _condition_below(self, t: float) -> bool:
+        """True only when :attr:`_bounds_enclosure` proves :attr:`condition` below ``t``.
 
-        While the singular values are not cached and the screen
-        (:attr:`_bounds_enclosure`) proves ``A > RANK_RTOL * B`` for the
-        exact layer's A and B, the range is ``(B_lo / A_hi, B_hi / A_lo)``
-        and no QR or SVD runs.  Otherwise both ends are the exact condition.
-        The screen decides; it never reports a bound.
+        The proof is ``A_lo > RANK_RTOL * B_hi`` (the frame check) and ``B_hi
+        (1 + 2^-30) < t A_lo`` for the enclosure's least A and most B; the
+        factor covers the two products' roundings and the exact layer's own
+        in ``(s[0] / s[-1])^2``.  No QR or SVD runs.
         """
-        screen = None if "singular_values" in self.__dict__ else self._bounds_enclosure
-        if screen is not None:
-            least, most = screen
-            if least.lower > RANK_RTOL * most.upper:
-                return least.upper / most.lower, most.upper / least.lower
-        self.require_frame(operation)
-        condition = self.condition
-        return condition, condition
+        screen = self._bounds_enclosure
+        if screen is None:
+            return False
+        least, most = screen
+        return (least.lower > RANK_RTOL * most.upper
+                and most.upper * (1 + 2.0**-30) < t * least.lower)
 
     @cached_property
     def bounds(self) -> FrameBounds:

@@ -20,15 +20,12 @@ below ``rel_tol`` times the largest.
   both ``O^-1 g`` and ``|O^-1|_F``.  The coefficients are ``c = C f``, and
   ``M c - d = C (O f - g)`` because ``D_dual C = I``.  X is not formed, so no
   intermediate leaves the float range when the solution does not.  The LU
-  comes first; for an invertible O whose guard holds at B/A = 1 (its least
-  value), on a frame whose singular values are not cached, the frame check,
-  the guard and the conditioning warning are decided from the frame's
-  certified screen (an enclosure of B/A from the eigenvalues of S, see
-  :mod:`framerep.frames`), and the singular values are read only where the
-  enclosure straddles a threshold.  Each decision is the one the singular
-  values give, so the report is the same bits either way.  Any other solve
-  takes the cutoff path, which reads the singular values anyway, so it
-  computes no screen.
+  comes first; on a frame whose singular values are not cached, one
+  certificate (``Frame._condition_below``, see :mod:`framerep.frames`) that
+  B/A is below both 1e6 and ``0.5 / (rel_tol |O|_F |O^-1|_F)`` settles the
+  frame check, the guard and the warning; any other answer reads the
+  singular values, so the report is the same bits.  A singular O, or a guard
+  that fails even at B/A = 1, asks no certificate.
 * Cutoff path (every other case: a section, a singular or ill-conditioned O,
   a large ``rel_tol``).  The solve reads the frame's R, works on ``Q* d = R
   g`` and returns ``y = Q* c``, from which the solution is ``R^-1 y``; the
@@ -177,20 +174,22 @@ def solve(op: LinearOperator, g, frame: Frame,
     if rel_tol is None:
         rel_tol = n_section * EPS
 
-    # the full system's LU of O comes first.  The cutoff path reads the exact
-    # singular values, so the screen runs only while the closed form is possible
+    # the LU of O first.  B/A below 1e6 and 0.5 / (rel_tol |O|_F |O^-1|_F), taken without
+    # overflow, means a frame, no warning and a rounded guard below 1
     closed = (_closed_form(op.matrix, g, rel_tol)
               if n_section == k and op.matrix.shape == (n, n) else None)
-    if closed is None:
+    if closed and "singular_values" not in frame.__dict__ and frame._condition_below(
+            CONDITION_WARN_RATIO / max(1.0, 2 * CONDITION_WARN_RATIO * rel_tol * closed[1])):
+        f_hat, warning = closed[0], False
+    else:
         frame.require_frame("discretization")
-    condition = frame._condition_range("discretization")
+        condition = frame.condition
+        f_hat = closed[0] if closed and rel_tol * (condition * closed[1]) < 1.0 else None
+        warning = condition > CONDITION_WARN_RATIO
     require_shape("operator matrix", op.matrix.shape, (n, n))
     if n_section > k:
         raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
 
-    f_hat = None
-    if closed is not None and _decide(closed[1], condition, frame):
-        f_hat = closed[0]
     if f_hat is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             d = require_finite("right-hand side's coefficient vector C g",
@@ -210,19 +209,17 @@ def solve(op: LinearOperator, g, frame: Frame,
         residual_operator=_relative(operator_residual, g),
         residual_matrix=_relative(matrix_residual, d),
         section_used=n_section,
-        conditioning_warning=_decide(lambda ratio: ratio > CONDITION_WARN_RATIO, condition,
-                                     frame),
+        conditioning_warning=warning,
     )
 
 
 def _closed_form(o, g, rel_tol):
-    """``(O^-1 g, all_kept)`` while the closed form is possible, else None.
+    """``(O^-1 g, |O|_F |O^-1|_F)`` while the closed form is possible, else None.
 
-    ``all_kept(condition)`` is the guard: ``kappa_2(X) <= (B/A) kappa_2(O) <=
-    condition * |O|_F |O^-1|_F``, and below ``1 / rel_tol`` no singular value
-    is at or below the cutoff.  None for a singular O, for an inverse or
-    solution beyond the float range, and when the guard fails even at
-    ``B/A = 1``, its least value.
+    The guard ``rel_tol * (condition * |O|_F |O^-1|_F) < 1`` bounds ``rel_tol
+    kappa_2(X)``, so no singular value is at or below the cutoff.  None for a
+    singular O, for an inverse or solution beyond the float range, and when
+    the guard fails even at ``B/A = 1``, its least value.
     """
     solved = solve_with_inverse(o, g)
     if solved is None:
@@ -230,23 +227,7 @@ def _closed_form(o, g, rel_tol):
     f, inverse = solved
     # |O|_F |O^-1|_F >= n overflows only when kappa does; condition * |O|_F alone could
     norms = euclidean_norm(o) * euclidean_norm(inverse)
-
-    def all_kept(condition):
-        return rel_tol * (condition * norms) < 1.0
-
-    return (f, all_kept) if all_kept(1.0) else None
-
-
-def _decide(predicate, condition, frame) -> bool:
-    """``predicate(frame.condition)`` for a ``predicate`` monotone in the condition.
-
-    ``condition`` is :meth:`Frame._condition_range`'s ``(lo, hi)``; when the
-    predicate agrees at both ends it holds or fails in between too, and the
-    frame's singular values are not read.  Rounding is monotone, so a
-    predicate built from floating-point products and one comparison is.
-    """
-    at_lo, at_hi = (predicate(end) for end in condition)
-    return at_lo if at_lo == at_hi else predicate(frame.condition)
+    return (f, norms) if rel_tol * norms < 1.0 else None
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):

@@ -28,6 +28,7 @@ from framerep import (
     roundtrip_reconstruct,
     solve,
 )
+from framerep.frames import CONDITION_WARN_RATIO
 from helpers import (
     LAYOUTS,
     conditioned_operator,
@@ -462,7 +463,8 @@ class TestSpectralLayers:
 
 
 class TestScreen:
-    """The cached enclosure of the bounds, computed from the eigenvalues of S."""
+    """The cached enclosure of the bounds, computed from the eigenvalues of S, and
+    the certificate ``Frame._condition_below(t)`` it gives."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -482,17 +484,47 @@ class TestScreen:
         assert least.lower <= lower <= most.lower
         assert least.upper <= upper <= most.upper
 
+    def test_true_implies_condition_below(self):
+        answers = set()
+
+        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @given(
+            n=st.integers(1, 12),
+            extra=st.integers(0, 40),
+            log_condition=st.floats(0.0, 12.0),
+            exponent=st.sampled_from([0, 300, -300]),
+            t=st.one_of(st.just(CONDITION_WARN_RATIO), st.floats(1.0, CONDITION_WARN_RATIO)),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(n, extra, log_condition, exponent, t, seed):
+            rng = np.random.default_rng(seed)
+            vectors = frame_with_condition(rng, n, n + extra, 10.0**log_condition).vectors
+            frame = Frame(vectors * 2.0**exponent)
+            proven = frame._condition_below(t)
+            assert "singular_values" not in frame.__dict__
+            if proven:
+                assert frame.condition < t
+            answers.add(proven)
+
+        check()
+        assert answers == {True, False}
+
     def test_none_outside_its_domain(self):
         rng = np.random.default_rng(31)
         vectors = random_complex(rng, 6, 3)
-        assert Frame(vectors[:2])._bounds_enclosure is None  # K < n
-        assert Frame(vectors * 1e160)._bounds_enclosure is None  # S overflows
+
+        def outside(frame):
+            return (frame._bounds_enclosure is None
+                    and not frame._condition_below(CONDITION_WARN_RATIO))
+
+        assert outside(Frame(vectors[:2]))  # K < n
+        assert outside(Frame(vectors * 1e160))  # S overflows
         # tr S outside [2^-800, 2^800], S itself finite
         for exponent in (410, -410):
             frame = Frame(vectors * 2.0**exponent)
             assert np.isfinite(frame.frame_operator).all()
-            assert frame._bounds_enclosure is None
-        assert Frame(vectors * 2.0**390)._bounds_enclosure is not None
+            assert outside(frame)
+        assert Frame(vectors * 2.0**390)._condition_below(CONDITION_WARN_RATIO)
 
     def test_decides_and_never_reports(self):
         # a screened solve leaves the bounds to the exact layer: the same bits

@@ -168,3 +168,25 @@ def test_multipliers(phi_spec, dim_in, seed):
     identity = frame_multiplier(np.ones(phi.count), phi, phi.canonical_dual())
     error = frobenius_norm(identity.matrix - np.eye(phi.space_dim))
     assert error <= TOL * EPS * kappa(phi) * np.sqrt(phi.space_dim)
+
+
+#: A Riesz basis: K = n vectors, scale within 10^±3.
+riesz_spec = st.tuples(st.integers(1, 6), st.just(0), st.floats(0.0, 6.0), st.floats(-3.0, 3.0))
+
+
+@SETTINGS
+@given(phi_spec=riesz_spec, psi_spec=riesz_spec, seed=seeds)
+def test_riesz_bases_represent_bijectively(phi_spec, psi_spec, seed):
+    """For Riesz bases, rep over (phi, psi) and the operator induced over the duals
+    invert each other: O -> M -> O and M -> O -> M."""
+    rng = np.random.default_rng(seed)
+    phi, psi = make_frame(rng, phi_spec), make_frame(rng, psi_spec)
+    phi_dual, psi_dual = phi.canonical_dual(), psi.canonical_dual()
+    op = random_operator(rng, phi.space_dim, psi.space_dim)
+    back = operator_of_matrix(matrix_of_operator(op, phi, psi).matrix, phi_dual, psi_dual)
+    error = frobenius_norm(back.matrix - op.matrix)
+    assert error <= TOL * EPS * kappa(phi, psi) * frobenius_norm(op.matrix)
+
+    m = random_complex(rng, phi.count, psi.count)
+    m_back = matrix_of_operator(operator_of_matrix(m, phi_dual, psi_dual), phi, psi).matrix
+    assert frobenius_norm(m_back - m) <= TOL * EPS * kappa(phi, psi) * frobenius_norm(m)

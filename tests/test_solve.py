@@ -447,18 +447,19 @@ def _outcome(op, g, frame, options):
 
 
 class TestScreenedSolve:
-    """A cold full-system solve takes its decisions from the frame's screen, the
-    enclosure of its bounds; where the screen cannot decide it reads the exact
-    singular values, so every report is the one a frame with them read first gives."""
+    """A cold full-system solve takes its decisions from the frame's certificate on
+    its screen, the enclosure of its bounds; where the certificate does not prove
+    B/A below every line it reads the exact singular values, so every report is
+    the one a frame with them read first gives."""
 
     def test_reports_equal_the_exact_layers_near_each_line(self):
         fell_back = set()
 
-        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=270, deadline=None, derandomize=True, database=None)
         @given(
             n=st.integers(2, 6),
             extra=st.integers(0, 12),
-            line=st.sampled_from(["warning", "rank", "guard"]),
+            line=st.sampled_from(["warning", "rank", "guard", "far"]),
             log_offset=st.floats(-12.0, -6.0),
             side=st.sampled_from([-1.0, 1.0]),
             log_condition=st.floats(0.0, 8.0),
@@ -468,10 +469,12 @@ class TestScreenedSolve:
         )
         def check(n, extra, line, log_offset, side, log_condition, exponent, seed):
             rng = np.random.default_rng(seed)
-            # within 1e-6 relative of B/A = 1e6, of A = 1e-10 B, or of rel_tol * bound = 1
+            # within 1e-6 relative of B/A = 1e6, of A = 1e-10 B, or of rel_tol * bound = 1;
+            # "far" is at least a factor 100 below B/A = 1e6 with the default rel_tol
             offset = 1.0 + side * 10.0**log_offset
             condition = {"warning": CONDITION_WARN_RATIO * offset,
-                         "rank": offset / RANK_RTOL}.get(line, 10.0**log_condition)
+                         "rank": offset / RANK_RTOL,
+                         "far": 10.0 ** (log_condition / 2)}.get(line, 10.0**log_condition)
             vectors = frame_with_condition(rng, n, n + extra, condition).vectors * 2.0**exponent
             op, g = conditioned_operator(rng, n), random_complex(rng, n)
             warm, cold = Frame(vectors), Frame(vectors)
@@ -486,8 +489,22 @@ class TestScreenedSolve:
             fell_back.add("singular_values" in cold.__dict__)
 
         check()
-        # the screen decided some solves alone and handed others to the exact layer
+        # the certificate decided some solves alone and handed others to the exact layer
         assert fell_back == {True, False}
+
+    def test_guard_limit_below_the_warning_line(self):
+        # rel_tol puts the guard's limit at B/A = 500, below the warning's 1e6:
+        # the certificate proves B/A = 10 below it, and no QR runs
+        rng = np.random.default_rng(29)
+        vectors = frame_with_condition(rng, 5, 40, 10.0).vectors
+        op, g = conditioned_operator(rng, 5), random_complex(rng, 5)
+        norms = euclidean_norm(op.matrix) * euclidean_norm(np.linalg.inv(op.matrix))
+        options = SolveOptions(rel_tol=1e-3 / norms)
+        warm, cold = Frame(vectors), Frame(vectors)
+        warm.singular_values
+        assert _outcome(op, g, cold, options) == _outcome(op, g, warm, options)
+        assert "_triangular_factor" not in cold.__dict__
+        assert cold._condition_below(1e3) and not cold._condition_below(5.0)
 
 
 class TestScaleEquivariance:
