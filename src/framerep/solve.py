@@ -198,16 +198,19 @@ def solve(op: LinearOperator, g, frame: Frame,
             # M c - d = C (O f - g)
             c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)
             operator_residual = op(f_hat) - g
-            matrix_residual = frame.analysis_matrix @ operator_residual
+            # O f - g meets C as its quotient by a power of two, multiplied back
+            # into the ratio, so C (O f - g) is not subnormal at a small frame scale
+            residual_scale, unit_residual = split_scale(operator_residual)
+            matrix_residual = frame.analysis_matrix @ unit_residual
     else:
         # the residual and right-hand side come as Q* (M c - d) and Q* d, of equal norms
         f_hat, c, matrix_residual, d = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
-        operator_residual = op(f_hat) - g
+        operator_residual, residual_scale = op(f_hat) - g, 1.0
     return SolveReport(
         solution=f_hat,
         coefficients=c,
         residual_operator=_relative(operator_residual, g),
-        residual_matrix=_relative(matrix_residual, d),
+        residual_matrix=_relative(matrix_residual, d) * residual_scale,
         section_used=n_section,
         conditioning_warning=warning,
     )

@@ -1,6 +1,8 @@
-"""End-to-end tests of the command-line interface (subprocess level)."""
+"""End-to-end tests of the command-line interface, in a subprocess or in process through main."""
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ def workdir(tmp_path):
     (tmp_path / "psi0dual.json").write_text(serialize_frame(psi0.canonical_dual()))
     (tmp_path / "id2.json").write_text(serialize_matrix(np.eye(2)))
     (tmp_path / "diag23.json").write_text(serialize_matrix([[2, 0], [0, 3]]))
+    (tmp_path / "id3.json").write_text(serialize_matrix(np.eye(3)))
     (tmp_path / "g.json").write_text(serialize_vector([2, 3]))
     (tmp_path / "bessel.json").write_text(serialize_frame(Frame([[1, 0], [2, 0]])))
     (tmp_path / "ones3.json").write_text(serialize_vector([1, 1, 1]))
@@ -136,6 +139,156 @@ class TestHappyPaths:
         assert result.stdout == ""
         payload = json.loads((workdir / "out.json").read_text())
         assert payload["B"] == pytest.approx(3.0, abs=1e-12)
+
+
+#: subcommand case -> (arguments, stdout, stdout with --json) on the workdir files;
+#: an optional --frame2 is run both given and omitted
+GOLDEN = {
+    "bounds": (
+        "bounds --frame psi0.json",
+        ('A = 1.0\n'
+         'B = 2.9999999999999996\n'),
+        '{"A":1.0,"B":2.9999999999999996}\n',
+    ),
+    "classify": (
+        "classify --frame psi0.json",
+        'Frame\n',
+        '{"class":"Frame"}\n',
+    ),
+    "dual": (
+        "dual --frame psi0.json",
+        ('[[ 0.66666667+0.j, -0.33333333+0.j],\n'
+         ' [-0.33333333+0.j,  0.66666667+0.j],\n'
+         ' [ 0.33333333+0.j,  0.33333333+0.j]]\n'),
+        ('{"version":1,"dim":2,"vectors":[[0.6666666666666664,0.0,-0.3333333333333333,0.0],'
+         '[-0.3333333333333333,0.0,0.6666666666666667,0.0],[0.3333333333333332,0.0,'
+         '0.33333333333333337,0.0]]}\n'),
+    ),
+    "gram": (
+        "gram --frame psi0.json",
+        ('[[1.+0.j, 0.+0.j, 1.+0.j],\n'
+         ' [0.+0.j, 1.+0.j, 1.+0.j],\n'
+         ' [1.+0.j, 1.+0.j, 2.+0.j]]\n'),
+        ('{"version":1,"rows":3,"cols":3,"entries":[1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,0.0,'
+         '1.0,0.0,1.0,0.0,1.0,0.0,2.0,0.0]}\n'),
+    ),
+    "gram-frame2": (
+        "gram --frame psi0.json --frame2 psi0dual.json",
+        ('[[ 0.66666667+0.j, -0.33333333+0.j,  0.33333333+0.j],\n'
+         ' [-0.33333333+0.j,  0.66666667+0.j,  0.33333333+0.j],\n'
+         ' [ 0.33333333+0.j,  0.33333333+0.j,  0.66666667+0.j]]\n'),
+        ('{"version":1,"rows":3,"cols":3,"entries":[0.6666666666666664,0.0,'
+         '-0.3333333333333333,0.0,0.3333333333333332,0.0,-0.3333333333333333,0.0,'
+         '0.6666666666666667,0.0,0.33333333333333337,0.0,0.3333333333333331,0.0,'
+         '0.3333333333333334,0.0,0.6666666666666665,0.0]}\n'),
+    ),
+    "represent": (
+        "represent --op diag23.json --frame psi0.json --frame2 psi0dual.json",
+        ('[[ 1.33333333+0.j, -0.66666667+0.j,  0.66666667+0.j],\n'
+         ' [-1.        +0.j,  2.        +0.j,  1.        +0.j],\n'
+         ' [ 0.33333333+0.j,  1.33333333+0.j,  1.66666667+0.j]]\n'),
+        ('{"version":1,"rows":3,"cols":3,"entries":[1.3333333333333328,0.0,'
+         '-0.6666666666666666,0.0,0.6666666666666664,0.0,-1.0,0.0,2.0,0.0,1.0,0.0,'
+         '0.33333333333333287,0.0,1.3333333333333335,0.0,1.6666666666666665,0.0]}\n'),
+    ),
+    "apply": (
+        "apply --op diag23.json --vec g.json",
+        '[4.+0.j, 9.+0.j]\n',
+        '{"version":1,"rows":2,"cols":1,"entries":[4.0,0.0,9.0,0.0]}\n',
+    ),
+    "roundtrip": (
+        "roundtrip --op diag23.json --frame psi0.json",
+        ('[[ 2.00000000e+00+0.j, -5.55111512e-17+0.j],\n'
+         ' [-5.55111512e-17+0.j,  3.00000000e+00+0.j]]\n'),
+        ('{"version":1,"rows":2,"cols":2,"entries":[1.9999999999999982,0.0,'
+         '-5.551115123125773e-17,0.0,-5.551115123125773e-17,0.0,3.0,0.0]}\n'),
+    ),
+    "roundtrip-frame2": (
+        "roundtrip --op diag23.json --frame psi0.json --frame2 psi0dual.json",
+        ('[[ 2.00000000e+00+0.j,  9.25185854e-17+0.j],\n'
+         ' [-1.66533454e-16+0.j,  3.00000000e+00+0.j]]\n'),
+        ('{"version":1,"rows":2,"cols":2,"entries":[2.0,0.0,9.251858538542981e-17,0.0,'
+         '-1.6653345369377368e-16,0.0,3.0,0.0]}\n'),
+    ),
+    "multiplier": (
+        "multiplier --weights ones3.json --frame psi0.json",
+        ('[[2.+0.j, 1.+0.j],\n'
+         ' [1.+0.j, 2.+0.j]]\n'),
+        '{"version":1,"rows":2,"cols":2,"entries":[2.0,0.0,1.0,0.0,1.0,0.0,2.0,0.0]}\n',
+    ),
+    "multiplier-frame2": (
+        "multiplier --weights ones3.json --frame psi0.json --frame2 psi0dual.json",
+        ('[[ 1.00000000e+00+0.j,  5.55111512e-17+0.j],\n'
+         ' [-1.11022302e-16+0.j,  1.00000000e+00+0.j]]\n'),
+        ('{"version":1,"rows":2,"cols":2,"entries":[0.9999999999999996,0.0,'
+         '5.551115123125783e-17,0.0,-1.1102230246251565e-16,0.0,1.0,0.0]}\n'),
+    ),
+    "kernel": (
+        "kernel --matrix id3.json --frame psi0.json",
+        ('[[2.+0.j, 1.+0.j],\n'
+         ' [1.+0.j, 2.+0.j]]\n'),
+        '{"version":1,"rows":2,"cols":2,"entries":[2.0,0.0,1.0,0.0,1.0,0.0,2.0,0.0]}\n',
+    ),
+    "kernel-frame2": (
+        "kernel --matrix id3.json --frame psi0.json --frame2 psi0dual.json",
+        ('[[ 1.00000000e+00+0.j,  5.55111512e-17+0.j],\n'
+         ' [-1.11022302e-16+0.j,  1.00000000e+00+0.j]]\n'),
+        ('{"version":1,"rows":2,"cols":2,"entries":[0.9999999999999996,0.0,'
+         '5.551115123125783e-17,0.0,-1.1102230246251565e-16,0.0,1.0,0.0]}\n'),
+    ),
+    "solve": (
+        "solve --op diag23.json --rhs g.json --frame psi0.json",
+        ('solution = [1.+0.j, 1.+0.j]\n'
+         'coefficients = [1.+0.j, 1.+0.j, 2.+0.j]\n'
+         'residual_operator = 0.0\n'
+         'residual_matrix = 0.0\n'
+         'section_used = 3\n'
+         'conditioning_warning = False\n'),
+        ('{"solution":{"version":1,"rows":2,"cols":1,"entries":[1.0,0.0,1.0,0.0]},'
+         '"coefficients":{"version":1,"rows":3,"cols":1,"entries":[1.0,0.0,1.0,0.0,2.0,'
+         '0.0]},"residual_operator":0.0,"residual_matrix":0.0,"section_used":3,'
+         '"conditioning_warning":false}\n'),
+    ),
+    "solve-section": (
+        "solve --op diag23.json --rhs g.json --frame psi0.json --section 2",
+        ('solution = [1.+0.j, 1.+0.j]\n'
+         'coefficients = [3.+0.j, 3.+0.j, 0.+0.j]\n'
+         'residual_operator = 8.881784197001252e-16\n'
+         'residual_matrix = 5.626564999746253e-16\n'
+         'section_used = 2\n'
+         'conditioning_warning = False\n'),
+        ('{"solution":{"version":1,"rows":2,"cols":1,"entries":[0.9999999999999987,0.0,'
+         '1.0000000000000007,0.0]},"coefficients":{"version":1,"rows":3,"cols":1,'
+         '"entries":[2.9999999999999982,0.0,2.999999999999999,0.0,0.0,0.0]},'
+         '"residual_operator":8.881784197001252e-16,"residual_matrix":5.626564999746253e-16,'
+         '"section_used":2,"conditioning_warning":false}\n'),
+    ),
+}
+
+
+class TestGoldenOutput:
+    """The exact bytes every subcommand prints, run in process in both output modes."""
+
+    @pytest.mark.parametrize("mode", ["human", "json"])
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_stdout(self, workdir, monkeypatch, capsys, case, mode):
+        command, human, json_text = GOLDEN[case]
+        monkeypatch.chdir(workdir)
+        code = main(command.split() + (["--json"] if mode == "json" else []))
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (0, human if mode == "human" else json_text, "")
+
+
+class TestEntryPoint:
+    def test_console_script_runs(self, workdir, monkeypatch, capsys):
+        # the [project.scripts] target, resolved as an installer would resolve it
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = scripts["framerep"].partition(":")
+        monkeypatch.chdir(workdir)
+        code = getattr(importlib.import_module(module), name)(["classify", "--frame", "psi0.json"])
+        assert (code, capsys.readouterr().out) == (0, "Frame\n")
 
 
 class TestExitCodes:

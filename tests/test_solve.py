@@ -506,6 +506,18 @@ class TestScreenedSolve:
         assert "_triangular_factor" not in cold.__dict__
         assert cold._condition_below(1e3) and not cold._condition_below(5.0)
 
+    def test_failed_screen_reads_the_exact_layers(self, monkeypatch):
+        # eigvalsh failing leaves no screen, so the cold solve reads the singular values
+        rng = np.random.default_rng(31)
+        vectors = frame_with_condition(rng, 4, 9, 10.0).vectors
+        op, g = conditioned_operator(rng, 4), random_complex(rng, 4)
+        warm, cold = Frame(vectors), Frame(vectors)
+        warm.singular_values
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        assert _outcome(op, g, cold, SolveOptions()) == _outcome(op, g, warm, SolveOptions())
+        assert cold._bounds_enclosure is None
+        assert "singular_values" in cold.__dict__
+
 
 class TestScaleEquivariance:
     """Scaling a frame by t scales bounds by t^2, the dual by 1/t, and nothing else."""
@@ -619,6 +631,24 @@ class TestScaleEquivariance:
         for residual in ("residual_operator", "residual_matrix"):
             got, expected = getattr(report, residual), getattr(base, residual)
             assert abs(got - expected) <= 1e-9 * expected + 1e3 * EPS, residual
+
+    @pytest.mark.parametrize("exponent", [300, -300, 600, -600, 1000, -1000])
+    @pytest.mark.parametrize("rel_tol, cutoff", [(None, False), (0.5, True)],
+                             ids=["closed_form", "cutoff"])
+    def test_residual_matrix_is_exact_at_binary_scales(self, exponent, rel_tol, cutoff):
+        # 2^k scales C, C g and each factor of M c - d exactly; at 2^-1000 the closed
+        # form's C (O f - g) is subnormal unless O f - g is first scaled to about 1
+        options = SolveOptions(rel_tol=rel_tol)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 6
+            vectors = random_complex(rng, n + seed, n)
+            op, g = conditioned_operator(rng, n), random_complex(rng, n)
+            base = solve(op, g, Frame(vectors), options)
+            with cutoff_solves() as runs:
+                report = solve(op, g, Frame(vectors * 2.0**exponent), options)
+            assert bool(runs) == cutoff
+            assert report.residual_matrix == base.residual_matrix, seed
 
     def test_bounds_beyond_float_range_read_inf(self):
         frame = Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])

@@ -32,8 +32,12 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     # the frame's R is inverted only where its inverse is kept; the leading
     # space keeps solve_with_inverse( from matching
     (" inverse(", {"linalg.py", "frames.py"}),
+    # the library stays silent: only the command line writes to stdout or stderr
+    ("print(", {"cli.py"}),
+    ("sys.stdout", {"cli.py"}),
+    ("sys.stderr", {"cli.py"}),
 ], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "environ", "svd", "inv",
-        "solve", "pinv", "eig", "qr", "inverse"])
+        "solve", "pinv", "eig", "qr", "inverse", "print", "stdout", "stderr"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
