@@ -34,12 +34,12 @@ analysis matrix, in layers computed lazily and cached:
 
 No layer holds singular vectors.
 
-Beside them sits one certified screen, ``Frame._bounds_enclosure``: the
-extreme eigenvalues of the cached frame operator ``S = D C``, widened by a
-stated rounding bound, enclose the bounds the exact layers give.  It decides,
-never reports: ``Frame._condition_below(t)`` is True only when it proves the
-exact layers' B/A below ``t``.  Working on the singular values rather than on
-``S = C* C`` keeps every reported value's condition and dynamic range unsquared.
+Beside them sits one certified, one-sided screen, ``Frame._bounds_enclosure``:
+a least A and a most B from the cached frame operator ``S = D C``.  It
+decides, never reports, through ``Frame._condition_below(t)``, which reads
+the singular values instead when they are cached.  Working on the singular
+values rather than on ``S = C* C`` keeps every reported value's condition
+and dynamic range unsquared.
 
 Besides the spectral layers a frame caches, on first use, its reconstruction
 factor ``D C_dual = sum_k psi_k dual_k*`` (n x n, the identity up to
@@ -199,13 +199,13 @@ class Frame:
         return scale, unit, frozen(inverse(unit, "frame's triangular factor R"))
 
     @cached_property
-    def _bounds_enclosure(self) -> tuple[FrameBounds, FrameBounds] | None:
-        """The screen: ``(least, most)`` around the bounds the exact layer computes, or None.
+    def _bounds_enclosure(self) -> tuple[float, float] | None:
+        """The screen: ``(a, b)``, a least A and a most B of the exact layer's bounds, or None.
 
-        ``least <= (s[-1]^2, s[0]^2) <= most`` entrywise for the computed
-        singular values ``s`` of :attr:`singular_values`, without computing
-        them: the enclosure is ``lambda_i +- r`` for the extreme eigenvalues
-        ``lambda_i`` of the cached :attr:`frame_operator` S, with
+        ``a <= s[-1]^2`` and ``s[0]^2 <= b`` for the computed singular values
+        ``s`` of :attr:`singular_values`, without computing them: ``a =
+        lambda_1 - r`` and ``b = lambda_n + r`` for the extreme eigenvalues
+        ``lambda_1 <= lambda_n`` of the cached :attr:`frame_operator` S, with
         ``r = 16 (K n + n^2) eps tr S``.  With ``u = eps / 2``, ``sigma_i``
         the exact singular values of C and ``tr S = |C|_F^2``, the bound
         (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.)
@@ -226,7 +226,7 @@ class Frame:
         s_i^2|`` is below ``8 (K n + n^2) eps tr S`` to first order.  ``r`` is
         twice that; the spare, at least ``16 eps max(A, B)``, covers the
         second-order terms and the few roundings (each at most ``u``
-        relative) in forming ``lambda_i +- r`` and the products that
+        relative) in forming ``a`` and ``b`` and the products that
         :meth:`_condition_below` compares.  The model of one relative
         rounding per operation fails only through underflow, whose absolute
         error per entry, about ``K 2^-1074``, is negligible beside ``eps tr
@@ -250,24 +250,23 @@ class Frame:
         except DecompositionFailed:
             return None
         radius = 16 * (k * n + n * n) * EPS * trace
-        low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-        return (FrameBounds(low - radius, high - radius),
-                FrameBounds(low + radius, high + radius))
+        return float(eigenvalues[0]) - radius, float(eigenvalues[-1]) + radius
 
     def _condition_below(self, t: float) -> bool:
-        """True only when :attr:`_bounds_enclosure` proves :attr:`condition` below ``t``.
+        """Whether :attr:`condition` is below ``t``, exactly if :attr:`singular_values` are cached.
 
-        The proof is ``A_lo > RANK_RTOL * B_hi`` (the frame check) and ``B_hi
-        (1 + 2^-30) < t A_lo`` for the enclosure's least A and most B; the
-        factor covers the two products' roundings and the exact layer's own
-        in ``(s[0] / s[-1])^2``.  No QR or SVD runs.
+        Otherwise True only when the screen's ``(a, b)`` proves it, with no QR
+        or SVD: ``a > RANK_RTOL b`` (the frame check) and ``b (1 + 2^-30) < t
+        a``, the factor covering the two products' roundings and the exact
+        layer's own in ``(s[0] / s[-1])^2``.
         """
+        if "singular_values" in self.__dict__:
+            return self.condition < t  # inf for a family that is no frame
         screen = self._bounds_enclosure
         if screen is None:
             return False
-        least, most = screen
-        return (least.lower > RANK_RTOL * most.upper
-                and most.upper * (1 + 2.0**-30) < t * least.lower)
+        a, b = screen
+        return a > RANK_RTOL * b and b * (1 + 2.0**-30) < t * a
 
     @cached_property
     def bounds(self) -> FrameBounds:

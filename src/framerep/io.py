@@ -46,7 +46,7 @@ def _load_json(text: str) -> dict:
 
 def _check_version(obj: dict):
     version = obj.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
 
 

@@ -135,11 +135,11 @@ def inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:
         return np.linalg.inv(a)
 
 
-def solve_with_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(a^-1 b, a^-1)`` for a square ``a`` and a vector ``b``, from one LU factorization.
+def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """``(a^-1 b, |a|_F |a^-1|_F)`` for a square ``a`` and a vector ``b``, from one LU of ``a``.
 
     None if ``a`` is singular to working precision (a zero pivot) or an entry
-    of either result leaves the float range; no warning is emitted.
+    of ``a^-1 b`` or ``a^-1`` leaves the float range; no warning is emitted.
     """
     n = a.shape[0]
     try:
@@ -148,7 +148,7 @@ def solve_with_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
         return None
     if not _is_finite(x):
         return None
-    return x[:, 0], x[:, 1:]
+    return x[:, 0], euclidean_norm(a) * euclidean_norm(x[:, 1:])
 
 
 def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:

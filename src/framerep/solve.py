@@ -16,16 +16,15 @@ below ``rel_tol`` times the largest.
 * Closed form (N = K, the cutoff provably drops nothing).  ``kappa_2(X) <=
   (B/A) kappa_2(O) <= (B/A) |O|_F |O^-1|_F``, so when this bound is below
   ``1 / rel_tol`` every singular value is kept, ``M^+ = Q X^-1 Q*`` and the
-  solution ``R^-1 X^-1 R g`` is ``O^-1 g``.  One LU factorization of O gives
-  both ``O^-1 g`` and ``|O^-1|_F``.  The coefficients are ``c = C f``, and
-  ``M c - d = C (O f - g)`` because ``D_dual C = I``.  X is not formed, so no
-  intermediate leaves the float range when the solution does not.  The LU
-  comes first; on a frame whose singular values are not cached, one
-  certificate (``Frame._condition_below``, see :mod:`framerep.frames`) that
-  B/A is below both 1e6 and ``0.5 / (rel_tol |O|_F |O^-1|_F)`` settles the
-  frame check, the guard and the warning; any other answer reads the
-  singular values, so the report is the same bits.  A singular O, or a guard
-  that fails even at B/A = 1, asks no certificate.
+  solution ``R^-1 X^-1 R g`` is ``O^-1 g``, with ``c = C f`` and ``M c - d
+  = C (O f - g)`` because ``D_dual C = I``.  X is not formed, so no
+  intermediate leaves the float range when the solution does not.  One LU
+  of O gives ``O^-1 g`` and ``|O|_F |O^-1|_F``; then, unless :func:`_guard`
+  fails even at B/A = 1, ``Frame._condition_below`` (a screen without a QR
+  on a cold frame, see :mod:`framerep.frames`) answers whether B/A is below
+  :func:`_certificate_threshold`.  True settles the frame check, the guard
+  and the warning; any other answer reads the singular values, so the
+  report is the same bits.
 * Cutoff path (every other case: a section, a singular or ill-conditioned O,
   a large ``rel_tol``).  The solve reads the frame's R, works on ``Q* d = R
   g`` and returns ``y = Q* c``, from which the solution is ``R^-1 y``; the
@@ -61,8 +60,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, euclidean_norm, require_finite, require_shape,
-                     solve_with_inverse, split_scale, svd)
+from .linalg import (EPS, as_vector, divide_parts, euclidean_norm, require_finite,
+                     require_shape, solve_with_condition, split_scale, svd)
 from .represent import LinearOperator
 
 
@@ -174,17 +173,16 @@ def solve(op: LinearOperator, g, frame: Frame,
     if rel_tol is None:
         rel_tol = n_section * EPS
 
-    # the LU of O first.  B/A below 1e6 and 0.5 / (rel_tol |O|_F |O^-1|_F), taken without
-    # overflow, means a frame, no warning and a rounded guard below 1
-    closed = (_closed_form(op.matrix, g, rel_tol)
+    # the LU of O first; a guard that fails at B/A = 1, its least, fails at every B/A
+    closed = (solve_with_condition(op.matrix, g)
               if n_section == k and op.matrix.shape == (n, n) else None)
-    if closed and "singular_values" not in frame.__dict__ and frame._condition_below(
-            CONDITION_WARN_RATIO / max(1.0, 2 * CONDITION_WARN_RATIO * rel_tol * closed[1])):
+    if closed and _guard(rel_tol, closed[1]) and frame._condition_below(
+            _certificate_threshold(rel_tol, closed[1])):
         f_hat, warning = closed[0], False
     else:
         frame.require_frame("discretization")
         condition = frame.condition
-        f_hat = closed[0] if closed and rel_tol * (condition * closed[1]) < 1.0 else None
+        f_hat = closed[0] if closed and _guard(rel_tol, closed[1], condition) else None
         warning = condition > CONDITION_WARN_RATIO
     require_shape("operator matrix", op.matrix.shape, (n, n))
     if n_section > k:
@@ -204,8 +202,9 @@ def solve(op: LinearOperator, g, frame: Frame,
             matrix_residual = frame.analysis_matrix @ unit_residual
     else:
         # the residual and right-hand side come as Q* (M c - d) and Q* d, of equal norms
-        f_hat, c, matrix_residual, d = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
-        operator_residual, residual_scale = op(f_hat) - g, 1.0
+        f_hat, c, matrix_residual, d, residual_scale = _solve_with_cutoff(
+            op, g, frame, n_section, rel_tol)
+        operator_residual = op(f_hat) - g
     return SolveReport(
         solution=f_hat,
         coefficients=c,
@@ -216,28 +215,28 @@ def solve(op: LinearOperator, g, frame: Frame,
     )
 
 
-def _closed_form(o, g, rel_tol):
-    """``(O^-1 g, |O|_F |O^-1|_F)`` while the closed form is possible, else None.
+def _guard(rel_tol: float, norms: float, condition: float = 1.0) -> bool:
+    """The closed form's guard ``rel_tol (B/A norms) < 1`` at B/A = ``condition``, its least 1.
 
-    The guard ``rel_tol * (condition * |O|_F |O^-1|_F) < 1`` bounds ``rel_tol
-    kappa_2(X)``, so no singular value is at or below the cutoff.  None for a
-    singular O, for an inverse or solution beyond the float range, and when
-    the guard fails even at ``B/A = 1``, its least value.
+    ``norms`` is ``|O|_F |O^-1|_F``; the product bounds ``rel_tol kappa_2(X)``.
+    ``rel_tol = 0`` sets no limit, also where the product overflows.
     """
-    solved = solve_with_inverse(o, g)
-    if solved is None:
-        return None
-    f, inverse = solved
-    # |O|_F |O^-1|_F >= n overflows only when kappa does; condition * |O|_F alone could
-    norms = euclidean_norm(o) * euclidean_norm(inverse)
-    return (f, norms) if rel_tol * norms < 1.0 else None
+    return rel_tol == 0 or rel_tol * (condition * norms) < 1.0
+
+
+def _certificate_threshold(rel_tol: float, norms: float) -> float:
+    """B/A below ``min(1e6, half the guard's limit)`` needs no warning and passes :func:`_guard`."""
+    excess = 2 * CONDITION_WARN_RATIO * rel_tol * norms if rel_tol else 0.0
+    return CONDITION_WARN_RATIO / max(1.0, excess)
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
-    """``(f, c, (X y - R g) / p, R g / p)`` of the factored cutoff solve (module docstring).
+    """``(f, c, (X y - R g) / (p q), R g / p, q)`` of the factored cutoff solve (module docstring).
 
-    ``p`` is the power of two with ``p <= s[0] < 2 p``; the caller reads only
-    the ratio of the last two norms.
+    ``p`` is the power of two with ``p <= s[0] < 2 p``, and ``q`` that of y
+    (:func:`~framerep.linalg.split_scale`); X meets ``y / q``, so ``X y``
+    does not overflow where the residual does not.  The caller reads ``q``
+    times the ratio of the third and fourth norms.
     """
     k = frame.count
     scale, r_unit, r_unit_inverse = frame._unit_triangular_factor
@@ -266,7 +265,8 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
         else:
             c = np.zeros(k, dtype=np.complex128)
             c[:n_section] = require_finite(_COEFFICIENTS, q1 @ (z * scale))
-        return f_hat, c, x @ y - rg, rg
+        residual_scale, unit_y = split_scale(y)
+        return f_hat, c, x @ unit_y - divide_parts(rg, residual_scale), rg, residual_scale
 
 
 def _relative(residual, reference) -> float:

@@ -303,6 +303,13 @@ class TestExitCodes:
         result = run_cli(["bounds", "--frame", "broken.json"], cwd=workdir)
         assert result.returncode == 2
 
+    def test_non_integer_version_is_usage_error(self, workdir):
+        (workdir / "bool.json").write_text('{"version":true,"dim":2,"vectors":[[1,0,0,0]]}')
+        result = run_cli(["bounds", "--frame", "bool.json"], cwd=workdir)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unsupported format version True" in result.stderr
+
     def test_unknown_subcommand(self, workdir):
         result = run_cli(["frobnicate"], cwd=workdir)
         assert result.returncode == 2

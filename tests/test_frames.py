@@ -463,8 +463,9 @@ class TestSpectralLayers:
 
 
 class TestScreen:
-    """The cached enclosure of the bounds, computed from the eigenvalues of S, and
-    the certificate ``Frame._condition_below(t)`` it gives."""
+    """The cached one-sided screen on the bounds, a least A and a most B computed
+    from the eigenvalues of S, and the answer ``Frame._condition_below(t)`` gives
+    from it or from the singular values."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -478,11 +479,10 @@ class TestScreen:
         rng = np.random.default_rng(seed)
         vectors = frame_with_condition(rng, n, n + extra, 10.0**log_condition).vectors
         frame = Frame(vectors * 2.0**exponent)
-        least, most = frame._bounds_enclosure
+        a, b = frame._bounds_enclosure
         s = frame.singular_values
-        lower, upper = float(s[-1]) ** 2, float(s[0]) ** 2
-        assert least.lower <= lower <= most.lower
-        assert least.upper <= upper <= most.upper
+        assert a <= float(s[-1]) ** 2
+        assert float(s[0]) ** 2 <= b
 
     def test_true_implies_condition_below(self):
         answers = set()
@@ -507,6 +507,26 @@ class TestScreen:
             answers.add(proven)
 
         check()
+        assert answers == {True, False}
+
+    def test_exact_on_a_frame_holding_its_singular_values(self):
+        # the answer is the exact layer's, also 1e-12 from the condition and where
+        # the screen has no domain, and no frame operator is formed for it
+        rng = np.random.default_rng(33)
+        answers = set()
+        for vectors in (frame_with_condition(rng, 4, 9, 10.0).vectors,
+                        frame_with_condition(rng, 3, 5, 1e7).vectors,
+                        frame_with_condition(rng, 3, 5, 1e12).vectors,  # no frame
+                        frame_with_condition(rng, 2, 3, 3.0).vectors * 1e160,  # S overflows
+                        random_complex(rng, 2, 3)):  # K < n
+            frame = Frame(vectors)
+            frame.singular_values
+            for t in (frame.condition * (1 - 1e-12), frame.condition * (1 + 1e-12),
+                      CONDITION_WARN_RATIO, np.inf):
+                answer = frame._condition_below(t)
+                assert answer == (frame.is_frame and frame.condition < t), t
+                answers.add(answer)
+            assert "frame_operator" not in frame.__dict__
         assert answers == {True, False}
 
     def test_none_outside_its_domain(self):

@@ -61,6 +61,12 @@ class TestFrameFormat:
         with pytest.raises(ParseError, match="version"):
             parse_frame('{"version":2,"dim":1,"vectors":[[1,0]]}')
 
+    @pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0")],
+                             ids=["version_bool", "version_float"])
+    def test_version_is_the_integer_1(self, version, shown):
+        with pytest.raises(ParseError, match=f"unsupported format version {shown},"):
+            parse_frame('{"version":%s,"dim":1,"vectors":[[1,0]]}' % version)
+
     def test_non_object_rejected(self):
         with pytest.raises(ParseError):
             parse_frame("[1,2,3]")
@@ -151,6 +157,12 @@ class TestMatrixFormat:
     def test_odd_float_count(self):
         with pytest.raises(ParseError, match="pairs"):
             parse_matrix('{"version":1,"rows":1,"cols":1,"entries":[1,0,2]}')
+
+    @pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0")],
+                             ids=["version_bool", "version_float"])
+    def test_version_is_the_integer_1(self, version, shown):
+        with pytest.raises(ParseError, match=f"unsupported format version {shown},"):
+            parse_matrix('{"version":%s,"rows":1,"cols":1,"entries":[1,0]}' % version)
 
     def test_bad_dims(self):
         with pytest.raises(ParseError):

@@ -518,6 +518,30 @@ class TestScreenedSolve:
         assert cold._bounds_enclosure is None
         assert "singular_values" in cold.__dict__
 
+    @pytest.mark.parametrize("vectors, matrix, warning", [
+        # |O|_F |O^-1|_F is about 1e310; B/A = 3, so the certificate decides the cold solve
+        ([[1, 0], [0, 1], [1, 1]], [[1e300, 0], [0, 1e-10]], False),
+        # |O|_F |O^-1|_F is about 1e305 and B/A about 1.3e8: their product overflows
+        ([[1, 0], [0, 1e-4], [1, 1e-4]], [[1e300, 0], [0, 1e-5]], True),
+    ], ids=["norms_overflow", "product_overflows"])
+    def test_zero_rel_tol_sets_no_guard_limit(self, vectors, matrix, warning):
+        # 0 * inf is NaN, which failed the guard and sent the solve to the cutoff
+        # path, where it lost the first component to rounding
+        op, g, options = LinearOperator(matrix), np.array([1.0, 1.0]), SolveOptions(rel_tol=0.0)
+        expected = np.array([1.0 / matrix[0][0], 1.0 / matrix[1][1]])
+        warm, cold = Frame(vectors), Frame(vectors)
+        warm.singular_values
+        for frame in (cold, warm):
+            with warnings.catch_warnings(), cutoff_solves() as runs:
+                warnings.simplefilter("error")
+                report = solve(op, g, frame, options)
+            assert not runs
+            # each component, the one near 1e-300 too, to rounding
+            assert np.all(abs(report.solution - expected) <= 1e-15 * expected)
+            assert report.residual_operator <= 1e-15 and report.residual_matrix <= 1e-15
+            assert report.conditioning_warning == warning
+        assert ("_triangular_factor" in cold.__dict__) == warning
+
 
 class TestScaleEquivariance:
     """Scaling a frame by t scales bounds by t^2, the dual by 1/t, and nothing else."""
@@ -704,3 +728,18 @@ class TestOverflow:
                 solve(op, [1.0, 1.0], frame, SolveOptions(section_size=2))
         assert euclidean_norm(report.solution - [0.0, 1e-305]) <= 1e-14 * 1e-305
         assert report.residual_operator <= 1e-15
+
+    @pytest.mark.parametrize("matrix, options", [
+        ([[1e300, 0], [0, 1e-10]], SolveOptions(rel_tol=1e-320)),
+        ([[1e300, 0], [0, 1e-10]], SolveOptions(rel_tol=1e-320, section_size=2)),
+        ([[1e300, 0], [1e-10, 0]], SolveOptions(rel_tol=0.0)),
+        ([[1e300, 0], [1e-10, 0]], SolveOptions(rel_tol=0.0, section_size=2)),
+    ], ids=["full", "section", "singular_full", "singular_section"])
+    def test_cutoff_residual_matrix_is_finite(self, matrix, options):
+        # y is about 1e10 or more and the core holds 1e300, so X y overflowed and
+        # residual_matrix read NaN although X y - R g does not leave the float range
+        with warnings.catch_warnings(), cutoff_solves() as runs:
+            warnings.simplefilter("error")
+            report = solve(LinearOperator(matrix), [1.0, 1.0], Frame(self.PSI0), options)
+        assert runs
+        assert 0.0 < report.residual_matrix < np.inf
