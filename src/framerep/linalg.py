@@ -19,6 +19,7 @@ cutoffs.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -135,8 +136,8 @@ def inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:
         return np.linalg.inv(a)
 
 
-def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """``(a^-1 b, |a|_F |a^-1|_F)`` for a square ``a`` and a vector ``b``, from one LU of ``a``.
+def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """``(a^-1 b, |a|_F, |a^-1|_F)`` for a square ``a`` and a vector ``b``, from one LU of ``a``.
 
     None if ``a`` is singular to working precision (a zero pivot) or an entry
     of ``a^-1 b`` or ``a^-1`` leaves the float range; no warning is emitted.
@@ -148,7 +149,7 @@ def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, floa
         return None
     if not _is_finite(x):
         return None
-    return x[:, 0], euclidean_norm(a) * euclidean_norm(x[:, 1:])
+    return x[:, 0], euclidean_norm(a), euclidean_norm(x[:, 1:])
 
 
 def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
@@ -211,7 +212,7 @@ def power_of_two_below(x: float) -> float:
     divided by it keeps every digit while its largest value moves into
     ``[1, 2)``.  ``p`` itself is a float for every positive float ``x``.
     """
-    return float(np.ldexp(1.0, np.frexp(x)[1] - 1))
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
 def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:

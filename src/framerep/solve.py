@@ -16,19 +16,18 @@ below ``rel_tol`` times the largest.
 * Closed form (N = K, the cutoff provably drops nothing).  ``kappa_2(X) <=
   (B/A) kappa_2(O) <= (B/A) |O|_F |O^-1|_F``, so when this bound is below
   ``1 / rel_tol`` every singular value is kept, ``M^+ = Q X^-1 Q*`` and the
-  solution ``R^-1 X^-1 R g`` is ``O^-1 g``, with ``c = C f`` and ``M c - d
-  = C (O f - g)`` because ``D_dual C = I``.  X is not formed, so no
-  intermediate leaves the float range when the solution does not.  One LU
-  of O gives ``O^-1 g`` and ``|O|_F |O^-1|_F``; then, unless :func:`_guard`
-  fails even at B/A = 1, ``Frame._condition_below`` (a screen without a QR
-  on a cold frame, see :mod:`framerep.frames`) answers whether B/A is below
+  solution ``R^-1 X^-1 R g`` is ``O^-1 g``, with ``c = C f``, as ``D_dual C
+  = I``.  X is not formed, so no intermediate leaves the float range when
+  the solution does not.  One LU of O gives ``O^-1 g``, ``|O|_F`` and
+  ``|O^-1|_F``; then, unless :func:`_guard` fails even at B/A = 1,
+  ``Frame._condition_below`` (a screen without a QR on a cold frame, see
+  :mod:`framerep.frames`) answers whether B/A is below
   :func:`_certificate_threshold`.  True settles the frame check, the guard
   and the warning; any other answer reads the singular values, so the
   report is the same bits.
 * Cutoff path (every other case: a section, a singular or ill-conditioned O,
   a large ``rel_tol``).  The solve reads the frame's R, works on ``Q* d = R
-  g`` and returns ``y = Q* c``, from which the solution is ``R^-1 y``; the
-  coefficient residual ``|M c - d|`` equals ``|X y - R g|``.
+  g`` and returns ``y = Q* c``, from which the solution is ``R^-1 y``.
 
   - Full system (N = K): Q is an isometry, so ``M^+ = Q X^+ Q*`` and ``y =
     X^+ R g``; the coefficients ``c = Q y`` are computed as ``C f``.
@@ -47,7 +46,11 @@ below ``rel_tol`` times the largest.
   merely because the frame's scale is far from 1.  Q itself is never formed,
   and R is not inverted again.
 
-Every solve costs O(K n^2 + n^3).
+Every path returns coefficients that synthesize its solution, ``f = D_dual
+c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after
+either path; ``O f - g`` and g meet C each as its quotient by a power of two,
+so neither product is subnormal merely because g or the frame is small, nor
+overflows where ``C g`` does not.  Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, divide_parts, euclidean_norm, require_finite,
+from .linalg import (EPS, as_vector, euclidean_norm, power_of_two_below, require_finite,
                      require_shape, solve_with_condition, split_scale, svd)
 from .represent import LinearOperator
 
@@ -103,9 +106,10 @@ class SolveReport:
     ``residual_operator`` is ``|O f - g| / |g|`` in the original space;
     ``residual_matrix`` is ``|M c - d| / |d|`` for the full discretized
     system, ``d = C g`` and the zero-padded coefficients ``c`` (so a truncated
-    solve shows its truncation error here).  Both are relative, so scaling g,
-    O or the frame leaves them unchanged; each is 0 when its denominator is
-    0.  ``section_used`` is N.
+    solve shows its truncation error here), read as ``|C (O f - g)| / |C g|``
+    since ``f = D_dual c``.  Both are relative, so scaling g, O or the frame
+    leaves them unchanged; each is 0 when its denominator is 0.
+    ``section_used`` is N.
     """
 
     solution: np.ndarray
@@ -176,68 +180,77 @@ def solve(op: LinearOperator, g, frame: Frame,
     # the LU of O first; a guard that fails at B/A = 1, its least, fails at every B/A
     closed = (solve_with_condition(op.matrix, g)
               if n_section == k and op.matrix.shape == (n, n) else None)
-    if closed and _guard(rel_tol, closed[1]) and frame._condition_below(
-            _certificate_threshold(rel_tol, closed[1])):
+    if closed and _guard(rel_tol, closed[1:]) and frame._condition_below(
+            _certificate_threshold(rel_tol, closed[1:])):
         f_hat, warning = closed[0], False
     else:
         frame.require_frame("discretization")
         condition = frame.condition
-        f_hat = closed[0] if closed and _guard(rel_tol, closed[1], condition) else None
+        f_hat = closed[0] if closed and _guard(rel_tol, closed[1:], condition) else None
         warning = condition > CONDITION_WARN_RATIO
     require_shape("operator matrix", op.matrix.shape, (n, n))
     if n_section > k:
         raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
 
-    if f_hat is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = require_finite("right-hand side's coefficient vector C g",
-                               frame.analysis_matrix @ g)
-            # D_dual C = I, so c = C f solves M c = d, lies in M's range, and
-            # M c - d = C (O f - g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # d = C g as C (g / p): C g overflows only where p exceeds 1
+        g_scale, unit_d, d_norm = _scaled_analysis(frame, g)
+        if g_scale > 1.0:
+            require_finite("right-hand side's coefficient vector C g", unit_d * g_scale)
+        if f_hat is not None:
+            # D_dual C = I, so c = C f solves M c = d and lies in M's range
             c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)
-            operator_residual = op(f_hat) - g
-            # O f - g meets C as its quotient by a power of two, multiplied back
-            # into the ratio, so C (O f - g) is not subnormal at a small frame scale
-            residual_scale, unit_residual = split_scale(operator_residual)
-            matrix_residual = frame.analysis_matrix @ unit_residual
-    else:
-        # the residual and right-hand side come as Q* (M c - d) and Q* d, of equal norms
-        f_hat, c, matrix_residual, d, residual_scale = _solve_with_cutoff(
-            op, g, frame, n_section, rel_tol)
+        else:
+            f_hat, c = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
         operator_residual = op(f_hat) - g
+        # every path returns f = D_dual c, so M c - d = C (O f - g)
+        residual_scale, _, residual_norm = _scaled_analysis(frame, operator_residual)
     return SolveReport(
         solution=f_hat,
         coefficients=c,
-        residual_operator=_relative(operator_residual, g),
-        residual_matrix=_relative(matrix_residual, d) * residual_scale,
+        residual_operator=_ratio(euclidean_norm(operator_residual), euclidean_norm(g)),
+        residual_matrix=_ratio(residual_norm, d_norm) * (residual_scale / g_scale),
         section_used=n_section,
         conditioning_warning=warning,
     )
 
 
-def _guard(rel_tol: float, norms: float, condition: float = 1.0) -> bool:
-    """The closed form's guard ``rel_tol (B/A norms) < 1`` at B/A = ``condition``, its least 1.
+def _scaled_analysis(frame, a):
+    """``(p, C a / p, |C a| / p)`` for p the power of two of a, or more where the norm overflows.
 
-    ``norms`` is ``|O|_F |O^-1|_F``; the product bounds ``rel_tol kappa_2(X)``.
-    ``rel_tol = 0`` sets no limit, also where the product overflows.
+    The norm of ``C (a / p)`` overflows only for an entry of C within a
+    factor ``4 n K`` of the largest float; p then grows by the power of two
+    below ``8 n K``.  Call under ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    return rel_tol == 0 or rel_tol * (condition * norms) < 1.0
+    scale, unit = split_scale(a)
+    out = frame.analysis_matrix @ unit
+    norm = euclidean_norm(out)
+    if not norm < np.inf:
+        growth = power_of_two_below(8.0 * frame.space_dim * frame.count)
+        scale, out = scale * growth, frame.analysis_matrix @ (unit / growth)
+        norm = euclidean_norm(out)
+    return scale, out, norm
 
 
-def _certificate_threshold(rel_tol: float, norms: float) -> float:
+def _guard(rel_tol: float, norms: tuple[float, float], condition: float = 1.0) -> bool:
+    """The closed form's guard ``rel_tol (B/A) |O|_F |O^-1|_F < 1`` at B/A = ``condition``.
+
+    ``condition`` defaults to 1, the least B/A; ``norms`` is ``(|O|_F,
+    |O^-1|_F)``.  Taken left to right, the product, which bounds ``rel_tol
+    kappa_2(X)``, underflows only below 1 and overflows only above 1.
+    ``rel_tol = 0`` sets no limit.
+    """
+    return rel_tol == 0 or rel_tol * condition * norms[0] * norms[1] < 1.0
+
+
+def _certificate_threshold(rel_tol: float, norms: tuple[float, float]) -> float:
     """B/A below ``min(1e6, half the guard's limit)`` needs no warning and passes :func:`_guard`."""
-    excess = 2 * CONDITION_WARN_RATIO * rel_tol * norms if rel_tol else 0.0
+    excess = rel_tol * (2 * CONDITION_WARN_RATIO) * norms[0] * norms[1] if rel_tol else 0.0
     return CONDITION_WARN_RATIO / max(1.0, excess)
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
-    """``(f, c, (X y - R g) / (p q), R g / p, q)`` of the factored cutoff solve (module docstring).
-
-    ``p`` is the power of two with ``p <= s[0] < 2 p``, and ``q`` that of y
-    (:func:`~framerep.linalg.split_scale`); X meets ``y / q``, so ``X y``
-    does not overflow where the residual does not.  The caller reads ``q``
-    times the ratio of the third and fourth norms.
-    """
+    """``(f, c)`` of the factored cutoff solve (module docstring), with ``f = D_dual c``."""
     k = frame.count
     scale, r_unit, r_unit_inverse = frame._unit_triangular_factor
     # an array that leaves the float range turns inf or NaN, and the first
@@ -247,7 +260,6 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
         x = require_finite("discretized system's core", r_unit @ op.matrix @ r_unit_inverse)
         # Q* d / p for d = C g = Q R g
         rg = r_unit @ g
-        require_finite("right-hand side's coefficient vector Q* C g", rg * scale)
         if n_section == k:
             # y = Q* c / p for c = M^+ d = Q X^+ Q* d
             y = _solve_above_cutoff(x, rg, rel_tol, "discretized system's core")
@@ -265,14 +277,12 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
         else:
             c = np.zeros(k, dtype=np.complex128)
             c[:n_section] = require_finite(_COEFFICIENTS, q1 @ (z * scale))
-        residual_scale, unit_y = split_scale(y)
-        return f_hat, c, x @ unit_y - divide_parts(rg, residual_scale), rg, residual_scale
+        return f_hat, c
 
 
-def _relative(residual, reference) -> float:
-    """``|residual| / |reference|``, or 0 when ``reference`` is zero."""
-    scale = euclidean_norm(reference)
-    return euclidean_norm(residual) / scale if scale > 0.0 else 0.0
+def _ratio(norm: float, reference: float) -> float:
+    """``norm / reference``, or 0 when ``reference`` is zero."""
+    return norm / reference if reference > 0.0 else 0.0
 
 
 def _solve_above_cutoff(a, b, rel_tol, what):

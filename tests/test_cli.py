@@ -254,13 +254,13 @@ GOLDEN = {
         ('solution = [1.+0.j, 1.+0.j]\n'
          'coefficients = [3.+0.j, 3.+0.j, 0.+0.j]\n'
          'residual_operator = 8.881784197001252e-16\n'
-         'residual_matrix = 5.626564999746253e-16\n'
+         'residual_matrix = 5.391038537067095e-16\n'
          'section_used = 2\n'
          'conditioning_warning = False\n'),
         ('{"solution":{"version":1,"rows":2,"cols":1,"entries":[0.9999999999999987,0.0,'
          '1.0000000000000007,0.0]},"coefficients":{"version":1,"rows":3,"cols":1,'
          '"entries":[2.9999999999999982,0.0,2.999999999999999,0.0,0.0,0.0]},'
-         '"residual_operator":8.881784197001252e-16,"residual_matrix":5.626564999746253e-16,'
+         '"residual_operator":8.881784197001252e-16,"residual_matrix":5.391038537067095e-16,'
          '"section_used":2,"conditioning_warning":false}\n'),
     ),
 }

@@ -150,8 +150,26 @@ class TestFiniteSection:
         m, d = explicit_system(op, frame), frame.analyze(g)
         assert report.coefficients[0] == pytest.approx(d[0] / m[0, 0], rel=1e-12)
         assert np.array_equal(report.coefficients[1:], np.zeros(7))
-        c = report.coefficients
-        residual = np.linalg.norm(m @ c - d) / np.linalg.norm(d)
+
+    @pytest.mark.parametrize("singular, options", [
+        (False, SolveOptions(section_size=1)),
+        (True, SolveOptions()),
+        (True, SolveOptions(section_size=4)),
+        (False, SolveOptions(rel_tol=0.5)),
+    ], ids=["single_entry", "singular", "singular_section", "large_rel_tol"])
+    def test_residual_matrix_is_that_of_the_coefficients(self, singular, options):
+        # every path returns c with D_dual c = f, so |M c - d| is read as |C (O f - g)|;
+        # each of these systems is inconsistent, so the residual is far from rounding
+        rng = np.random.default_rng(63)
+        frame = random_frame(rng, 3, 8)
+        op = conditioned_operator(rng, 3)
+        g = random_complex(rng, 3)
+        if singular:
+            op = LinearOperator(op.matrix * [1, 1, 0])
+        report = solve(op, g, frame, options)
+        m, d = explicit_system(op, frame), frame.analyze(g)
+        residual = np.linalg.norm(m @ report.coefficients - d) / np.linalg.norm(d)
+        assert residual > 1e-3
         assert report.residual_matrix == pytest.approx(residual, rel=1e-12)
 
     def test_too_large(self):
@@ -518,16 +536,19 @@ class TestScreenedSolve:
         assert cold._bounds_enclosure is None
         assert "singular_values" in cold.__dict__
 
-    @pytest.mark.parametrize("vectors, matrix, warning", [
+    @pytest.mark.parametrize("vectors, matrix, rel_tol, warning", [
         # |O|_F |O^-1|_F is about 1e310; B/A = 3, so the certificate decides the cold solve
-        ([[1, 0], [0, 1], [1, 1]], [[1e300, 0], [0, 1e-10]], False),
+        ([[1, 0], [0, 1], [1, 1]], [[1e300, 0], [0, 1e-10]], 0.0, False),
         # |O|_F |O^-1|_F is about 1e305 and B/A about 1.3e8: their product overflows
-        ([[1, 0], [0, 1e-4], [1, 1e-4]], [[1e300, 0], [0, 1e-5]], True),
-    ], ids=["norms_overflow", "product_overflows"])
-    def test_zero_rel_tol_sets_no_guard_limit(self, vectors, matrix, warning):
-        # 0 * inf is NaN, which failed the guard and sent the solve to the cutoff
-        # path, where it lost the first component to rounding
-        op, g, options = LinearOperator(matrix), np.array([1.0, 1.0]), SolveOptions(rel_tol=0.0)
+        ([[1, 0], [0, 1e-4], [1, 1e-4]], [[1e300, 0], [0, 1e-5]], 0.0, True),
+        # rel_tol |O|_F |O^-1|_F (B/A) is about 3e-10, but |O|_F |O^-1|_F alone overflows
+        ([[1, 0], [0, 1], [1, 1]], [[1e300, 0], [0, 1e-10]], 1e-320, False),
+    ], ids=["norms_overflow", "product_overflows", "subnormal_rel_tol"])
+    def test_zero_rel_tol_sets_no_guard_limit(self, vectors, matrix, rel_tol, warning):
+        # 0 * inf is NaN, and 1e-320 * inf is inf; either failed the guard and sent
+        # the solve to the cutoff path, where it lost the first component to rounding
+        op, g = LinearOperator(matrix), np.array([1.0, 1.0])
+        options = SolveOptions(rel_tol=rel_tol)
         expected = np.array([1.0 / matrix[0][0], 1.0 / matrix[1][1]])
         warm, cold = Frame(vectors), Frame(vectors)
         warm.singular_values
@@ -656,12 +677,18 @@ class TestScaleEquivariance:
             got, expected = getattr(report, residual), getattr(base, residual)
             assert abs(got - expected) <= 1e-9 * expected + 1e3 * EPS, residual
 
-    @pytest.mark.parametrize("exponent", [300, -300, 600, -600, 1000, -1000])
+    @pytest.mark.parametrize("exponent, g_exponent", [
+        (300, 0), (-300, 0), (600, 0), (-600, 0), (1000, 0), (-1000, 0),
+        # C g underflows, while O f - g stays a normal float
+        (-600, -500), (-1000, -100), (-300, -800),
+    ], ids=["300", "-300", "600", "-600", "1000", "-1000",
+            "-600,g-500", "-1000,g-100", "-300,g-800"])
     @pytest.mark.parametrize("rel_tol, cutoff", [(None, False), (0.5, True)],
                              ids=["closed_form", "cutoff"])
-    def test_residual_matrix_is_exact_at_binary_scales(self, exponent, rel_tol, cutoff):
-        # 2^k scales C, C g and each factor of M c - d exactly; at 2^-1000 the closed
-        # form's C (O f - g) is subnormal unless O f - g is first scaled to about 1
+    def test_residual_matrix_is_exact_at_binary_scales(self, exponent, g_exponent, rel_tol,
+                                                       cutoff):
+        # 2^k scales C, C g and each factor of M c - d exactly; at 2^-1000 C (O f - g)
+        # and C g are subnormal unless O f - g and g are first scaled to about 1
         options = SolveOptions(rel_tol=rel_tol)
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -670,8 +697,23 @@ class TestScaleEquivariance:
             op, g = conditioned_operator(rng, n), random_complex(rng, n)
             base = solve(op, g, Frame(vectors), options)
             with cutoff_solves() as runs:
-                report = solve(op, g, Frame(vectors * 2.0**exponent), options)
+                report = solve(op, g * 2.0**g_exponent, Frame(vectors * 2.0**exponent), options)
             assert bool(runs) == cutoff
+            for residual in ("residual_operator", "residual_matrix"):
+                assert getattr(report, residual) == getattr(base, residual), (residual, seed)
+
+    def test_residual_matrix_near_the_largest_float(self):
+        # at frame scale 2^1021, C (g / p) or C (O f - g) / q overflows for g near
+        # 2^-30 while C g does not, so each is divided by a further power of two
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 6
+            vectors = random_complex(rng, n + seed, n)
+            op, g = conditioned_operator(rng, n), random_complex(rng, n)
+            base = solve(op, g, Frame(vectors))
+            with cutoff_solves() as runs:
+                report = solve(op, g * 2.0**-30, Frame(vectors * 2.0**1021))
+            assert not runs
             assert report.residual_matrix == base.residual_matrix, seed
 
     def test_bounds_beyond_float_range_read_inf(self):
@@ -691,10 +733,8 @@ class TestOverflow:
 
     @pytest.mark.parametrize("section", [None, 2])
     @pytest.mark.parametrize("vectors, op, g, product", [
-        # C g is about 1e460; the closed form checks C g, the cutoff path Q* C g = R g
-        (PSI0 * 1e160, np.eye(2), 1e300,
-         {None: r"right-hand side's coefficient vector C g overflows",
-          2: r"right-hand side's coefficient vector Q\* C g overflows"}),
+        # C g is about 1e460; both paths check it before they solve
+        (PSI0 * 1e160, np.eye(2), 1e300, r"right-hand side's coefficient vector C g overflows"),
         # C g is about 1e300 and f about 1e150, but C f is about 1e310
         (PSI0 * 1e160, 1e-10 * np.eye(2), 1e140, "solution's coefficient vector"),
         # C g and C f are about 1e140 and 1e150, but f is about 1e310
@@ -705,8 +745,6 @@ class TestOverflow:
         (np.full((4, 2), 1e308), np.eye(2), 1.0, "triangular factor R"),
     ], ids=["rhs_coefficients", "solution_coefficients", "solution", "core", "triangular_factor"])
     def test_overflow_is_named(self, vectors, op, g, product, section):
-        if isinstance(product, dict):
-            product = product[section]
         frame = Frame(vectors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -729,17 +767,27 @@ class TestOverflow:
         assert euclidean_norm(report.solution - [0.0, 1e-305]) <= 1e-14 * 1e-305
         assert report.residual_operator <= 1e-15
 
-    @pytest.mark.parametrize("matrix, options", [
-        ([[1e300, 0], [0, 1e-10]], SolveOptions(rel_tol=1e-320)),
-        ([[1e300, 0], [0, 1e-10]], SolveOptions(rel_tol=1e-320, section_size=2)),
-        ([[1e300, 0], [1e-10, 0]], SolveOptions(rel_tol=0.0)),
-        ([[1e300, 0], [1e-10, 0]], SolveOptions(rel_tol=0.0, section_size=2)),
-    ], ids=["full", "section", "singular_full", "singular_section"])
-    def test_cutoff_residual_matrix_is_finite(self, matrix, options):
+    @pytest.mark.parametrize("matrix, g, options, expected", [
+        # rel_tol |O|_F |O^-1|_F = 1e10 fails the guard, and the cutoff drops 1e-10
+        ([[1e300, 0], [0, 1e-10]], 1.0, SolveOptions(rel_tol=1e-300), 0.5),
+        ([[1e300, 0], [0, 1e-10]], 1.0, SolveOptions(rel_tol=1e-320, section_size=2), None),
+        ([[1e300, 0], [1e-10, 0]], 1.0, SolveOptions(rel_tol=0.0), None),
+        ([[1e300, 0], [1e-10, 0]], 1.0, SolveOptions(rel_tol=0.0, section_size=2), None),
+        # f is about 1e-310, and the residual is that of the system with O's
+        # second column dropped
+        ([[1e300, 0], [0, 0]], 1e-10, SolveOptions(), 0.5),
+        ([[1e300, 0], [0, 0]], 1e-10, SolveOptions(section_size=2), 1 / np.sqrt(3)),
+        ([[1e300, 0], [0, 1e-300]], 1e-10, SolveOptions(), 0.5),
+        ([[1e300, 0], [0, 1e-300]], 1e-10, SolveOptions(section_size=2), 1 / np.sqrt(3)),
+    ], ids=["full", "section", "singular_full", "singular_section",
+            "small_rhs_full", "small_rhs_section", "graded_full", "graded_section"])
+    def test_cutoff_residual_matrix_is_finite(self, matrix, g, options, expected):
         # y is about 1e10 or more and the core holds 1e300, so X y overflowed and
-        # residual_matrix read NaN although X y - R g does not leave the float range
+        # residual_matrix read NaN or inf; C (O f - g) does not leave the float range
         with warnings.catch_warnings(), cutoff_solves() as runs:
             warnings.simplefilter("error")
-            report = solve(LinearOperator(matrix), [1.0, 1.0], Frame(self.PSI0), options)
+            report = solve(LinearOperator(matrix), [g, g], Frame(self.PSI0), options)
         assert runs
         assert 0.0 < report.residual_matrix < np.inf
+        if expected is not None:
+            assert report.residual_matrix == pytest.approx(expected, rel=1e-12)
