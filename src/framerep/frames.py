@@ -14,23 +14,26 @@ are still valid Bessel sequences).  Conventions used throughout:
 
 Frames are immutable: the vectors, the cached matrices and every cached
 spectral factor, the canonical dual's included, are read-only arrays.
-Each frame's spectral data comes from the QR factorization ``C = Q R`` of its
-analysis matrix, in layers computed lazily and cached:
+Each frame's spectral data comes from the QR ``C/p = Q (R/p)`` of its
+analysis matrix over p, the power of two of C's largest real or imaginary
+part (:func:`~framerep.linalg.split_scale`).  Powers of two cancel exactly, so
+a result keeps its bits wherever it is a normal float, and every entry of
+``R/p`` is below ``2 sqrt(2 K)``.  The layers are computed lazily and cached:
 
-* ``Frame._triangular_factor`` is the small ``min(K, n) x n`` R.  Read
-  first, it comes from a QR that does not form Q.
-* ``Frame.singular_values`` are C's singular values ``s``: those of R alone,
+* ``Frame._triangular_factor`` is ``(p, R/p)``, the ``min(K, n) x n`` R
+  kept once.  Read first, it comes from a QR that does not form Q.
+* ``Frame.singular_values`` are C's singular values ``s = p s(R/p)``,
   without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
   ``is_frame``, the condition and the classification read only this layer.
 * ``Frame._orthonormal_factor`` is the QR's Q.  The reduced QR that forms it
-  also supplies R when R is not cached yet, so a cold canonical dual or
-  range projection takes one QR; a frame whose R was read first takes a
-  second QR for Q.  The canonical dual's analysis matrix
+  also supplies ``(p, R/p)`` when it is not cached yet, so a cold canonical
+  dual or range projection takes one QR; a frame whose R was read first
+  takes a second QR for Q.  The canonical dual's analysis matrix
   ``C S^-1 = (C^+)* = Q R^-*`` and the projection ``Q Q*`` onto the analysis
   range need Q and no singular vector.
-* ``Frame._unit_triangular_factor`` is ``(p, R/p, (R/p)^-1)`` for the power
-  of two ``p <= s[0] < 2 p``: the frame's one inverse of R, which the dual
-  and the cutoff path of :mod:`framerep.solve` share.
+* ``Frame._unit_triangular_factor`` is ``(p, R/p, (R/p)^-1)`` on the same
+  arrays: the frame's one inverse of R, which the dual and the cutoff path
+  of :mod:`framerep.solve` share.
 
 No layer holds singular vectors.
 
@@ -61,8 +64,8 @@ import numpy as np
 
 from .exceptions import DecompositionFailed, FrameRepError, NotAFrame
 from .linalg import (EPS, as_matrix, as_vector, divide_parts, euclidean_norm, finite_product,
-                     frozen, hermitian_eigs, inverse, power_of_two_below, require_finite,
-                     require_shape, singular_values, wrap_checked)
+                     frozen, hermitian_eigs, inverse, require_finite, require_shape,
+                     singular_values, split_scale, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -160,42 +163,45 @@ class Frame:
                                      self.analysis_matrix))
 
     @cached_property
-    def _triangular_factor(self) -> np.ndarray:
-        """Read-only ``min(K, n) x n`` R of ``C = Q R``, Q not formed; FrameRepError on overflow."""
-        return _checked_triangular_factor(np.linalg.qr(self.analysis_matrix, mode="r"))
+    def _triangular_factor(self) -> tuple[float, np.ndarray]:
+        """Read-only ``(p, R/p)``: p C's :func:`split_scale`, R/p from the QR of ``C/p``, no Q."""
+        scale, unit = split_scale(self.analysis_matrix)
+        return scale, frozen(np.linalg.qr(unit, mode="r"))
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         """C's ``min(K, n)`` singular values in descending order, read-only.
 
-        They are R's, computed without singular vectors, so the SVD runs on at
-        most n rows and no K x n factor is formed.
+        They are ``p`` times those of ``R/p`` alone, computed without singular
+        vectors, so the SVD runs on at most n rows and no K x n factor is formed.
 
         Raises
         ------
         FrameRepError
-            If an entry of R leaves the float range.
+            If the largest singular value leaves the float range.
         DecompositionFailed
             If the SVD does not converge.
         """
-        return frozen(singular_values(self._triangular_factor, "frame analysis matrix"))
+        scale, unit = self._triangular_factor
+        with np.errstate(over="ignore"):
+            s = singular_values(unit, "frame analysis matrix") * scale
+        return frozen(require_finite("frame analysis matrix's largest singular value", s))
 
     @cached_property
     def _orthonormal_factor(self) -> np.ndarray:
-        """Read-only Q of the reduced QR ``C = Q R``; caches its R (the same bits) if none is."""
-        q, r = np.linalg.qr(self.analysis_matrix, mode="reduced")
-        if "_triangular_factor" not in self.__dict__:
-            self.__dict__["_triangular_factor"] = _checked_triangular_factor(r)
+        """Read-only Q of the reduced QR of ``C/p``; caches its ``(p, R/p)`` if none is."""
+        scale, unit = split_scale(self.analysis_matrix)
+        q, r = np.linalg.qr(unit, mode="reduced")
+        self.__dict__.setdefault("_triangular_factor", (scale, frozen(r)))
         return frozen(q)
 
     @cached_property
     def _unit_triangular_factor(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Read-only ``(p, R/p, (R/p)^-1)``, ``p`` the :func:`power_of_two_below` ``s[0]``.
+        """Read-only ``(p, R/p, (R/p)^-1)`` on :attr:`_triangular_factor`'s arrays.
 
         The one inverse of R, for a frame (R square); DecompositionFailed if LAPACK fails.
         """
-        scale = power_of_two_below(self.singular_values[0])
-        unit = frozen(divide_parts(self._triangular_factor, scale))
+        scale, unit = self._triangular_factor
         return scale, unit, frozen(inverse(unit, "frame's triangular factor R"))
 
     @cached_property
@@ -217,10 +223,10 @@ class Frame:
         * ``eigvalsh``: its eigenvalues are exact for the computed S plus a
           perturbation of 2-norm at most ``c n^2 u |S|_F <= c n^2 u tr S``
           (Householder tridiagonalization, ch. 19);
-        * the exact layer: the Householder QR's R is exact for ``C + dC``,
-          ``|dC|_F <= c K n u |C|_F`` (ch. 19), and the SVD of R adds
-          ``c n^2 u |R|_F``; so ``s_i`` is within ``d = c (K n + n^2) u
-          |C|_F`` of ``sigma_i`` and ``s_i^2`` within ``d (2 |C|_F + d)``.
+        * the exact layer: the Householder QR's ``R/p`` is exact for ``(C +
+          dC) / p``, ``|dC|_F <= c K n u |C|_F`` (ch. 19), and ``s = p
+          s(R/p)`` adds ``c n^2 u |R|_F``; so ``s_i`` is within ``d = c (K n
+          + n^2) u |C|_F`` of ``sigma_i`` and ``s_i^2`` within ``d (2 |C|_F + d)``.
 
         By Weyl's theorem, with every constant ``c <= 4``, ``|lambda_i -
         s_i^2|`` is below ``8 (K n + n^2) eps tr S`` to first order.  ``r`` is
@@ -399,11 +405,6 @@ class Frame:
             return True
         a, b = a / scale, b / scale
         return euclidean_norm(a - b) <= SAME_FRAME_RTOL * max(euclidean_norm(a), euclidean_norm(b))
-
-
-def _checked_triangular_factor(r: np.ndarray) -> np.ndarray:
-    """``r``, a frame's R, frozen; FrameRepError if an entry left the float range."""
-    return frozen(require_finite("frame analysis matrix's triangular factor R", r))
 
 
 def numerical_rank(s: np.ndarray) -> int:

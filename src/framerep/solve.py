@@ -39,12 +39,11 @@ below ``rel_tol`` times the largest.
   The small matrix (X or ``X_N``) has the nonzero singular values of
   ``M_N``, so the cutoff means the same as for an explicit pseudoinverse of
   ``M_N``.  The path reads R as ``R/p`` and its inverse ``(R/p)^-1``, both
-  cached by the frame, for the power of two ``p`` with ``p <= s[0] < 2 p``.
-  The division is exact in binary, cancels in X and in ``R^-1 y``, and
-  leaves ``R g`` and y divided by p; ``C[:N]`` is divided by p before it
-  meets ``(R/p)^-1``.  So neither X nor ``R g`` underflows or overflows
-  merely because the frame's scale is far from 1.  Q itself is never formed,
-  and R is not inverted again.
+  cached by the frame, for C's power of two p.  The division is exact in
+  binary, cancels in X and in ``R^-1 y``, and leaves ``R g`` and y divided
+  by p; ``C[:N]`` is divided by p before it meets ``(R/p)^-1``.  So neither
+  X nor ``R g`` underflows or overflows merely because the frame's scale is
+  far from 1.  Q itself is never formed, and R is not inverted again.
 
 Every path returns coefficients that synthesize its solution, ``f = D_dual
 c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after

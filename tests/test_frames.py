@@ -112,7 +112,7 @@ class TestConstruction:
                              if isinstance(array, np.ndarray)})
         assert {"frame._vectors[0]", "frame._reconstruction_factor[0]",
                 "frame._unit_triangular_factor[1]", "frame._unit_triangular_factor[2]",
-                "dual._orthonormal_factor[0]", "dual._triangular_factor[0]",
+                "dual._orthonormal_factor[0]", "dual._triangular_factor[1]",
                 "dual._unit_triangular_factor[1]", "dual._unit_triangular_factor[2]"} <= kept.keys()
         for name, array in kept.items():
             with pytest.raises(ValueError, match="read-only"):
@@ -212,20 +212,36 @@ class TestBounds:
         assert np.linalg.norm(frame.analyze(hi)) ** 2 == pytest.approx(b, abs=1e-9 * b)
 
     def test_triangular_factor_overflow_is_named(self):
-        # the column norm 2e308 of the QR's R leaves the float range
-        with pytest.raises(FrameRepError, match="triangular factor R overflows") as info:
-            Frame(np.full((4, 1), 1e308)).bounds
+        # R = p (R/p) holds the column norm 2e308, C's largest singular value,
+        # which leaves the float range; R/p itself is finite
+        frame = Frame(np.full((4, 1), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameRepError, match="largest singular value overflows") as info:
+                frame.bounds
         assert not isinstance(info.value, DimensionMismatch)
+        assert np.isfinite(frame._triangular_factor[1]).all()
+
+    def test_condition_near_the_largest_float(self):
+        # C's column norms 1.27e308 are finite, but a Householder QR of C itself
+        # overflowed silently and read s = (1, 1) 1.27e308, condition 1
+        frame = Frame(np.array([[1, 0], [0, 1], [1, 1]]) * 9e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frame.condition == pytest.approx(3.0, rel=1e-15)
+            assert frame.singular_values == pytest.approx(np.array([np.sqrt(3), 1]) * 9e307,
+                                                          rel=1e-15)
 
     @pytest.mark.parametrize("read", [
         Frame.canonical_dual,
         lambda frame: project_onto_analysis_range(frame, np.ones(4)),
     ], ids=["canonical_dual", "project_onto_analysis_range"])
     def test_triangular_factor_overflow_from_the_qr_that_forms_q(self, read):
-        # the dual and the projector read Q first, and its QR supplies R
+        # the dual and the projector read Q first, and its QR supplies R/p; the
+        # frame check then reads the singular values p s(R/p), which overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FrameRepError, match="triangular factor R overflows") as info:
+            with pytest.raises(FrameRepError, match="largest singular value overflows") as info:
                 read(Frame(np.full((4, 1), 1e308)))
         assert not isinstance(info.value, DimensionMismatch)
 
@@ -340,7 +356,9 @@ class TestCanonicalDual:
         s = dual.singular_values
         assert np.array_equal(s, 1.0 / frame.singular_values[::-1])
         assert np.all(np.diff(s) <= 0)
-        q, r = dual._orthonormal_factor, dual._triangular_factor
+        q, (p, unit) = dual._orthonormal_factor, dual._triangular_factor
+        r = p * unit
+        assert np.array_equal(r, np.linalg.qr(dual.analysis_matrix, mode="r"))
         # the inherited s are the singular values of the dual's own R
         assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - s)) <= 1e-12 * s[0]
         scale = np.linalg.norm(dual.analysis_matrix)
@@ -429,7 +447,8 @@ class TestSpectralLayers:
         c = (left * np.sqrt(condition ** np.linspace(0.0, 1.0, m))[::-1]) @ right.conj().T
         frame = Frame(c.conj())
         s = frame.singular_values
-        q, r = frame._orthonormal_factor, frame._triangular_factor
+        q, (scale, unit) = frame._orthonormal_factor, frame._triangular_factor
+        r = scale * unit
         s_ref = np.linalg.svd(c, compute_uv=False)
         assert np.max(np.abs(s - s_ref)) <= 1e-14 * s_ref[0]
         assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13
@@ -454,10 +473,12 @@ class TestSpectralLayers:
         # a cutoff-path solve reads the frame's cached s and R, and computes neither again
         rng = np.random.default_rng(25)
         frame = random_frame(rng, 5, 13)
-        s, r = frame.singular_values, frame._triangular_factor
+        s, factor = frame.singular_values, frame._triangular_factor
         solve(conditioned_operator(rng, 5), random_complex(rng, 5), frame,
               SolveOptions(section_size=7))
-        assert frame.singular_values is s and frame._triangular_factor is r
+        assert frame.singular_values is s and frame._triangular_factor is factor
+        scale, unit = factor
+        r = scale * unit
         assert np.array_equal(r, np.linalg.qr(frame.analysis_matrix, mode="r"))
         assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - s)) <= 1e-14 * s[0]
 

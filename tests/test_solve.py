@@ -45,6 +45,22 @@ def rel(a, b):
     return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
 
 
+def _ldexp(a, exponent):
+    """``a * 2^exponent`` for a complex or real array, each part rounded once."""
+    with np.errstate(over="ignore", under="ignore"):
+        if np.iscomplexobj(a):
+            return np.ldexp(np.ascontiguousarray(a).view(np.float64), exponent).view(np.complex128)
+        return np.ldexp(np.asarray(a, dtype=np.float64), exponent)
+
+
+def _assert_scaled(got, base, exponent, where):
+    """``got == base * 2^exponent`` bit for bit wherever that product is a normal float."""
+    got, expected = (np.atleast_1d(np.asarray(a)) for a in (got, _ldexp(base, exponent)))
+    got, expected = (a.view(np.float64) if np.iscomplexobj(a) else a for a in (got, expected))
+    normal = np.isfinite(expected) & (np.abs(expected) >= np.finfo(np.float64).tiny)
+    assert np.array_equal(got[normal], expected[normal]), where
+
+
 class TestDiscretize:
     """The discretized system ``M = C O D_dual``: the explicit oracle satisfies the
     paper's identities, and :func:`solve` discretizes only what it can."""
@@ -441,8 +457,12 @@ class TestFactoredSolve:
         solve(conditioned_operator(rng, 5), random_complex(rng, 5), frame)
         dual, fresh = frame.canonical_dual(), Frame(vectors).canonical_dual()
         assert np.array_equal(dual.vectors, fresh.vectors)
-        for layer in ("singular_values", "_orthonormal_factor", "_triangular_factor"):
+        for layer in ("singular_values", "_orthonormal_factor"):
             assert np.array_equal(getattr(dual, layer), getattr(fresh, layer)), layer
+        scale, unit = dual._triangular_factor
+        assert scale == fresh._triangular_factor[0]
+        assert np.array_equal(unit, fresh._triangular_factor[1])
+        assert np.array_equal(scale * unit, np.linalg.qr(dual.analysis_matrix, mode="r"))
 
     def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
         # a singular operator takes the cutoff path, which takes the core's SVD
@@ -716,6 +736,34 @@ class TestScaleEquivariance:
             assert not runs
             assert report.residual_matrix == base.residual_matrix, seed
 
+    @pytest.mark.parametrize("exponent", [300, -300, 500, -500, 600, -600, 1000, -1000])
+    def test_spectral_data_and_solutions_are_exact_at_binary_scales(self, exponent):
+        # 2^k splits off into the frame's power of two p, so every result is the
+        # scale-1 one times its power of two wherever that stays a normal float
+        for seed in range(25):
+            rng = np.random.default_rng(400 + seed)
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(n, 4 * n + 1))
+            base = frame_with_condition(rng, n, k, 10.0 ** rng.uniform(0.0, 8.0))
+            vectors = _ldexp(base.vectors, exponent)
+            assert np.array_equal(_ldexp(vectors, -exponent), base.vectors)  # an exact copy
+            op, g = conditioned_operator(rng, n), random_complex(rng, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                frame = Frame(vectors)
+                _assert_scaled(frame.singular_values, base.singular_values, exponent,
+                               ("singular values", seed))
+                _assert_scaled(frame.bounds, base.bounds, 2 * exponent, ("bounds", seed))
+                _assert_scaled(frame.canonical_dual().vectors, base.canonical_dual().vectors,
+                               -exponent, ("dual", seed))
+                assert frame.condition == base.condition, ("condition", seed)
+                for path, options in (("cutoff", SolveOptions(rel_tol=0.5)),
+                                      ("section", SolveOptions(section_size=k // 2))):
+                    got, want = (solve(op, g, f, options) for f in (frame, base))
+                    assert np.array_equal(got.solution, want.solution), (path, seed)
+                    _assert_scaled(got.coefficients, want.coefficients, exponent, (path, seed))
+                    assert got.residual_operator == want.residual_operator, (path, seed)
+
     def test_bounds_beyond_float_range_read_inf(self):
         frame = Frame([[1e160, 0], [0, 1e160], [1e160, 1e160]])
         with warnings.catch_warnings():
@@ -741,8 +789,8 @@ class TestOverflow:
         (PSI0 * 1e-160, 1e-10 * np.eye(2), 1e300, r"solution R\^-1 y"),
         # B/A is about 1e8, and the core's off-diagonal entry about 1e309
         ([[1, 0], [0, 1e-4], [1, 1e-4]], [[0, 1e305], [0, 0]], 1.0, "discretized system's core"),
-        # the column norms 2e308 of the frame's triangular factor R
-        (np.full((4, 2), 1e308), np.eye(2), 1.0, "triangular factor R"),
+        # R = p (R/p) has column norms 2e308, and C's largest singular value is 2.8e308
+        (np.full((4, 2), 1e308), np.eye(2), 1.0, "largest singular value"),
     ], ids=["rhs_coefficients", "solution_coefficients", "solution", "core", "triangular_factor"])
     def test_overflow_is_named(self, vectors, op, g, product, section):
         frame = Frame(vectors)
@@ -751,6 +799,17 @@ class TestOverflow:
             with pytest.raises(FrameRepError, match=product) as info:
                 solve(LinearOperator(op), [g, g], frame, SolveOptions(section_size=section))
         assert not isinstance(info.value, DimensionMismatch)
+
+    def test_cutoff_solve_near_the_largest_float(self):
+        # C's column norms 1.27e308 are finite, but a Householder QR of C itself
+        # overflowed silently, and the solve returned (1, 0) 1e-300
+        frame = Frame(self.PSI0 * 9e307)
+        with warnings.catch_warnings(), cutoff_solves() as runs:
+            warnings.simplefilter("error")
+            report = solve(LinearOperator(np.diag([1.0, 0.0])), [1e-300, 1e-300], frame)
+        assert runs
+        expected = np.array([1.5, -0.75]) * 1e-300
+        assert euclidean_norm(report.solution - expected) <= 1e-15 * euclidean_norm(expected)
 
     def test_closed_form_forms_no_core(self):
         # B/A is about 1.3e8, so the core X = R O R^-1 reaches about 1e309 where
