@@ -47,9 +47,9 @@ and dynamic range unsquared.
 Besides the spectral layers a frame caches, on first use, its reconstruction
 factor ``D C_dual = sum_k psi_k dual_k*`` (n x n, the identity up to
 rounding), the outer factor of :func:`framerep.represent.roundtrip_reconstruct`.
-Numerical rank has one rule, :func:`numerical_rank`, which ``is_frame``
-applies to C and the diagnosis of ``operator_from_images`` to its stacked
-blocks.
+Numerical rank has one rule, which ``is_frame`` alone applies: C has full
+rank n when its smallest singular value exceeds ``sqrt(RANK_RTOL)`` times its
+largest.
 """
 
 from __future__ import annotations
@@ -285,8 +285,12 @@ class Frame:
 
     @property
     def is_frame(self) -> bool:
-        """Whether A > RANK_RTOL * B, i.e. whether the :func:`numerical_rank` of C is n."""
-        return numerical_rank(self.singular_values) == self.space_dim
+        """Whether A > RANK_RTOL * B: K >= n and ``s[-1] > sqrt(RANK_RTOL) s[0]``.
+
+        The one rank rule.  It is relative, so scaling the frame does not change it.
+        """
+        s = self.singular_values
+        return self.count >= self.space_dim and bool(s[-1] > math.sqrt(RANK_RTOL) * s[0])
 
     def require_frame(self, operation: str) -> None:
         """Raise NotAFrame, naming ``operation``, unless the family is a frame."""
@@ -405,16 +409,6 @@ class Frame:
             return True
         a, b = a / scale, b / scale
         return euclidean_norm(a - b) <= SAME_FRAME_RTOL * max(euclidean_norm(a), euclidean_norm(b))
-
-
-def numerical_rank(s: np.ndarray) -> int:
-    """How many of the descending singular values ``s`` exceed ``sqrt(RANK_RTOL) * s[0]``.
-
-    The one rank rule: a family is a frame when its analysis matrix has full
-    rank n by it, which is ``A > RANK_RTOL * B``.  It is relative, so scaling
-    the matrix does not change it.
-    """
-    return int(np.count_nonzero(s > math.sqrt(RANK_RTOL) * s[0]))
 
 
 def gram(psi: Frame, phi: Frame) -> np.ndarray:

@@ -219,23 +219,13 @@ def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
     """``(p, a / p)``, ``p`` the :func:`power_of_two_below` the largest real or imaginary part.
 
     The quotient, a new array, has its largest part in ``[1, 2)``.  The parts
-    are compared, as a modulus may overflow, and divided by
-    :func:`split_scale_in_place`.
+    are compared, as a modulus may overflow; the largest is ``max(max, -min)``
+    of them, so no array of moduli is allocated.  The quotient is the same
+    bits as :func:`divide_parts`'s.
     """
-    quotient = np.array(a, dtype=np.complex128, order="C")
-    return split_scale_in_place(quotient), quotient
-
-
-def split_scale_in_place(a: np.ndarray) -> float:
-    """Divide the C-contiguous complex128 ``a`` in place as :func:`split_scale` does; return ``p``.
-
-    The largest part is ``max(max, -min)`` of the parts, so no array of
-    moduli is allocated; the quotient is the same bits as :func:`divide_parts`'s.
-    """
-    parts = a.view(np.float64)
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     scale = power_of_two_below(float(max(parts.max(), -parts.min())))
-    parts /= scale
-    return scale
+    return scale, (parts / scale).view(np.complex128)
 
 
 def divide_parts(a: np.ndarray, scale: float) -> np.ndarray:

@@ -16,15 +16,15 @@ kernel: ``<O f, g> = g* K f``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import IncompatibleFrames
-from .frames import Frame, numerical_rank
-from .linalg import (as_matrix, as_vector, finite_product, frobenius_norm, frozen,
-                     require_finite, require_shape, singular_values, split_scale_in_place,
-                     wrap_checked)
+from .frames import RANK_RTOL, Frame
+from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frobenius_norm,
+                     frozen, require_finite, require_shape, split_scale, wrap_checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +212,12 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     With ``diagnose=True`` also returns a bool reporting whether naive
     interpolation would have been consistent, i.e. whether every linear
     dependency among the frame vectors is matched by the same dependency
-    among the images (a kernel-containment rank test).  Raises FrameRepError
-    if an entry of the operator leaves the float range.
+    among the images.  That holds exactly when each column of the K x m
+    image matrix E lies in the frame's analysis range, ``E = conj(Q Q*) E``
+    for the orthonormal Q of its cached QR (a range test): the images count
+    as consistent when the part of ``E/p`` outside the range is at most
+    ``sqrt(RANK_RTOL) |E/p|``, p the images' power of two.  Raises
+    FrameRepError if an entry of the operator leaves the float range.
     """
     dual = frame.canonical_dual()
     e = as_matrix(images, "images", (frame.count, None))
@@ -221,16 +225,15 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
                       finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
-    # D = C* (with C's singular values) stacked on the images in one buffer,
-    # each block divided in place by a power of two near its largest real or
-    # imaginary part, so neither block's scale sets the other's rank cutoff
-    n = frame.space_dim
-    stacked = np.empty((n + e.shape[1], frame.count), dtype=np.complex128)
-    stacked[:n], stacked[n:] = frame.synthesis_matrix, e.T
-    for block in (stacked[:n], stacked[n:]):
-        split_scale_in_place(block)
-    s_stack = singular_values(stacked, "stacked frame and images")
-    return op, numerical_rank(s_stack) == numerical_rank(frame.singular_values)
+    # V psi_k = images_k for every k iff E^T Q Q* = E^T, i.e. conj(Q) Q^T E = E.
+    # The part of E/p outside the range is the conjugate of conj(E/p) - Q conj(Q^T E/p),
+    # formed in E/p's own array and without a conjugated copy of Q
+    q = frame._orthonormal_factor
+    _, unit = split_scale(e)
+    norm, coefficients = euclidean_norm(unit), (q.T @ unit).conj()
+    outside = np.conjugate(unit, out=unit)
+    outside -= q @ coefficients
+    return op, euclidean_norm(outside) <= math.sqrt(RANK_RTOL) * norm
 
 
 def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.ndarray, np.ndarray]:

@@ -62,8 +62,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, euclidean_norm, power_of_two_below, require_finite,
-                     require_shape, solve_with_condition, split_scale, svd)
+from .linalg import (EPS, as_vector, divide_parts, euclidean_norm, power_of_two_below,
+                     require_finite, require_shape, solve_with_condition, split_scale, svd)
 from .represent import LinearOperator
 
 
@@ -265,7 +265,8 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
         else:
             # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = Q1 R1 and X_N = R1 X R1*,
             # so c_N = Q1 X_N^+ Q1* d_N = Q1 X_N^+ R1 R g and y = Q_N* c_N = R1* X_N^+ R1 R g
-            q1, r1 = np.linalg.qr((frame.analysis_matrix[:n_section] / scale) @ r_unit_inverse)
+            rows = divide_parts(frame.analysis_matrix[:n_section], scale)
+            q1, r1 = np.linalg.qr(rows @ r_unit_inverse)
             z = _solve_above_cutoff(r1 @ x @ r1.conj().T, r1 @ rg, rel_tol,
                                     "finite section's core")
             y = r1.conj().T @ z

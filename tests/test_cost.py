@@ -66,7 +66,7 @@ TABLE = {
     "roundtrip_reconstruct": (DUAL, []),
     "range_map_check": (DUAL, []),
     "operator_from_images": (DUAL, []),
-    "operator_from_images diagnose": (DUAL + ["svd 2nxK values"], ["svd 2nxK values"]),
+    "operator_from_images diagnose": (DUAL, []),
     "operator_norm": (["svd Kxn values"], ["svd Kxn values"]),
 }
 
@@ -93,7 +93,7 @@ K_BY_K = {"gram", "matrix_of_operator", "Representation.compose"}
 #: A cold call's traced peak, in units of ``K n + n^2`` complex numbers, stays
 #: below this at n = 16, K = 1024, where a K x K array alone is 63 units and
 #: an (K/2) x (K/2) one 16.  The worst were 7.9 (``operator_of_matrix``: the
-#: finiteness check of its K x K input allocates 2 K^2 bytes) and 6.2
+#: finiteness check of its K x K input allocates 2 K^2 bytes) and 6.0
 #: (``operator_from_images diagnose``).
 PEAK_UNITS = 12
 

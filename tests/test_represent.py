@@ -34,6 +34,7 @@ from framerep import (
 from framerep.linalg import euclidean_norm
 from helpers import (
     LAYOUTS,
+    frame_with_condition,
     imaginary_nan,
     random_complex,
     random_frame,
@@ -526,7 +527,7 @@ class TestOperatorFromImages:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
-        scaled=st.sampled_from(["images", "frame"]),
+        scaled=st.sampled_from(["images", "frame", "images at 2^1000", "images at 2^-1000"]),
         exponent=st.integers(-150, 150),
         consistent=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -540,12 +541,35 @@ class TestOperatorFromImages:
         count = inputs["frame"].shape[0]
         inputs["images"] = (inputs["frame"] @ random_complex(rng, m, n).T if consistent
                             else random_complex(rng, count, m))
-        inputs[scaled] = inputs[scaled] * 10.0**exponent
+        binary = {"images at 2^1000": 2.0**1000, "images at 2^-1000": 2.0**-1000}
+        scaled_input = scaled.split()[0]
+        inputs[scaled_input] = inputs[scaled_input] * binary.get(scaled, 10.0**exponent)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, verdict = operator_from_images(Frame(inputs["frame"]), inputs["images"],
                                               diagnose=True)
         assert verdict == consistent
+
+    @pytest.mark.parametrize("exponent", [0, 600, -600, 1000, -1000])
+    @pytest.mark.parametrize("outside, consistent", [(5e-6, True), (3e-5, False)])
+    def test_diagnosis_threshold(self, exponent, outside, consistent):
+        # images A psi_k plus a part outside the frame's range of relative size
+        # `outside`: consistent up to sqrt(RANK_RTOL) = 1e-5 of their norm
+        for seed in range(20):
+            rng = np.random.default_rng(500 + seed)
+            n, m = (int(d) for d in rng.integers(1, 5, size=2))
+            k = n + int(rng.integers(1, 6))
+            frame = frame_with_condition(rng, n, k, 10.0 ** rng.uniform(0.0, 9.0))
+            images = frame.vectors @ random_complex(rng, m, n).T
+            basis, _ = np.linalg.qr(frame.vectors)
+            u = random_complex(rng, k, m)
+            for _ in range(2):  # project out the range twice, for orthogonality to rounding
+                u = u - basis @ (basis.conj().T @ u)
+            images = images + outside * euclidean_norm(images) / euclidean_norm(u) * u
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, verdict = operator_from_images(frame, images * 2.0**exponent, diagnose=True)
+            assert verdict == consistent, seed
 
     def test_requires_frame(self):
         with pytest.raises(NotAFrame):

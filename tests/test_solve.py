@@ -669,6 +669,21 @@ class TestScaleEquivariance:
         assert runs  # the cutoff path ran
         assert euclidean_norm(report.solution - expected) <= 1e-14 * euclidean_norm(expected)
 
+    @pytest.mark.parametrize("section", [1, 2])
+    @pytest.mark.parametrize("exponent", [-1030, -1060, -1072])
+    def test_section_of_a_subnormal_frame(self, exponent, section):
+        # C[:N] / p for a subnormal p went through p's overflowing reciprocal,
+        # and the section's core read as non-finite; the residual matrix is
+        # not compared, as C itself is subnormal here
+        psi0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        op, options = LinearOperator([[2, 1], [0, 1]]), SolveOptions(section_size=section)
+        base = solve(op, [1, 2], Frame(psi0), options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(op, [1, 2], Frame(_ldexp(psi0, exponent)), options)
+        assert np.array_equal(report.solution, base.solution)
+        assert report.residual_operator == base.residual_operator
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         scaled=st.sampled_from(["g", "operator", "frame"]),
