@@ -25,12 +25,12 @@ a result keeps its bits wherever it is a normal float, and every entry of
 * ``Frame.singular_values`` are C's singular values ``s = p s(R/p)``,
   without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
   ``is_frame``, the condition and the classification read only this layer.
-* ``Frame._orthonormal_factor`` is the QR's Q.  The reduced QR that forms it
-  also supplies ``(p, R/p)`` when it is not cached yet, so a cold canonical
-  dual or range projection takes one QR; a frame whose R was read first
-  takes a second QR for Q.  The canonical dual's analysis matrix
-  ``C S^-1 = (C^+)* = Q R^-*`` and the projection ``Q Q*`` onto the analysis
-  range need Q and no singular vector.
+* ``Frame._orthonormal_factor`` is the QR's Q, read in this module alone.
+  The reduced QR that forms it also supplies ``(p, R/p)`` when it is not
+  cached yet, so a cold canonical dual or range projection takes one QR; a
+  frame whose R was read first takes a second QR for Q.  The canonical
+  dual's analysis matrix ``C S^-1 = (C^+)* = Q R^-*`` needs Q and no
+  singular vector; ``Frame._project`` alone applies the projector ``Q Q*``.
 * ``Frame._unit_triangular_factor`` is ``(p, R/p, (R/p)^-1)`` on the same
   arrays: the frame's one inverse of R, which the dual and the cutoff path
   of :mod:`framerep.solve` share.
@@ -346,22 +346,30 @@ class Frame:
         if dual is None:
             primal = self.__dict__.get("_primal")
             dual = primal() if primal is not None else None
-        if dual is None:
-            # Q before the rank check: its QR caches R too, so the check takes no second QR
-            q = self._orthonormal_factor
+        if dual is not None:
+            return dual
+        # Q before the rank check: its QR caches R too, so the check takes no second QR
+        q = self._orthonormal_factor
         self.require_frame("canonical dual")
-        if dual is None:
-            scale, _, unit_inverse = self._unit_triangular_factor
-            s = self.singular_values
-            with np.errstate(over="ignore", invalid="ignore"):
-                # rows of `vectors` are conj(Q R^-*) = conj(Q) (R/p)^-T / p
-                vectors = require_finite("canonical dual",
-                                         divide_parts(q.conj() @ unit_inverse.T, scale))
-                s_dual = require_finite("canonical dual's largest singular value", 1.0 / s[::-1])
-            dual = wrap_checked(Frame, "_vectors", vectors, singular_values=frozen(s_dual),
-                                _primal=weakref.ref(self))
-            self.__dict__["_canonical_dual"] = dual
+        scale, _, unit_inverse = self._unit_triangular_factor
+        s = self.singular_values
+        with np.errstate(over="ignore", invalid="ignore"):
+            # rows of `vectors` are conj(Q R^-*) = conj(Q) (R/p)^-T / p
+            vectors = require_finite("canonical dual",
+                                     divide_parts(q.conj() @ unit_inverse.T, scale))
+            s_dual = require_finite("canonical dual's largest singular value", 1.0 / s[::-1])
+        dual = wrap_checked(Frame, "_vectors", vectors, singular_values=frozen(s_dual),
+                            _primal=weakref.ref(self))
+        self.__dict__["_canonical_dual"] = dual
         return dual
+
+    def _project(self, a: np.ndarray, operation: str) -> np.ndarray:
+        """``Q Q* a`` for a caller-scaled K-vector or K x m block ``a``; NotAFrame if no frame."""
+        # Q before the rank check: its QR caches R too, so the check takes no second QR
+        q = self._orthonormal_factor
+        self.require_frame(operation)
+        # (a* Q)* is Q* a without a conjugated copy of Q
+        return q @ (a.conj().T @ q).conj().T
 
     @cached_property
     def _reconstruction_factor(self) -> np.ndarray:

@@ -44,10 +44,16 @@ def _load_json(text: str) -> dict:
     return obj
 
 
-def _check_version(obj: dict):
+def _header(obj: dict, *names: str) -> list[int]:
+    """Check the format version; return the fields ``names``, each a positive integer."""
     version = obj.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
+    values = [obj.get(name) for name in names]
+    for name, value in zip(names, values):
+        if type(value) is not int or value < 1:
+            raise ParseError(f"'{name}' must be a positive integer, got {value!r}")
+    return values
 
 
 #: The types ``json.loads`` gives JSON numbers; ``bool`` is deliberately absent.
@@ -84,10 +90,7 @@ def canonical_json(obj) -> str:
 def parse_frame(text: str) -> Frame:
     """Parse the JSON frame format into a :class:`Frame`."""
     obj = _load_json(text)
-    _check_version(obj)
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"'dim' must be a positive integer, got {dim!r}")
+    (dim,) = _header(obj, "dim")
     rows = obj.get("vectors")
     if not isinstance(rows, list):
         raise ParseError("'vectors' must be an array of rows")
@@ -111,11 +114,7 @@ def serialize_frame(frame: Frame) -> str:
 # -- matrices -------------------------------------------------------------
 
 def _parse_matrix_json(obj: dict) -> np.ndarray:
-    _check_version(obj)
-    rows, cols = obj.get("rows"), obj.get("cols")
-    for name, value in (("rows", rows), ("cols", cols)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ParseError(f"'{name}' must be a positive integer, got {value!r}")
+    rows, cols = _header(obj, "rows", "cols")
     entries = obj.get("entries")
     if not isinstance(entries, list):
         raise ParseError("'entries' must be an array of numbers")

@@ -212,12 +212,12 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     With ``diagnose=True`` also returns a bool reporting whether naive
     interpolation would have been consistent, i.e. whether every linear
     dependency among the frame vectors is matched by the same dependency
-    among the images.  That holds exactly when each column of the K x m
-    image matrix E lies in the frame's analysis range, ``E = conj(Q Q*) E``
-    for the orthonormal Q of its cached QR (a range test): the images count
-    as consistent when the part of ``E/p`` outside the range is at most
-    ``sqrt(RANK_RTOL) |E/p|``, p the images' power of two.  Raises
-    FrameRepError if an entry of the operator leaves the float range.
+    among the images.  That holds exactly when ``Q Q* conj(E) = conj(E)`` for
+    the K x m image matrix E, a range test by ``Frame._project``, the one
+    place the frame's Q is applied: the images count as consistent when the
+    part of ``conj(E)/p`` outside the range is at most ``sqrt(RANK_RTOL)
+    |E/p|``, p the images' power of two.  Raises FrameRepError if an entry of
+    the operator leaves the float range.
     """
     dual = frame.canonical_dual()
     e = as_matrix(images, "images", (frame.count, None))
@@ -225,15 +225,10 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
                       finite_product("operator from images", e.T, dual.analysis_matrix))
     if not diagnose:
         return op
-    # V psi_k = images_k for every k iff E^T Q Q* = E^T, i.e. conj(Q) Q^T E = E.
-    # The part of E/p outside the range is the conjugate of conj(E/p) - Q conj(Q^T E/p),
-    # formed in E/p's own array and without a conjugated copy of Q
-    q = frame._orthonormal_factor
-    _, unit = split_scale(e)
-    norm, coefficients = euclidean_norm(unit), (q.T @ unit).conj()
-    outside = np.conjugate(unit, out=unit)
-    outside -= q @ coefficients
-    return op, euclidean_norm(outside) <= math.sqrt(RANK_RTOL) * norm
+    # V psi_k = images_k for every k iff E^T Q Q* = E^T, i.e. Q Q* conj(E) = conj(E)
+    unit = split_scale(e.conj())[1]
+    outside = unit - frame._project(unit, "interpolation diagnosis")
+    return op, euclidean_norm(outside) <= math.sqrt(RANK_RTOL) * euclidean_norm(unit)
 
 
 def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.ndarray, np.ndarray]:

@@ -122,18 +122,16 @@ class SolveReport:
 def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     """Orthogonal projection of coefficients onto the frame's analysis range.
 
-    Applies ``Q Q*`` for the orthonormal Q of the frame's cached QR ``C = Q R``,
-    which equals ``gram(frame, dual(frame))``; idempotent, self-adjoint, and
-    the identity on any vector of the form ``C f``.  ``c`` is scaled first
+    Applies ``Q Q*`` for the orthonormal Q of the frame's cached QR ``C = Q R``
+    through ``Frame._project``, the one place Q is applied; ``Q Q*`` equals
+    ``gram(frame, dual(frame))``, is idempotent, self-adjoint, and the
+    identity on any vector of the form ``C f``.  ``c`` is scaled first
     (:func:`~framerep.linalg.split_scale`); FrameRepError only if the result overflows.
     """
-    # Q before the rank check: its QR caches R too, so the check takes no second QR
-    q = frame._orthonormal_factor
-    frame.require_frame("analysis-range projection")
     scale, c = split_scale(as_vector(c, "coefficient vector", frame.count))
+    projected = frame._project(c, "analysis-range projection")
     with np.errstate(over="ignore", invalid="ignore"):
-        # (c* Q)* is Q* c without a conjugated copy of Q
-        return require_finite("analysis-range projection", q @ (c.conj() @ q).conj() * scale)
+        return require_finite("analysis-range projection", projected * scale)
 
 
 #: What :func:`solve` names when the coefficients it returns leave the float range.
@@ -176,9 +174,12 @@ def solve(op: LinearOperator, g, frame: Frame,
     if rel_tol is None:
         rel_tol = n_section * EPS
 
+    require_shape("operator matrix", op.matrix.shape, (n, n))
+    if n_section > k:
+        raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
+
     # the LU of O first; a guard that fails at B/A = 1, its least, fails at every B/A
-    closed = (solve_with_condition(op.matrix, g)
-              if n_section == k and op.matrix.shape == (n, n) else None)
+    closed = solve_with_condition(op.matrix, g) if n_section == k else None
     if closed and _guard(rel_tol, closed[1:]) and frame._condition_below(
             _certificate_threshold(rel_tol, closed[1:])):
         f_hat, warning = closed[0], False
@@ -187,20 +188,17 @@ def solve(op: LinearOperator, g, frame: Frame,
         condition = frame.condition
         f_hat = closed[0] if closed and _guard(rel_tol, closed[1:], condition) else None
         warning = condition > CONDITION_WARN_RATIO
-    require_shape("operator matrix", op.matrix.shape, (n, n))
-    if n_section > k:
-        raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
 
     with np.errstate(over="ignore", invalid="ignore"):
         # d = C g as C (g / p): C g overflows only where p exceeds 1
         g_scale, unit_d, d_norm = _scaled_analysis(frame, g)
         if g_scale > 1.0:
             require_finite("right-hand side's coefficient vector C g", unit_d * g_scale)
-        if f_hat is not None:
+        if f_hat is None:
+            f_hat, c = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
+        if n_section == k:
             # D_dual C = I, so c = C f solves M c = d and lies in M's range
             c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)
-        else:
-            f_hat, c = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
         operator_residual = op(f_hat) - g
         # every path returns f = D_dual c, so M c - d = C (O f - g)
         residual_scale, _, residual_norm = _scaled_analysis(frame, operator_residual)
@@ -249,7 +247,7 @@ def _certificate_threshold(rel_tol: float, norms: tuple[float, float]) -> float:
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
-    """``(f, c)`` of the factored cutoff solve (module docstring), with ``f = D_dual c``."""
+    """``(f, c)`` of the factored cutoff solve (module docstring), f = D_dual c; c None if N = K."""
     k = frame.count
     scale, r_unit, r_unit_inverse = frame._unit_triangular_factor
     # an array that leaves the float range turns inf or NaN, and the first
@@ -273,10 +271,9 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
         # R^-1 y: p cancels between y and r_unit
         f_hat = require_finite("solution R^-1 y", r_unit_inverse @ y)
         if n_section == k:
-            c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)  # = Q y
-        else:
-            c = np.zeros(k, dtype=np.complex128)
-            c[:n_section] = require_finite(_COEFFICIENTS, q1 @ (z * scale))
+            return f_hat, None
+        c = np.zeros(k, dtype=np.complex128)
+        c[:n_section] = require_finite(_COEFFICIENTS, q1 @ (z * scale))
         return f_hat, c
 
 

@@ -13,10 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framerep import (Frame, LinearOperator, Representation, SolveOptions, biorthogonal,
-                      frame_multiplier, gram, kernel_of_representation, matrix_of_operator,
-                      operator_from_images, operator_norm, operator_of_matrix,
-                      project_onto_analysis_range, range_map_check, roundtrip_reconstruct, solve)
+from framerep import (DimensionMismatch, Frame, LinearOperator, Representation, SectionTooLarge,
+                      SolveOptions, biorthogonal, frame_multiplier, gram,
+                      kernel_of_representation, matrix_of_operator, operator_from_images,
+                      operator_norm, operator_of_matrix, project_onto_analysis_range,
+                      range_map_check, roundtrip_reconstruct, solve)
 from helpers import conditioned_operator, random_complex
 
 N_SPACE, K, N = 5, 17, 8
@@ -93,7 +94,7 @@ K_BY_K = {"gram", "matrix_of_operator", "Representation.compose"}
 #: A cold call's traced peak, in units of ``K n + n^2`` complex numbers, stays
 #: below this at n = 16, K = 1024, where a K x K array alone is 63 units and
 #: an (K/2) x (K/2) one 16.  The worst were 7.9 (``operator_of_matrix``: the
-#: finiteness check of its K x K input allocates 2 K^2 bytes) and 6.0
+#: finiteness check of its K x K input allocates 2 K^2 bytes) and 7.0
 #: (``operator_from_images diagnose``).
 PEAK_UNITS = 12
 
@@ -201,6 +202,19 @@ def test_decompositions_in_order(order, calls):
     ENTRY_POINTS[first](frame)
     ENTRY_POINTS[second](frame)
     assert calls == made
+
+
+@pytest.mark.parametrize("op_shape, section_size, error", [
+    ((N_SPACE, N_SPACE - 1), None, DimensionMismatch),
+    ((N_SPACE + 1, N_SPACE), None, DimensionMismatch),
+    ((N_SPACE, N_SPACE), K + 1, SectionTooLarge),
+], ids=["operator_nx(n-1)", "operator_(n+1)xn", "section_K+1"])
+def test_input_errors_run_no_decomposition(op_shape, section_size, error, calls):
+    rng = np.random.default_rng(93)
+    op, g = LinearOperator(random_complex(rng, *op_shape)), random_complex(rng, N_SPACE)
+    with pytest.raises(error):
+        solve(op, g, Frame(VECTORS), SolveOptions(section_size=section_size))
+    assert calls == []
 
 
 def test_peak_memory_at_many_vectors():

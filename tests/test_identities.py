@@ -2,10 +2,11 @@
 
 Each frame is drawn with K >= n vectors in C^n, optimal bounds
 ``(t^2, t^2 * B/A)`` for a random scale ``t`` and ``B/A <= 1e6``; ``t`` ranges
-over 10^±300 for the round trip and the range mapping, 10^±3 elsewhere.  Every
-identity is checked to ``TOL * eps`` relative to the scale of its inputs,
-times the condition factor through which rounding can grow: ``sqrt(B/A)`` of
-each frame whose canonical dual enters the computation.
+over 10^±300 for the round trip and the range mapping, 10^±150 for the
+adjoint, the two-sided projection and the identity's matrix, 10^±3 elsewhere.
+Every identity is checked to ``TOL * eps`` relative to the scale of its
+inputs, times the condition factor through which rounding can grow:
+``sqrt(B/A)`` of each frame whose canonical dual enters the computation.
 """
 
 import numpy as np
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 
 from framerep import (
     Frame,
+    LinearOperator,
     frame_multiplier,
     frobenius_norm,
+    gram,
     hs_norm,
+    identity_operator,
     kernel_of_representation,
     matrix_of_operator,
     operator_norm,
@@ -44,6 +48,8 @@ def frame_specs(max_log_scale: float):
 frame_spec = frame_specs(3.0)
 #: Frame scales across the float range, for the identities that hold at any scale.
 wide_frame_spec = frame_specs(300.0)
+#: Frame scales at which a product of two frames' scales stays a normal float.
+half_wide_frame_spec = frame_specs(150.0)
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -168,6 +174,48 @@ def test_multipliers(phi_spec, dim_in, seed):
     identity = frame_multiplier(np.ones(phi.count), phi, phi.canonical_dual())
     error = frobenius_norm(identity.matrix - np.eye(phi.space_dim))
     assert error <= TOL * EPS * kappa(phi) * np.sqrt(phi.space_dim)
+
+
+@SETTINGS
+@given(phi_spec=half_wide_frame_spec, psi_spec=half_wide_frame_spec, seed=seeds)
+def test_adjoint(phi_spec, psi_spec, seed):
+    """rep(O*) over (psi, phi) is rep(O)* over (phi, psi); D_psi M* C_phi is (D_phi M C_psi)*."""
+    rng = np.random.default_rng(seed)
+    phi, psi = make_frame(rng, phi_spec), make_frame(rng, psi_spec)
+    op = random_operator(rng, phi.space_dim, psi.space_dim)
+    adjoint = LinearOperator(op.matrix.conj().T)
+    rep = matrix_of_operator(op, phi, psi).matrix
+    error = frobenius_norm(matrix_of_operator(adjoint, psi, phi).matrix - rep.conj().T)
+    assert error <= TOL * EPS * upper(phi, psi) * frobenius_norm(op.matrix)
+
+    m = random_complex(rng, phi.count, psi.count)
+    induced = operator_of_matrix(m, phi, psi).matrix
+    error = frobenius_norm(operator_of_matrix(m.conj().T, psi, phi).matrix - induced.conj().T)
+    assert error <= TOL * EPS * upper(phi, psi) * frobenius_norm(m)
+
+
+@SETTINGS
+@given(phi_spec=half_wide_frame_spec, psi_spec=half_wide_frame_spec, seed=seeds)
+def test_two_sided_projection(phi_spec, psi_spec, seed):
+    """rep over (phi, psi) of the operator X induces over the duals is
+    G_{phi, dual phi} X G_{dual psi, psi}."""
+    rng = np.random.default_rng(seed)
+    phi, psi = make_frame(rng, phi_spec), make_frame(rng, psi_spec)
+    phi_dual, psi_dual = phi.canonical_dual(), psi.canonical_dual()
+    x = random_complex(rng, phi.count, psi.count)
+    back = matrix_of_operator(operator_of_matrix(x, phi_dual, psi_dual), phi, psi).matrix
+    projected = gram(phi, phi_dual) @ x @ gram(psi_dual, psi)
+    assert frobenius_norm(back - projected) <= TOL * EPS * kappa(phi, psi) * frobenius_norm(x)
+
+
+@SETTINGS
+@given(phi_spec=half_wide_frame_spec, seed=seeds)
+def test_identity_is_the_cross_gram(phi_spec, seed):
+    """rep(Id) over (phi, dual phi) is G_{phi, dual phi}, bit for bit."""
+    phi = make_frame(np.random.default_rng(seed), phi_spec)
+    phi_dual = phi.canonical_dual()
+    identity = matrix_of_operator(identity_operator(phi.space_dim), phi, phi_dual).matrix
+    assert np.array_equal(identity, gram(phi, phi_dual))
 
 
 #: A Riesz basis: K = n vectors, scale within 10^±3.

@@ -168,6 +168,15 @@ class TestMatrixFormat:
         with pytest.raises(ParseError):
             parse_matrix('{"version":1,"rows":0,"cols":2,"entries":[]}')
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"rows":1,"cols":true', "'cols' must be a positive integer, got True"),
+        ('"rows":1.0,"cols":1', "'rows' must be a positive integer, got 1.0"),
+        ('"rows":1', "'cols' must be a positive integer, got None"),
+    ], ids=["cols_bool", "rows_float", "cols_missing"])
+    def test_malformed_dims_rejected(self, fields, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_matrix('{"version":1,%s,"entries":[1,0]}' % fields)
+
     def test_canonical_form_shape(self):
         text = serialize_matrix(np.array([[1.5 + 0.25j]]))
         obj = json.loads(text)

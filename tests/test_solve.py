@@ -312,6 +312,14 @@ class TestSolve:
         with pytest.raises(NotAFrame):
             solve(identity_operator(2), [1, 0], Frame([[1, 0], [2, 0]]))
 
+    def test_input_errors_before_the_frame_check(self):
+        # the operator's shape and the section size are checked before the frame is factored
+        rank_one = Frame([[1, 0], [2, 0]])
+        with pytest.raises(SectionTooLarge, match="section 3 exceeds the 2 x 2"):
+            solve(identity_operator(2), [1, 0], rank_one, SolveOptions(section_size=3))
+        with pytest.raises(DimensionMismatch, match=re.escape("shape (2, 2), got (2, 3)")):
+            solve(LinearOperator(np.ones((2, 3))), [1, 0], rank_one)
+
     def test_rhs_dimension(self, psi0):
         with pytest.raises(DimensionMismatch):
             solve(identity_operator(2), [1, 0, 0], psi0)

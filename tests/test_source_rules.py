@@ -35,12 +35,15 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     # a frame's cached layers are read and written only by the frame; linalg
     # builds an object around an array without its constructor
     ("__dict__", {"frames.py", "linalg.py"}),
+    # the QR's Q is applied by the frame alone, in Frame._project and the canonical dual
+    ("_orthonormal_factor", {"frames.py"}),
     # the library stays silent: only the command line writes to stdout or stderr
     ("print(", {"cli.py"}),
     ("sys.stdout", {"cli.py"}),
     ("sys.stderr", {"cli.py"}),
 ], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "environ", "svd", "inv",
-        "solve", "pinv", "eig", "qr", "inverse", "dict", "print", "stdout", "stderr"])
+        "solve", "pinv", "eig", "qr", "inverse", "dict", "q_factor", "print", "stdout",
+        "stderr"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
