@@ -208,8 +208,8 @@ class Frame:
     def _bounds_enclosure(self) -> tuple[float, float] | None:
         """The screen: ``(a, b)``, a least A and a most B of the exact layer's bounds, or None.
 
-        ``a <= s[-1]^2`` and ``s[0]^2 <= b`` for the computed singular values
-        ``s`` of :attr:`singular_values`, without computing them: ``a =
+        ``a <= A`` and ``B <= b`` for :attr:`bounds`, ``(s[-1]^2, s[0]^2)`` for
+        the computed :attr:`singular_values` ``s``, without computing them: ``a =
         lambda_1 - r`` and ``b = lambda_n + r`` for the extreme eigenvalues
         ``lambda_1 <= lambda_n`` of the cached :attr:`frame_operator` S, with
         ``r = 16 (K n + n^2) eps tr S``.  With ``u = eps / 2``, ``sigma_i``
@@ -236,19 +236,19 @@ class Frame:
         :meth:`_condition_below` compares.  The model of one relative
         rounding per operation fails only through underflow, whose absolute
         error per entry, about ``K 2^-1074``, is negligible beside ``eps tr
-        S`` for ``tr S >= 2^-800``.
+        S`` for ``tr S >= 2^-800``.  It holds for every family: for K < n, A =
+        0 is an exact eigenvalue of S, so ``lambda_1 < r`` and ``a < 0``.
 
-        None when K < n, when S leaves the float range, when ``tr S`` is
-        outside ``[2^-800, 2^800]`` or when ``eigvalsh`` fails.
+        None when S leaves the float range, when ``tr S`` is outside
+        ``[2^-800, 2^800]`` or when ``eigvalsh`` fails.
         """
         k, n = self._vectors.shape
-        if k < n:
-            return None
         try:
             s = self.frame_operator
         except FrameRepError:
             return None
-        trace = float(np.trace(s).real)
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(s).real)
         if not 2.0**-800 <= trace <= 2.0**800:
             return None
         try:
@@ -261,11 +261,14 @@ class Frame:
     def _condition_below(self, t: float) -> bool:
         """Whether :attr:`condition` is below ``t``, exactly if :attr:`singular_values` are cached.
 
-        Otherwise True only when the screen's ``(a, b)`` proves it, with no QR
-        or SVD: ``a > RANK_RTOL b`` (the frame check) and ``b (1 + 2^-30) < t
-        a``, the factor covering the two products' roundings and the exact
-        layer's own in ``(s[0] / s[-1])^2``.
+        False for a ``t`` not above 1 (NaN included), as B/A >= 1, before any
+        layer is read.  Otherwise True only when the screen's ``(a, b)`` proves
+        it, with no QR or SVD: ``a > RANK_RTOL b`` (the frame check) and ``b (1
+        + 2^-30) < t a``, the factor covering the two products' roundings and
+        the exact layer's own in ``(s[0] / s[-1])^2``.
         """
+        if not t > 1.0:
+            return False
         if "singular_values" in self.__dict__:
             return self.condition < t  # inf for a family that is no frame
         screen = self._bounds_enclosure

@@ -19,9 +19,8 @@ below ``rel_tol`` times the largest.
   solution ``R^-1 X^-1 R g`` is ``O^-1 g``, with ``c = C f``, as ``D_dual C
   = I``.  X is not formed, so no intermediate leaves the float range when
   the solution does not.  One LU of O gives ``O^-1 g``, ``|O|_F`` and
-  ``|O^-1|_F``; then, unless :func:`_guard` fails even at B/A = 1,
-  ``Frame._condition_below`` (a screen without a QR on a cold frame, see
-  :mod:`framerep.frames`) answers whether B/A is below
+  ``|O^-1|_F``; then ``Frame._condition_below`` (a screen without a QR on a
+  cold frame, see :mod:`framerep.frames`) answers whether B/A is below
   :func:`_certificate_threshold`.  True settles the frame check, the guard
   and the warning; any other answer reads the singular values, so the
   report is the same bits.
@@ -178,10 +177,8 @@ def solve(op: LinearOperator, g, frame: Frame,
     if n_section > k:
         raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
 
-    # the LU of O first; a guard that fails at B/A = 1, its least, fails at every B/A
     closed = solve_with_condition(op.matrix, g) if n_section == k else None
-    if closed and _guard(rel_tol, closed[1:]) and frame._condition_below(
-            _certificate_threshold(rel_tol, closed[1:])):
+    if closed and frame._condition_below(_certificate_threshold(rel_tol, closed[1:])):
         f_hat, warning = closed[0], False
     else:
         frame.require_frame("discretization")
@@ -229,21 +226,20 @@ def _scaled_analysis(frame, a):
     return scale, out, norm
 
 
-def _guard(rel_tol: float, norms: tuple[float, float], condition: float = 1.0) -> bool:
+def _guard(rel_tol: float, norms: tuple[float, float], condition: float) -> bool:
     """The closed form's guard ``rel_tol (B/A) |O|_F |O^-1|_F < 1`` at B/A = ``condition``.
 
-    ``condition`` defaults to 1, the least B/A; ``norms`` is ``(|O|_F,
-    |O^-1|_F)``.  Taken left to right, the product, which bounds ``rel_tol
-    kappa_2(X)``, underflows only below 1 and overflows only above 1.
-    ``rel_tol = 0`` sets no limit.
+    ``norms`` is ``(|O|_F, |O^-1|_F)``.  Taken left to right, the product,
+    which bounds ``rel_tol kappa_2(X)``, underflows only below 1 and
+    overflows only above 1.  ``rel_tol = 0`` sets no limit.
     """
     return rel_tol == 0 or rel_tol * condition * norms[0] * norms[1] < 1.0
 
 
 def _certificate_threshold(rel_tol: float, norms: tuple[float, float]) -> float:
-    """B/A below ``min(1e6, half the guard's limit)`` needs no warning and passes :func:`_guard`."""
+    """``min(1e6, half the guard's limit)``, NaN for ``0 * inf``: B/A below it passes unwarned."""
     excess = rel_tol * (2 * CONDITION_WARN_RATIO) * norms[0] * norms[1] if rel_tol else 0.0
-    return CONDITION_WARN_RATIO / max(1.0, excess)
+    return CONDITION_WARN_RATIO if excess <= 1 else CONDITION_WARN_RATIO / excess
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):

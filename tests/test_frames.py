@@ -558,7 +558,10 @@ class TestScreen:
             return (frame._bounds_enclosure is None
                     and not frame._condition_below(CONDITION_WARN_RATIO))
 
-        assert outside(Frame(vectors[:2]))  # K < n
+        # K < n: A = 0, and the frame check refuses the enclosure's a <= 0
+        k_below_n = Frame(vectors[:2])
+        assert k_below_n._bounds_enclosure[0] <= 0
+        assert not k_below_n._condition_below(CONDITION_WARN_RATIO)
         assert outside(Frame(vectors * 1e160))  # S overflows
         # tr S outside [2^-800, 2^800], S itself finite
         for exponent in (410, -410):
@@ -566,6 +569,14 @@ class TestScreen:
             assert np.isfinite(frame.frame_operator).all()
             assert outside(frame)
         assert Frame(vectors * 2.0**390)._condition_below(CONDITION_WARN_RATIO)
+
+    @pytest.mark.parametrize("t", [1.0, 0.75, np.nan])
+    def test_refuses_a_threshold_not_above_one_unread(self, t):
+        # B/A >= 1 for every family: no frame operator and no QR to refuse t <= 1 or NaN
+        frame = frame_with_condition(np.random.default_rng(34), 4, 9, 1.0)
+        assert not frame._condition_below(t)
+        assert "frame_operator" not in frame.__dict__
+        assert "_triangular_factor" not in frame.__dict__
 
     def test_decides_and_never_reports(self):
         # a screened solve leaves the bounds to the exact layer: the same bits

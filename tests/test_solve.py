@@ -26,6 +26,7 @@ from framerep import (
 )
 from framerep.frames import CONDITION_WARN_RATIO, RANK_RTOL
 from framerep.linalg import euclidean_norm
+from framerep.solve import _certificate_threshold
 from helpers import (
     conditioned_operator,
     cutoff_solves,
@@ -563,6 +564,23 @@ class TestScreenedSolve:
         assert _outcome(op, g, cold, SolveOptions()) == _outcome(op, g, warm, SolveOptions())
         assert cold._bounds_enclosure is None
         assert "singular_values" in cold.__dict__
+
+    def test_trace_overflow_leaks_no_warning(self):
+        # S's entries are finite but tr S overflows: the screen has no domain there
+        frame = Frame([[1.2e154, 0], [0, 1.2e154], [1e150, 1e150]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(identity_operator(2), [1, 1], frame)
+        assert frame._bounds_enclosure is None
+        assert np.array_equal(report.solution, [1, 1])
+        assert report.residual_operator == 0 and report.residual_matrix == 0
+
+    def test_certificate_refuses_a_nan_threshold(self):
+        # rel_tol 2e6 |O|_F underflows to 0, and 0 * |O^-1|_F = 0 * inf is NaN
+        threshold = _certificate_threshold(5e-324, (2e-308, np.inf))
+        assert np.isnan(threshold)
+        frame = frame_with_condition(np.random.default_rng(35), 3, 7, 10.0)
+        assert not frame._condition_below(threshold)
 
     @pytest.mark.parametrize("vectors, matrix, rel_tol, warning", [
         # |O|_F |O^-1|_F is about 1e310; B/A = 3, so the certificate decides the cold solve
