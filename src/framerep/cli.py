@@ -22,6 +22,7 @@ solve (default: N * machine epsilon); no output depends on the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -43,7 +44,7 @@ PRECONDITION_EXIT = 3
 _NUMBERS = {int: "N", float: "T"}
 
 #: SolveReport's scalar fields, in output order after the solution and coefficients.
-_REPORT_SCALARS = ("residual_operator", "residual_matrix", "section_used", "conditioning_warning")
+_REPORT_SCALARS = tuple(field.name for field in dataclasses.fields(SolveReport)[2:])
 
 
 def _solve(op, rhs, frame, section, tol):

@@ -10,7 +10,7 @@ class DimensionMismatch(FrameRepError):
 
 
 class NotAFrame(FrameRepError):
-    """The vector family does not span the space (lower bound is zero)."""
+    """The family breaks the rank rule: K < n, or C's ``s_min <= sqrt(RANK_RTOL) s_max``."""
 
 
 class SectionTooLarge(FrameRepError):

@@ -31,9 +31,8 @@ a result keeps its bits wherever it is a normal float, and every entry of
   frame whose R was read first takes a second QR for Q.  The canonical
   dual's analysis matrix ``C S^-1 = (C^+)* = Q R^-*`` needs Q and no
   singular vector; ``Frame._project`` alone applies the projector ``Q Q*``.
-* ``Frame._unit_triangular_factor`` is ``(p, R/p, (R/p)^-1)`` on the same
-  arrays: the frame's one inverse of R, which the dual and the cutoff path
-  of :mod:`framerep.solve` share.
+* ``Frame._triangular_inverse`` is ``(R/p)^-1``: the frame's one inverse of
+  R, which the dual and the cutoff path of :mod:`framerep.solve` share.
 
 No layer holds singular vectors.
 
@@ -62,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DecompositionFailed, FrameRepError, NotAFrame
+from .exceptions import FrameRepError, NotAFrame
 from .linalg import (EPS, as_matrix, as_vector, divide_parts, euclidean_norm, finite_product,
                      frozen, hermitian_eigs, inverse, require_finite, require_shape,
                      singular_values, split_scale, wrap_checked)
@@ -196,17 +195,16 @@ class Frame:
         return frozen(q)
 
     @cached_property
-    def _unit_triangular_factor(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Read-only ``(p, R/p, (R/p)^-1)`` on :attr:`_triangular_factor`'s arrays.
+    def _triangular_inverse(self) -> np.ndarray:
+        """Read-only ``(R/p)^-1`` of :attr:`_triangular_factor`'s ``R/p``.
 
         The one inverse of R, for a frame (R square); DecompositionFailed if LAPACK fails.
         """
-        scale, unit = self._triangular_factor
-        return scale, unit, frozen(inverse(unit, "frame's triangular factor R"))
+        return frozen(inverse(self._triangular_factor[1], "frame's triangular factor R"))
 
     @cached_property
-    def _bounds_enclosure(self) -> tuple[float, float] | None:
-        """The screen: ``(a, b)``, a least A and a most B of the exact layer's bounds, or None.
+    def _bounds_enclosure(self) -> tuple[float, float]:
+        """The screen: ``(a, b)``, a least A and a most B of the exact layer's bounds.
 
         ``a <= A`` and ``B <= b`` for :attr:`bounds`, ``(s[-1]^2, s[0]^2)`` for
         the computed :attr:`singular_values` ``s``, without computing them: ``a =
@@ -239,22 +237,19 @@ class Frame:
         S`` for ``tr S >= 2^-800``.  It holds for every family: for K < n, A =
         0 is an exact eigenvalue of S, so ``lambda_1 < r`` and ``a < 0``.
 
-        None when S leaves the float range, when ``tr S`` is outside
-        ``[2^-800, 2^800]`` or when ``eigvalsh`` fails.
+        The trivial enclosure ``(-inf, inf)`` when S leaves the float range,
+        when ``tr S`` is outside ``[2^-800, 2^800]`` or when ``eigvalsh`` fails.
         """
         k, n = self._vectors.shape
         try:
             s = self.frame_operator
-        except FrameRepError:
-            return None
-        with np.errstate(over="ignore"):
-            trace = float(np.trace(s).real)
-        if not 2.0**-800 <= trace <= 2.0**800:
-            return None
-        try:
+            with np.errstate(over="ignore"):
+                trace = float(np.trace(s).real)
+            if not 2.0**-800 <= trace <= 2.0**800:
+                return -math.inf, math.inf
             eigenvalues = hermitian_eigs(s, "frame operator")
-        except DecompositionFailed:
-            return None
+        except FrameRepError:  # S leaves the float range, or eigvalsh raises DecompositionFailed
+            return -math.inf, math.inf
         radius = 16 * (k * n + n * n) * EPS * trace
         return float(eigenvalues[0]) - radius, float(eigenvalues[-1]) + radius
 
@@ -271,10 +266,7 @@ class Frame:
             return False
         if "singular_values" in self.__dict__:
             return self.condition < t  # inf for a family that is no frame
-        screen = self._bounds_enclosure
-        if screen is None:
-            return False
-        a, b = screen
+        a, b = self._bounds_enclosure
         return a > RANK_RTOL * b and b * (1 + 2.0**-30) < t * a
 
     @cached_property
@@ -296,13 +288,14 @@ class Frame:
         return self.count >= self.space_dim and bool(s[-1] > math.sqrt(RANK_RTOL) * s[0])
 
     def require_frame(self, operation: str) -> None:
-        """Raise NotAFrame, naming ``operation``, unless the family is a frame."""
+        """Raise NotAFrame, naming ``operation`` and the part of the rank rule that fails."""
         if not self.is_frame:
-            a, b = self.bounds
-            raise NotAFrame(
-                f"{operation} requires a frame: lower bound {a:.3e} "
-                f"is below {RANK_RTOL:g} * upper bound {b:.3e}"
-            )
+            k, n = self._vectors.shape
+            if k < n:
+                raise NotAFrame(f"{operation} requires a frame: {k} vectors cannot span C^{n}")
+            s = self.singular_values
+            raise NotAFrame(f"{operation} requires a frame: smallest singular value {s[-1]:.3e} "
+                            f"is at most {math.sqrt(RANK_RTOL):g} * largest {s[0]:.3e}")
 
     @property
     def condition(self) -> float:
@@ -354,7 +347,7 @@ class Frame:
         # Q before the rank check: its QR caches R too, so the check takes no second QR
         q = self._orthonormal_factor
         self.require_frame("canonical dual")
-        scale, _, unit_inverse = self._unit_triangular_factor
+        scale, unit_inverse = self._triangular_factor[0], self._triangular_inverse
         s = self.singular_values
         with np.errstate(over="ignore", invalid="ignore"):
             # rows of `vectors` are conj(Q R^-*) = conj(Q) (R/p)^-T / p
@@ -387,23 +380,16 @@ class Frame:
 
     @cached_property
     def classification(self) -> FrameClass:
+        """The most specific label, with one gap TIGHT_RTOL on ``1 - A/B`` and on ``|B - 1|``."""
         if not self.is_frame:
             return FrameClass.BESSEL_ONLY
+        basis = self.count == self.space_dim
         s = self.singular_values
-        if self.count == self.space_dim:
-            # |Gram - I|_F = |diag(s^2) - I|_F when U is square
-            with np.errstate(over="ignore"):
-                deviation = euclidean_norm(np.square(s) - 1.0)
-            if deviation <= TIGHT_RTOL * math.sqrt(self.count):
-                return FrameClass.ORTHONORMAL_BASIS
-        tight = 1.0 - float(s[-1] / s[0]) ** 2 <= TIGHT_RTOL
-        if tight and abs(self.bounds.upper - 1.0) <= TIGHT_RTOL:
-            return FrameClass.PARSEVAL_FRAME
-        if tight:
+        if 1.0 - float(s[-1] / s[0]) ** 2 > TIGHT_RTOL:
+            return FrameClass.RIESZ_BASIS if basis else FrameClass.FRAME
+        if abs(self.bounds.upper - 1.0) > TIGHT_RTOL:
             return FrameClass.TIGHT_FRAME
-        if self.count == self.space_dim:
-            return FrameClass.RIESZ_BASIS
-        return FrameClass.FRAME
+        return FrameClass.ORTHONORMAL_BASIS if basis else FrameClass.PARSEVAL_FRAME
 
     def allclose(self, other: "Frame") -> bool:
         """Whether two frames agree vector-by-vector within SAME_FRAME_RTOL of their scale.

@@ -61,8 +61,9 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, divide_parts, euclidean_norm, power_of_two_below,
-                     require_finite, require_shape, solve_with_condition, split_scale, svd)
+from .linalg import (EPS, as_vector, divide_parts, euclidean_norm, finite_product,
+                     power_of_two_below, require_finite, require_shape, solve_with_condition,
+                     split_scale, svd)
 from .represent import LinearOperator
 
 
@@ -183,7 +184,7 @@ def solve(op: LinearOperator, g, frame: Frame,
     else:
         frame.require_frame("discretization")
         condition = frame.condition
-        f_hat = closed[0] if closed and _guard(rel_tol, closed[1:], condition) else None
+        f_hat = closed[0] if closed and _guard_excess(rel_tol, closed[1:], condition) < 1 else None
         warning = condition > CONDITION_WARN_RATIO
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,7 +196,7 @@ def solve(op: LinearOperator, g, frame: Frame,
             f_hat, c = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
         if n_section == k:
             # D_dual C = I, so c = C f solves M c = d and lies in M's range
-            c = require_finite(_COEFFICIENTS, frame.analysis_matrix @ f_hat)
+            c = finite_product(_COEFFICIENTS, frame.analysis_matrix, f_hat)
         operator_residual = op(f_hat) - g
         # every path returns f = D_dual c, so M c - d = C (O f - g)
         residual_scale, _, residual_norm = _scaled_analysis(frame, operator_residual)
@@ -226,31 +227,32 @@ def _scaled_analysis(frame, a):
     return scale, out, norm
 
 
-def _guard(rel_tol: float, norms: tuple[float, float], condition: float) -> bool:
-    """The closed form's guard ``rel_tol (B/A) |O|_F |O^-1|_F < 1`` at B/A = ``condition``.
+def _guard_excess(rel_tol: float, norms: tuple[float, float], ratio: float) -> float:
+    """The closed form's guard product ``rel_tol ratio |O|_F |O^-1|_F`` at B/A = ``ratio``.
 
-    ``norms`` is ``(|O|_F, |O^-1|_F)``.  Taken left to right, the product,
-    which bounds ``rel_tol kappa_2(X)``, underflows only below 1 and
-    overflows only above 1.  ``rel_tol = 0`` sets no limit.
+    The guard holds when it is below 1.  ``norms`` is ``(|O|_F, |O^-1|_F)``.
+    Taken left to right, the product, which bounds ``rel_tol kappa_2(X)``,
+    underflows only below 1 and overflows only above 1.  It is 0 for
+    ``rel_tol = 0``, which sets no limit.
     """
-    return rel_tol == 0 or rel_tol * condition * norms[0] * norms[1] < 1.0
+    return rel_tol * ratio * norms[0] * norms[1] if rel_tol else 0.0
 
 
 def _certificate_threshold(rel_tol: float, norms: tuple[float, float]) -> float:
     """``min(1e6, half the guard's limit)``, NaN for ``0 * inf``: B/A below it passes unwarned."""
-    excess = rel_tol * (2 * CONDITION_WARN_RATIO) * norms[0] * norms[1] if rel_tol else 0.0
+    excess = _guard_excess(rel_tol, norms, 2 * CONDITION_WARN_RATIO)
     return CONDITION_WARN_RATIO if excess <= 1 else CONDITION_WARN_RATIO / excess
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     """``(f, c)`` of the factored cutoff solve (module docstring), f = D_dual c; c None if N = K."""
     k = frame.count
-    scale, r_unit, r_unit_inverse = frame._unit_triangular_factor
+    (scale, r_unit), r_unit_inverse = frame._triangular_factor, frame._triangular_inverse
     # an array that leaves the float range turns inf or NaN, and the first
     # check it meets names it
     with np.errstate(over="ignore", invalid="ignore"):
         # kappa(R) reaches sqrt(B/A), so X can overflow where O does not
-        x = require_finite("discretized system's core", r_unit @ op.matrix @ r_unit_inverse)
+        x = finite_product("discretized system's core", r_unit, op.matrix, r_unit_inverse)
         # Q* d / p for d = C g = Q R g
         rg = r_unit @ g
         if n_section == k:
@@ -265,11 +267,11 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
                                     "finite section's core")
             y = r1.conj().T @ z
         # R^-1 y: p cancels between y and r_unit
-        f_hat = require_finite("solution R^-1 y", r_unit_inverse @ y)
+        f_hat = finite_product("solution R^-1 y", r_unit_inverse, y)
         if n_section == k:
             return f_hat, None
         c = np.zeros(k, dtype=np.complex128)
-        c[:n_section] = require_finite(_COEFFICIENTS, q1 @ (z * scale))
+        c[:n_section] = finite_product(_COEFFICIENTS, q1, z * scale)
         return f_hat, c
 
 

@@ -28,7 +28,7 @@ from framerep import (
     roundtrip_reconstruct,
     solve,
 )
-from framerep.frames import CONDITION_WARN_RATIO
+from framerep.frames import CONDITION_WARN_RATIO, TIGHT_RTOL
 from helpers import (
     LAYOUTS,
     conditioned_operator,
@@ -111,9 +111,9 @@ class TestConstruction:
                 kept.update({f"{owner}.{name}[{i}]": array for i, array in enumerate(values)
                              if isinstance(array, np.ndarray)})
         assert {"frame._vectors[0]", "frame._reconstruction_factor[0]",
-                "frame._unit_triangular_factor[1]", "frame._unit_triangular_factor[2]",
+                "frame._triangular_factor[1]", "frame._triangular_inverse[0]",
                 "dual._orthonormal_factor[0]", "dual._triangular_factor[1]",
-                "dual._unit_triangular_factor[1]", "dual._unit_triangular_factor[2]"} <= kept.keys()
+                "dual._triangular_inverse[0]"} <= kept.keys()
         for name, array in kept.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 100.0
@@ -313,6 +313,19 @@ class TestCanonicalDual:
     def test_not_a_frame(self):
         with pytest.raises(NotAFrame):
             Frame([[1, 0], [2, 0]]).canonical_dual()
+
+    @pytest.mark.parametrize("vectors, rule", [
+        # the squared bounds would read inf and 0; the singular values stay in range
+        (np.array([[1, 0], [0, 1e-6], [1, 0]]) * 1e200,
+         "smallest singular value 1.000e+194 is at most 1e-05 * largest 1.414e+200"),
+        (np.array([[1, 0], [0, 1e-6], [1, 0]]) * 1e-200,
+         "smallest singular value 1.000e-206 is at most 1e-05 * largest 1.414e-200"),
+        ([[1, 0, 0], [0, 1, 0]], "2 vectors cannot span C^3"),
+    ], ids=["huge", "tiny", "k_below_n"])
+    def test_not_a_frame_states_the_broken_rule(self, vectors, rule):
+        message = f"canonical dual requires a frame: {rule}"
+        with pytest.raises(NotAFrame, match=f"^{re.escape(message)}$"):
+            Frame(vectors).canonical_dual()
 
     def test_dual_does_not_keep_its_frame_alive(self):
         # the dual refers back weakly, so reference counting alone frees a
@@ -550,12 +563,12 @@ class TestScreen:
             assert "frame_operator" not in frame.__dict__
         assert answers == {True, False}
 
-    def test_none_outside_its_domain(self):
+    def test_trivial_outside_its_domain(self):
         rng = np.random.default_rng(31)
         vectors = random_complex(rng, 6, 3)
 
         def outside(frame):
-            return (frame._bounds_enclosure is None
+            return (frame._bounds_enclosure == (-np.inf, np.inf)
                     and not frame._condition_below(CONDITION_WARN_RATIO))
 
         # K < n: A = 0, and the frame check refuses the enclosure's a <= 0
@@ -651,6 +664,43 @@ class TestClassification:
     def test_scaled_orthonormal_basis_stays_tight(self, t):
         # s^2 - 1 is +inf or -1 in every entry, so its norm must stay scale-safe
         assert Frame(np.eye(3) * t).classification is FrameClass.TIGHT_FRAME
+
+    @pytest.mark.parametrize("squares, label", [
+        # tight and Parseval within TIGHT_RTOL, though |s^2 - 1|_2 = 2.0e-9
+        ((1 - 0.9e-9, 1 - 1.8e-9), FrameClass.ORTHONORMAL_BASIS),
+        # |s^2 - 1|_2 = 9.9e-10, but the tight gap 1 - A/B is 1.4e-9
+        ((1 + 7e-10, 1 - 7e-10), FrameClass.RIESZ_BASIS),
+    ], ids=["parseval_square", "not_tight"])
+    def test_near_isometry_label_is_the_ladders(self, squares, label):
+        unitary = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
+        assert Frame(np.diag(np.sqrt(squares)) @ unitary).classification is label
+
+    def test_labels_nest_near_an_isometry(self):
+        labels = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(
+            n=st.integers(1, 5),
+            extra=st.integers(0, 3),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(n, extra, seed):
+            rng = np.random.default_rng(seed)
+            k = n + extra
+            squares = 1.0 + rng.uniform(-3e-9, 3e-9, n)
+            isometry = random_unitary(rng, k)[:, :n]
+            frame = Frame((isometry * np.sqrt(squares)) @ random_unitary(rng, n))
+            label = frame.classification
+            if k == n:
+                assert label is not FrameClass.PARSEVAL_FRAME
+            if label is FrameClass.ORTHONORMAL_BASIS:
+                s = frame.singular_values
+                assert 1.0 - float(s[-1] / s[0]) ** 2 <= TIGHT_RTOL
+                assert abs(frame.bounds.upper - 1.0) <= TIGHT_RTOL
+            labels.add(label)
+
+        check()
+        assert FrameClass.ORTHONORMAL_BASIS in labels and FrameClass.RIESZ_BASIS in labels
 
     def test_random_independent_square_family_is_riesz(self):
         rng = np.random.default_rng(22)

@@ -554,7 +554,7 @@ class TestScreenedSolve:
         assert cold._condition_below(1e3) and not cold._condition_below(5.0)
 
     def test_failed_screen_reads_the_exact_layers(self, monkeypatch):
-        # eigvalsh failing leaves no screen, so the cold solve reads the singular values
+        # eigvalsh failing leaves the trivial screen, so the cold solve reads the singular values
         rng = np.random.default_rng(31)
         vectors = frame_with_condition(rng, 4, 9, 10.0).vectors
         op, g = conditioned_operator(rng, 4), random_complex(rng, 4)
@@ -562,7 +562,7 @@ class TestScreenedSolve:
         warm.singular_values
         monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         assert _outcome(op, g, cold, SolveOptions()) == _outcome(op, g, warm, SolveOptions())
-        assert cold._bounds_enclosure is None
+        assert cold._bounds_enclosure == (-np.inf, np.inf)
         assert "singular_values" in cold.__dict__
 
     def test_trace_overflow_leaks_no_warning(self):
@@ -571,7 +571,7 @@ class TestScreenedSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = solve(identity_operator(2), [1, 1], frame)
-        assert frame._bounds_enclosure is None
+        assert frame._bounds_enclosure == (-np.inf, np.inf)
         assert np.array_equal(report.solution, [1, 1])
         assert report.residual_operator == 0 and report.residual_matrix == 0
 
