@@ -4,8 +4,8 @@
 The equation is equivalent to  M (C f) = C g  with M the representation of O
 over (frame, dual): a concrete linear system in coefficient space.  The
 solver optionally truncates the system to its leading N x N section and
-solves it in least squares without forming M: with the frame's SVD
-C = U diag(s) V*, M = U core U* for an n x n core, so one small SVD with a
+solves it in least squares without forming M: with the frame's QR C = Q R,
+M = Q X Q* for the n x n core X = R O R^-1, so one small SVD with a
 relative singular-value cutoff gives the coefficients, which the dual frame
 synthesizes into the solution.  When the cutoff provably keeps every singular
 value of the full system, that solution is exactly O^-1 g, so it is computed

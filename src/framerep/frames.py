@@ -371,12 +371,12 @@ class Frame:
     def _reconstruction_factor(self) -> np.ndarray:
         """Read-only n x n ``D C_dual = sum_k psi_k dual_k*``, the identity up to rounding.
 
-        Raises NotAFrame like :meth:`canonical_dual`.  An entry beyond the
-        float range is kept as inf or NaN, for the product that reads it to name.
+        Raises NotAFrame like :meth:`canonical_dual`.  By Cauchy-Schwarz every
+        entry is at most ``s_max / s_min`` (a row of D has norm at most
+        ``s_max``, a column of ``C_dual`` at most ``1 / s_min``), which the
+        rank rule keeps below ``RANK_RTOL^-1/2``: the product stays in range.
         """
-        dual = self.canonical_dual()
-        with np.errstate(over="ignore", invalid="ignore"):
-            return frozen(self.synthesis_matrix @ dual.analysis_matrix)
+        return frozen(self.synthesis_matrix @ self.canonical_dual().analysis_matrix)
 
     @cached_property
     def classification(self) -> FrameClass:

@@ -220,12 +220,11 @@ def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
 
     The quotient, a new array, has its largest part in ``[1, 2)``.  The parts
     are compared, as a modulus may overflow; the largest is ``max(max, -min)``
-    of them, so no array of moduli is allocated.  The quotient is the same
-    bits as :func:`divide_parts`'s.
+    of them, so no array of moduli is allocated.
     """
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     scale = power_of_two_below(float(max(parts.max(), -parts.min())))
-    return scale, (parts / scale).view(np.complex128)
+    return scale, divide_parts(parts.view(np.complex128), scale)
 
 
 def divide_parts(a: np.ndarray, scale: float) -> np.ndarray:

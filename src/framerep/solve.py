@@ -47,8 +47,8 @@ below ``rel_tol`` times the largest.
 Every path returns coefficients that synthesize its solution, ``f = D_dual
 c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after
 either path; ``O f - g`` and g meet C each as its quotient by a power of two,
-so neither product is subnormal merely because g or the frame is small, nor
-overflows where ``C g`` does not.  Every solve costs O(K n^2 + n^3).
+so neither norm underflows or overflows merely because of the scale of g or
+of the frame, and ``C g`` itself is never formed.  Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ def solve(op: LinearOperator, g, frame: Frame,
     DecompositionFailed
         If an SVD does not converge or R cannot be inverted.
     FrameRepError
-        If the core X, the right-hand side's coefficients, the solution or its
-        coefficients leave the float range.
+        If the core X, a section's core, the solution or its coefficients
+        leave the float range.
     """
     if options is None:
         options = SolveOptions()
@@ -187,11 +187,10 @@ def solve(op: LinearOperator, g, frame: Frame,
         f_hat = closed[0] if closed and _guard_excess(rel_tol, closed[1:], condition) < 1 else None
         warning = condition > CONDITION_WARN_RATIO
 
+    # an array that leaves the float range turns inf or NaN, and the first
+    # check it meets names it: only the returned f and c, and the products
+    # formed on the way to them, are checked
     with np.errstate(over="ignore", invalid="ignore"):
-        # d = C g as C (g / p): C g overflows only where p exceeds 1
-        g_scale, unit_d, d_norm = _scaled_analysis(frame, g)
-        if g_scale > 1.0:
-            require_finite("right-hand side's coefficient vector C g", unit_d * g_scale)
         if f_hat is None:
             f_hat, c = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
         if n_section == k:
@@ -199,7 +198,8 @@ def solve(op: LinearOperator, g, frame: Frame,
             c = finite_product(_COEFFICIENTS, frame.analysis_matrix, f_hat)
         operator_residual = op(f_hat) - g
         # every path returns f = D_dual c, so M c - d = C (O f - g)
-        residual_scale, _, residual_norm = _scaled_analysis(frame, operator_residual)
+        g_scale, d_norm = _scaled_analysis(frame, g)
+        residual_scale, residual_norm = _scaled_analysis(frame, operator_residual)
     return SolveReport(
         solution=f_hat,
         coefficients=c,
@@ -211,20 +211,19 @@ def solve(op: LinearOperator, g, frame: Frame,
 
 
 def _scaled_analysis(frame, a):
-    """``(p, C a / p, |C a| / p)`` for p the power of two of a, or more where the norm overflows.
+    """``(p, |C a| / p)`` for p the power of two of a, or more where the norm overflows.
 
-    The norm of ``C (a / p)`` overflows only for an entry of C within a
-    factor ``4 n K`` of the largest float; p then grows by the power of two
-    below ``8 n K``.  Call under ``np.errstate(over="ignore", invalid="ignore")``.
+    ``C a`` itself is never formed: the norm is that of ``C (a / p)``, which
+    overflows only for an entry of C within a factor ``4 n K`` of the largest
+    float; p then grows by the power of two below ``8 n K``.  Call under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
     scale, unit = split_scale(a)
-    out = frame.analysis_matrix @ unit
-    norm = euclidean_norm(out)
+    norm = euclidean_norm(frame.analysis_matrix @ unit)
     if not norm < np.inf:
         growth = power_of_two_below(8.0 * frame.space_dim * frame.count)
-        scale, out = scale * growth, frame.analysis_matrix @ (unit / growth)
-        norm = euclidean_norm(out)
-    return scale, out, norm
+        scale, norm = scale * growth, euclidean_norm(frame.analysis_matrix @ (unit / growth))
+    return scale, norm
 
 
 def _guard_excess(rel_tol: float, norms: tuple[float, float], ratio: float) -> float:
@@ -248,31 +247,28 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     """``(f, c)`` of the factored cutoff solve (module docstring), f = D_dual c; c None if N = K."""
     k = frame.count
     (scale, r_unit), r_unit_inverse = frame._triangular_factor, frame._triangular_inverse
-    # an array that leaves the float range turns inf or NaN, and the first
-    # check it meets names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        # kappa(R) reaches sqrt(B/A), so X can overflow where O does not
-        x = finite_product("discretized system's core", r_unit, op.matrix, r_unit_inverse)
-        # Q* d / p for d = C g = Q R g
-        rg = r_unit @ g
-        if n_section == k:
-            # y = Q* c / p for c = M^+ d = Q X^+ Q* d
-            y = _solve_above_cutoff(x, rg, rel_tol, "discretized system's core")
-        else:
-            # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = Q1 R1 and X_N = R1 X R1*,
-            # so c_N = Q1 X_N^+ Q1* d_N = Q1 X_N^+ R1 R g and y = Q_N* c_N = R1* X_N^+ R1 R g
-            rows = divide_parts(frame.analysis_matrix[:n_section], scale)
-            q1, r1 = np.linalg.qr(rows @ r_unit_inverse)
-            z = _solve_above_cutoff(r1 @ x @ r1.conj().T, r1 @ rg, rel_tol,
-                                    "finite section's core")
-            y = r1.conj().T @ z
-        # R^-1 y: p cancels between y and r_unit
-        f_hat = finite_product("solution R^-1 y", r_unit_inverse, y)
-        if n_section == k:
-            return f_hat, None
-        c = np.zeros(k, dtype=np.complex128)
-        c[:n_section] = finite_product(_COEFFICIENTS, q1, z * scale)
-        return f_hat, c
+    # kappa(R) reaches sqrt(B/A), so X can overflow where O does not
+    x = finite_product("discretized system's core", r_unit, op.matrix, r_unit_inverse)
+    # Q* d / p for d = C g = Q R g
+    rg = r_unit @ g
+    if n_section == k:
+        # y = Q* c / p for c = M^+ d = Q X^+ Q* d
+        y = _solve_above_cutoff(x, rg, rel_tol, "discretized system's core")
+    else:
+        # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = Q1 R1 and X_N = R1 X R1*,
+        # so c_N = Q1 X_N^+ Q1* d_N = Q1 X_N^+ R1 R g and y = Q_N* c_N = R1* X_N^+ R1 R g
+        rows = divide_parts(frame.analysis_matrix[:n_section], scale)
+        q1, r1 = np.linalg.qr(rows @ r_unit_inverse)
+        core = finite_product("finite section's core", r1, x, r1.conj().T)
+        z = _solve_above_cutoff(core, r1 @ rg, rel_tol, "finite section's core")
+        y = r1.conj().T @ z
+    # R^-1 y: p cancels between y and r_unit
+    f_hat = finite_product("solution R^-1 y", r_unit_inverse, y)
+    if n_section == k:
+        return f_hat, None
+    c = np.zeros(k, dtype=np.complex128)
+    c[:n_section] = finite_product(_COEFFICIENTS, q1, z * scale)
+    return f_hat, c
 
 
 def _ratio(norm: float, reference: float) -> float:
@@ -283,9 +279,8 @@ def _ratio(norm: float, reference: float) -> float:
 def _solve_above_cutoff(a, b, rel_tol, what):
     """``a^+ b`` for the pseudoinverse that drops singular values ``<= rel_tol * s_max``.
 
-    Not checked for overflow: :func:`_solve_with_cutoff` calls it under its
-    ``np.errstate`` and names an inf or NaN where it reaches the solution or
-    its coefficients.
+    Not checked for overflow: :func:`solve` runs it under its ``np.errstate``
+    and names an inf or NaN where it reaches the solution or its coefficients.
     """
     ua, sa, va = svd(a, what)
     # reciprocals of the kept singular values, zero for the dropped ones

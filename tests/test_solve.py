@@ -822,8 +822,8 @@ class TestOverflow:
 
     @pytest.mark.parametrize("section", [None, 2])
     @pytest.mark.parametrize("vectors, op, g, product", [
-        # C g is about 1e460; both paths check it before they solve
-        (PSI0 * 1e160, np.eye(2), 1e300, r"right-hand side's coefficient vector C g overflows"),
+        # C g is about 1e460 but never formed; c = C f is about 1e460 too
+        (PSI0 * 1e160, np.eye(2), 1e300, "solution's coefficient vector"),
         # C g is about 1e300 and f about 1e150, but C f is about 1e310
         (PSI0 * 1e160, 1e-10 * np.eye(2), 1e140, "solution's coefficient vector"),
         # C g and C f are about 1e140 and 1e150, but f is about 1e310
@@ -839,6 +839,29 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(FrameRepError, match=product) as info:
                 solve(LinearOperator(op), [g, g], frame, SolveOptions(section_size=section))
+        assert not isinstance(info.value, DimensionMismatch)
+
+    @pytest.mark.parametrize("section", [None, 2])
+    def test_rhs_coefficients_are_not_checked(self, section):
+        # C g is about 1e460, but solve never forms it, and f = (1, 1) and c
+        # (about 1e160) are in range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(LinearOperator(1e300 * np.eye(2)), [1e300, 1e300],
+                           Frame(self.PSI0 * 1e160), SolveOptions(section_size=section))
+        assert euclidean_norm(report.solution - [1.0, 1.0]) <= 1e-15
+        assert np.isfinite(report.coefficients).all()
+        assert report.residual_operator == report.residual_matrix == 0.0
+
+    def test_section_core_overflow_is_named(self):
+        # R1 X R1* overflows for finite input, and was handed to the SVD as is
+        op = LinearOperator([[9.000000000000002e307, 9.000002249999718e307],
+                             [8.999997750000846e307, 8.999999999999999e307]])
+        frame = Frame([[1, 1], [1, -1], [0, 1e-3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameRepError, match="finite section's core") as info:
+                solve(op, [1, -1], frame, SolveOptions(section_size=1))
         assert not isinstance(info.value, DimensionMismatch)
 
     def test_cutoff_solve_near_the_largest_float(self):
