@@ -96,7 +96,10 @@ class FrameClass(enum.Enum):
 class FrameBounds(NamedTuple):
     """Optimal frame bounds: the extreme eigenvalues of the frame operator.
 
-    A bound beyond the float range reads ``inf``.
+    A bound beyond the float range reads ``inf``, and one below it reads 0:
+    the bounds are the squares of the singular values, which leave the range
+    at half the exponent.  So a lower bound of 0 does not say that the family
+    fails to span; :attr:`Frame.is_frame` decides that from the singular values.
     """
 
     lower: float
@@ -271,7 +274,13 @@ class Frame:
 
     @cached_property
     def bounds(self) -> FrameBounds:
-        """Optimal bounds (A, B); A > 0 exactly when the family spans C^n."""
+        """Optimal bounds (A, B), ``(s[-1]^2, s[0]^2)`` for the singular values s.
+
+        A > 0 exactly when the family spans C^n, up to the float range's ends:
+        a bound below the range reads 0 (``Frame(psi * 1e-165).bounds`` is
+        ``(0.0, 0.0)`` for a frame psi near scale 1) and one above it ``inf``,
+        while :attr:`is_frame` decides spanning from s itself.
+        """
         s = self.singular_values
         with np.errstate(over="ignore"):
             upper = float(np.square(s[0]))
@@ -360,12 +369,16 @@ class Frame:
         return dual
 
     def _project(self, a: np.ndarray, operation: str) -> np.ndarray:
-        """``Q Q* a`` for a caller-scaled K-vector or K x m block ``a``; NotAFrame if no frame."""
+        """``Q Q* a`` for a K-vector or K x m block ``a``; NotAFrame if no frame.
+
+        ``Q* a`` and ``Q (Q* a)`` are each a :func:`finite_product`, so
+        FrameRepError naming ``operation`` is raised only if one of them overflows.
+        """
         # Q before the rank check: its QR caches R too, so the check takes no second QR
         q = self._orthonormal_factor
         self.require_frame(operation)
         # (a* Q)* is Q* a without a conjugated copy of Q
-        return q @ (a.conj().T @ q).conj().T
+        return finite_product(operation, q, finite_product(operation, a.conj().T, q).conj().T)
 
     @cached_property
     def _reconstruction_factor(self) -> np.ndarray:

@@ -3,10 +3,11 @@
 Everything in the package runs on ``numpy.complex128`` arrays: matrices are
 2-d, vectors 1-d.  The helpers here coerce inputs to that form, hold the one
 shape rule (for each argument and for the agreement of several operands) and
-the one scale-safe entrywise 2-norm, the one exact split of a scale into a
-power of two (:func:`power_of_two_below`; :func:`split_scale` for an array,
-:func:`divide_parts` to divide by it exactly),
-refuse non-finite entries and overflowing products, freeze every array the
+the one scale-safe entrywise 2-norm, the one exact split of an array's
+scale into a power of two (:func:`split_scale`; :func:`divide_parts` to
+divide by it exactly), refuse non-finite entries, take every checked matrix
+product on one exponent ledger that refuses it only when the product itself
+leaves the float range (:func:`finite_product`), freeze every array the
 package keeps (:func:`frozen`), and wrap the numpy/LAPACK decompositions
 behind the small set of operations the frame and representation modules rely
 on.  A LAPACK decomposition or inversion that fails raises
@@ -153,18 +154,59 @@ def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
-    """The matrix product of finite complex128 ``factors``, taken left to right.
+    """The matrix product of complex128 ``factors``, refused only if it leaves the float range.
+
+    The direct product, taken left to right, is returned as it is when its
+    largest real or imaginary part lies in ``[2^-969, inf)`` (2^-969 is
+    tiny/eps: below it an entry may have lost digits to underflow) or when a
+    factor is zero, which makes the product exactly zero.  Otherwise the
+    product is recomputed on the exponent ledger: each factor and each
+    partial product is divided by its power of two (:func:`split_scale`), so
+    no step leaves the float range, the integer exponents are summed apart,
+    and one ``ldexp`` applies them.  So a product is returned whenever it is
+    in range, whatever its partial products do; it may then be subnormal.
 
     Raises
     ------
     FrameRepError
-        Naming ``what``, if the product overflows.
+        Naming ``what``, if the product overflows or a factor is not finite.
     """
+    exponent, out = _ledger_product(factors)
+    if exponent is None:
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(what, np.ldexp(out.view(np.float64), exponent).view(np.complex128))
+
+
+def product_norm_ratio(numerator: tuple, denominator: tuple) -> float:
+    """``|P| / |Q|`` for the products P of ``numerator`` and Q of ``denominator``, 0 if Q is zero.
+
+    Each tuple of complex128 factors is multiplied as in :func:`finite_product`,
+    but neither product is scaled back: the ratio of the 2-norms is taken of
+    the ledger's ``P / 2^e`` and ``Q / 2^f`` (e and f 0 for a direct product)
+    and shifted by ``2^(e - f)``, so only the ratio can leave the float range.
+    """
+    (e, p), (f, q) = _ledger_product(numerator), _ledger_product(denominator)
+    reference, shift = euclidean_norm(q), (e or 0) - (f or 0)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(euclidean_norm(p) / reference, shift)) if reference > 0.0 else 0.0
+
+
+def _ledger_product(factors) -> tuple[int | None, np.ndarray]:
+    """``(None, P)`` for :func:`finite_product`'s direct product P, else the ledger's ``(e, P / 2^e)``."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = factors[0]
         for factor in factors[1:]:
             out = out @ factor
-    return require_finite(what, out)
+        largest = _largest_part(out)
+        if largest < np.inf and (largest >= 2.0**-969 or not all(map(np.any, factors))):
+            return None, out
+        exponent, out = _split_exponent(factors[0])
+        for factor in factors[1:]:
+            factor_exponent, unit = _split_exponent(factor)
+            product_exponent, out = _split_exponent(out @ unit)
+            exponent += factor_exponent + product_exponent
+    return exponent, out
 
 
 def require_finite(what: str, out: np.ndarray) -> np.ndarray:
@@ -204,27 +246,33 @@ def wrap_checked(cls, field: str, array: np.ndarray, **others):
     return obj
 
 
-def power_of_two_below(x: float) -> float:
-    """The power of two ``p`` with ``p <= x < 2 p`` for a finite ``x > 0`` (1/2 for ``x = 0``).
-
-    The one place a scale is split off in binary: dividing or multiplying by
-    ``p`` is exact wherever the result stays a normal float, so an array
-    divided by it keeps every digit while its largest value moves into
-    ``[1, 2)``.  ``p`` itself is a float for every positive float ``x``.
-    """
-    return math.ldexp(1.0, math.frexp(x)[1] - 1)
-
-
 def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """``(p, a / p)``, ``p`` the :func:`power_of_two_below` the largest real or imaginary part.
+    """``(p, a / p)`` for :func:`_split_exponent`'s ``(e, a / 2^e)``: ``p = 2^e``, a float."""
+    exponent, unit = _split_exponent(a)
+    return math.ldexp(1.0, exponent), unit
 
-    The quotient, a new array, has its largest part in ``[1, 2)``.  The parts
-    are compared, as a modulus may overflow; the largest is ``max(max, -min)``
-    of them, so no array of moduli is allocated.
+
+def _split_exponent(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(e, a / 2^e)``: ``2^e <= x < 2^(e+1)`` for the largest real or imaginary part x of ``a``.
+
+    The one place a scale is split off in binary.  The quotient, a new
+    complex128 array, has its largest part in ``[1, 2)`` and keeps every
+    digit wherever it is a normal float: dividing by a power of two is exact
+    there.  ``2^e`` itself is a float for every positive float x; for a zero
+    ``a``, e is -1.  The parts are compared, as a modulus may overflow.
     """
-    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    scale = power_of_two_below(float(max(parts.max(), -parts.min())))
-    return scale, divide_parts(parts.view(np.complex128), scale)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    exponent = math.frexp(_largest_part(a))[1] - 1
+    return exponent, divide_parts(a, math.ldexp(1.0, exponent))
+
+
+def _largest_part(a: np.ndarray) -> float:
+    """The largest magnitude of a real or imaginary part of a complex128 ``a``; NaN if one is NaN.
+
+    ``max(max, -min)`` of the float view, so no array of moduli is allocated.
+    """
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return float(max(parts.max(), -parts.min()))
 
 
 def divide_parts(a: np.ndarray, scale: float) -> np.ndarray:

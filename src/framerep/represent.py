@@ -237,16 +237,22 @@ def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.n
     The representation ``M`` of ``op`` over ``(phi, dual(psi))`` sends the
     psi-coefficients of ``f`` to the phi-coefficients of ``op(f)``; returns
     ``(lhs, rhs)``: ``lhs = M C_psi f``, evaluated right to left as ``C_phi (O
-    (D_dual(psi) (C_psi f)))`` in O(K n + n^2) without forming ``M``, and ``rhs``
-    analyzes ``op(f)`` directly.  Raises FrameRepError if an entry leaves the
-    float range.
+    ((D_dual(psi) C_psi) f))`` through the n x n reconstruction factor that
+    :func:`roundtrip_reconstruct` uses, so neither ``M`` nor ``C_psi f`` is
+    formed and a call on warm frames costs O(K n + n^2); ``rhs`` analyzes
+    ``op(f)`` directly, as ``C_phi (O f)``.  Each side is one
+    :func:`~framerep.linalg.finite_product`, so FrameRepError is raised only
+    if an entry of a side itself leaves the float range.
     """
-    psi_dual = psi.canonical_dual()
+    right = psi.canonical_dual()._reconstruction_factor
     require_shape("operator matrix", op.matrix.shape, (phi.space_dim, psi.space_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = op.matrix @ (psi_dual.synthesis_matrix @ psi.analyze(f))
-    lhs = finite_product("representation image M C_psi f", phi.analysis_matrix, g)
-    return lhs, phi.analyze(op(f))
+    f = as_vector(f, "input vector", psi.space_dim)
+    # a chain taken as its transpose, f^T ... C_phi^T, runs right to left in
+    # finite_product, which multiplies left to right
+    lhs = finite_product("representation image M C_psi f", f, right.T, op.matrix.T,
+                         phi.analysis_matrix.T)
+    return lhs, finite_product("analysis coefficients C_phi O f", f, op.matrix.T,
+                               phi.analysis_matrix.T)
 
 
 def kernel_of_representation(matrix, phi: Frame, psi: Frame) -> np.ndarray:

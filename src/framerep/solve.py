@@ -46,9 +46,11 @@ below ``rel_tol`` times the largest.
 
 Every path returns coefficients that synthesize its solution, ``f = D_dual
 c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after
-either path; ``O f - g`` and g meet C each as its quotient by a power of two,
-so neither norm underflows or overflows merely because of the scale of g or
-of the frame, and ``C g`` itself is never formed.  Every solve costs O(K n^2 + n^3).
+either path.  The norms of ``C (O f - g)`` and ``C g`` are read on the
+exponent ledger of :func:`~framerep.linalg.product_norm_ratio`, each
+product's power of two kept apart, so neither norm underflows or overflows
+merely because of the scale of g or of the frame, and ``C g`` is never
+refused.  Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ import numpy as np
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
 from .linalg import (EPS, as_vector, divide_parts, euclidean_norm, finite_product,
-                     power_of_two_below, require_finite, require_shape, solve_with_condition,
-                     split_scale, svd)
+                     product_norm_ratio, require_shape, solve_with_condition, svd)
 from .represent import LinearOperator
 
 
@@ -125,13 +126,12 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
     Applies ``Q Q*`` for the orthonormal Q of the frame's cached QR ``C = Q R``
     through ``Frame._project``, the one place Q is applied; ``Q Q*`` equals
     ``gram(frame, dual(frame))``, is idempotent, self-adjoint, and the
-    identity on any vector of the form ``C f``.  ``c`` is scaled first
-    (:func:`~framerep.linalg.split_scale`); FrameRepError only if the result overflows.
+    identity on any vector of the form ``C f``.  Both products go through
+    :func:`~framerep.linalg.finite_product`, so FrameRepError is raised only
+    if the projection itself overflows.
     """
-    scale, c = split_scale(as_vector(c, "coefficient vector", frame.count))
-    projected = frame._project(c, "analysis-range projection")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite("analysis-range projection", projected * scale)
+    return frame._project(as_vector(c, "coefficient vector", frame.count),
+                          "analysis-range projection")
 
 
 #: What :func:`solve` names when the coefficients it returns leave the float range.
@@ -197,33 +197,16 @@ def solve(op: LinearOperator, g, frame: Frame,
             # D_dual C = I, so c = C f solves M c = d and lies in M's range
             c = finite_product(_COEFFICIENTS, frame.analysis_matrix, f_hat)
         operator_residual = op(f_hat) - g
-        # every path returns f = D_dual c, so M c - d = C (O f - g)
-        g_scale, d_norm = _scaled_analysis(frame, g)
-        residual_scale, residual_norm = _scaled_analysis(frame, operator_residual)
     return SolveReport(
         solution=f_hat,
         coefficients=c,
         residual_operator=_ratio(euclidean_norm(operator_residual), euclidean_norm(g)),
-        residual_matrix=_ratio(residual_norm, d_norm) * (residual_scale / g_scale),
+        # every path returns f = D_dual c, so M c - d = C (O f - g)
+        residual_matrix=product_norm_ratio((frame.analysis_matrix, operator_residual),
+                                           (frame.analysis_matrix, g)),
         section_used=n_section,
         conditioning_warning=warning,
     )
-
-
-def _scaled_analysis(frame, a):
-    """``(p, |C a| / p)`` for p the power of two of a, or more where the norm overflows.
-
-    ``C a`` itself is never formed: the norm is that of ``C (a / p)``, which
-    overflows only for an entry of C within a factor ``4 n K`` of the largest
-    float; p then grows by the power of two below ``8 n K``.  Call under
-    ``np.errstate(over="ignore", invalid="ignore")``.
-    """
-    scale, unit = split_scale(a)
-    norm = euclidean_norm(frame.analysis_matrix @ unit)
-    if not norm < np.inf:
-        growth = power_of_two_below(8.0 * frame.space_dim * frame.count)
-        scale, norm = scale * growth, euclidean_norm(frame.analysis_matrix @ (unit / growth))
-    return scale, norm
 
 
 def _guard_excess(rel_tol: float, norms: tuple[float, float], ratio: float) -> float:

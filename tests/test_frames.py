@@ -189,6 +189,16 @@ class TestBounds:
         assert not frame.is_frame
         assert frame.condition == np.inf
 
+    def test_bounds_below_the_float_range_read_zero(self, psi0):
+        # A and B are squares of s, which underflow where s itself does not;
+        # the rank rule reads s, so the family is still a frame
+        frame = Frame(psi0.vectors * 1e-165)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frame.bounds == (0.0, 0.0)
+            assert frame.is_frame
+            assert frame.condition == pytest.approx(3.0, rel=1e-13)
+
     def test_frame_inequality_random(self):
         rng = np.random.default_rng(15)
         for _ in range(20):

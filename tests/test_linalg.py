@@ -1,14 +1,20 @@
 """Tests for the dense complex linear-algebra kernel."""
 
+import functools
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framerep import (
     DecompositionFailed,
     DimensionMismatch,
     Frame,
+    FrameRepError,
     LinearOperator,
     Representation,
     biorthogonal,
@@ -23,7 +29,8 @@ from framerep import (
     project_onto_analysis_range,
     solve,
 )
-from framerep.linalg import as_matrix, as_vector, euclidean_norm, require_shape, svd
+from framerep.linalg import (as_matrix, as_vector, euclidean_norm, finite_product,
+                             require_shape, svd)
 from helpers import no_convergence, random_complex
 
 
@@ -69,6 +76,53 @@ class TestDecompositionFailure:
         with pytest.raises(DecompositionFailed, match="core") as info:
             solve(LinearOperator(np.diag([1.0, 0.0])), [1, 0], psi0)
         assert not isinstance(info.value, ValueError)
+
+
+def _ldexp(a, exponent):
+    """``a * 2^exponent`` for a complex array, each part rounded once."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(a).view(np.float64), exponent).view(np.complex128)
+
+
+def _largest_part(a):
+    return float(np.abs(np.ascontiguousarray(a).view(np.float64)).max())
+
+
+class TestExponentLedger:
+    """``finite_product`` returns its direct product, or the exact product on its ledger."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(2, 3), vector=st.booleans(),
+           exponents=st.lists(st.integers(-1000, 1000), min_size=3, max_size=3))
+    def test_direct_or_scaled_by_its_exponents(self, seed, length, vector, exponents):
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 7, size=length + 1)
+        factors = [random_complex(rng, dims[i], dims[i + 1]) for i in range(length)]
+        if vector:
+            factors[-1] = factors[-1][:, 0]
+        exponents = exponents[:length]
+        scaled = [_ldexp(factor, k) for factor, k in zip(factors, exponents)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = functools.reduce(np.matmul, scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = finite_product("chain", *scaled)
+            except FrameRepError as exc:
+                got = exc
+        if 2.0**-969 <= _largest_part(direct) < np.inf:
+            assert np.array_equal(got, direct)
+            return
+        exact = functools.reduce(np.matmul, factors)
+        # the base-2 exponent of the largest part of 2^sum(k) times the exact product
+        top = math.log2(_largest_part(exact)) + sum(exponents)
+        if -960 <= top <= 1000:
+            expected = _ldexp(exact, sum(exponents))
+            assert not isinstance(got, FrameRepError)
+            assert _largest_part(got - expected) <= 1e-13 * _largest_part(expected)
+        elif top > 1030:
+            assert isinstance(got, FrameRepError)
+            assert str(got) == "the chain overflows the float range"
 
 
 class TestNorms:

@@ -768,3 +768,30 @@ class TestProductOverflow:
             with pytest.raises(FrameRepError, match="operator from images overflows") as info:
                 operator_from_images(tiny, np.full((3, 2), 1e160))
         assert not isinstance(info.value, DimensionMismatch)
+
+
+def _psi0_at(scale):
+    return Frame(np.array([[1, 0], [0, 1], [1, 1]]) * scale)
+
+
+class TestPartialProductsBeyondTheRange:
+    """A product in the float range is returned though a partial product is not."""
+
+    @pytest.mark.parametrize("product, row", [
+        # C_phi O is about 1e500; C_phi O D_psi about 1e100
+        (lambda: matrix_of_operator(LinearOperator(1e200 * np.eye(2)), _psi0_at(1e200),
+                                    _psi0_at(1e-300)).matrix[0], [1e100, 0, 1e100]),
+        # D_phi M is about 1e400; D_phi M C_psi about 1e100
+        (lambda: operator_of_matrix(1e200 * np.eye(3), _psi0_at(1e200),
+                                    _psi0_at(1e-300)).matrix[0], [2e100, 1e100]),
+        # C_psi f is about 1e310, and neither side forms it
+        (lambda: range_map_check(identity_operator(2), _psi0_at(1.0), _psi0_at(1e300),
+                                 (1e10, 1e10))[0], [1e10, 1e10, 2e10]),
+        (lambda: range_map_check(identity_operator(2), _psi0_at(1.0), _psi0_at(1e300),
+                                 (1e10, 1e10))[1], [1e10, 1e10, 2e10]),
+    ], ids=["matrix_of_operator", "operator_of_matrix", "range_map_lhs", "range_map_rhs"])
+    def test_product_in_range_is_returned(self, product, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = product()
+        assert np.allclose(got, row, rtol=1e-15, atol=0)

@@ -853,6 +853,27 @@ class TestOverflow:
         assert np.isfinite(report.coefficients).all()
         assert report.residual_operator == report.residual_matrix == 0.0
 
+    def test_operator_image_of_a_huge_solution(self):
+        # f is about (1e300, 1e300), so each product of O's first row with f is
+        # about 1e310, but O f itself, which the residual needs, is in range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(LinearOperator([[1e10, -1e10], [0, 1e-300]]), [1, 1],
+                           Frame(self.PSI0), SolveOptions(rel_tol=0))
+        assert np.allclose(report.solution, [1e300, 1e300], rtol=1e-15, atol=0)
+        assert np.allclose(report.coefficients, [1e300, 1e300, 2e300], rtol=1e-15, atol=0)
+        # f's two entries round to the same float, so O f = (0, 1) exactly
+        assert report.residual_operator == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+    def test_section_core_of_an_operator_near_the_largest_float(self):
+        # R O is about 2.4e308 on the way to the core X = R O R^-1 = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(LinearOperator([[1.7e308]]), [1e300], Frame([[1.0], [1.0]]),
+                           SolveOptions(section_size=1))
+        assert report.solution == pytest.approx([1e300 / 1.7e308], rel=1e-15)
+        assert report.residual_operator <= 4 * EPS
+
     def test_section_core_overflow_is_named(self):
         # R1 X R1* overflows for finite input, and was handed to the SVD as is
         op = LinearOperator([[9.000000000000002e307, 9.000002249999718e307],

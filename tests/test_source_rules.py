@@ -16,9 +16,12 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("raise DimensionMismatch", {"linalg.py", "io.py"}),
     # every array a frame, operator or representation keeps is frozen by linalg.frozen
     ("setflags(", {"linalg.py"}),
-    # a scale is split off in binary only by linalg.power_of_two_below
+    # a scale is split off in binary only by linalg's one exponent split
     ("frexp", {"linalg.py"}),
     ("ldexp", {"linalg.py"}),
+    # a product leaves the float range only through finite_product's exponent
+    # ledger, so solve splits no scale of its own
+    ("split_scale(", {"linalg.py", "frames.py", "represent.py"}),
     # no result depends on the environment: settings come from arguments only
     ("os.environ", set()),
     # LAPACK is reached through linalg's wrappers, which name a failed step;
@@ -41,9 +44,9 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("print(", {"cli.py"}),
     ("sys.stdout", {"cli.py"}),
     ("sys.stderr", {"cli.py"}),
-], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "environ", "svd", "inv",
-        "solve", "pinv", "eig", "qr", "inverse", "dict", "q_factor", "print", "stdout",
-        "stderr"])
+], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "split_scale", "environ",
+        "svd", "inv", "solve", "pinv", "eig", "qr", "inverse", "dict", "q_factor", "print",
+        "stdout", "stderr"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
