@@ -15,24 +15,26 @@ are still valid Bessel sequences).  Conventions used throughout:
 Frames are immutable: the vectors, the cached matrices and every cached
 spectral factor, the canonical dual's included, are read-only arrays.
 Each frame's spectral data comes from the QR ``C/p = Q (R/p)`` of its
-analysis matrix over p, the power of two of C's largest real or imaginary
-part (:func:`~framerep.linalg.split_scale`).  Powers of two cancel exactly, so
+analysis matrix over ``p = 2^e``, the power of two of C's largest real or
+imaginary part (:func:`~framerep.linalg.split_exponent`).  The frame keeps
+e, not p: a result takes its power of two as the ``exponent`` of a
+:func:`~framerep.linalg.finite_product`.  Powers of two cancel exactly, so
 a result keeps its bits wherever it is a normal float, and every entry of
 ``R/p`` is below ``2 sqrt(2 K)``.  The layers are computed lazily and cached:
 
-* ``Frame._triangular_factor`` is ``(p, R/p)``, the ``min(K, n) x n`` R
+* ``Frame._triangular_factor`` is ``(e, R/2^e)``, the ``min(K, n) x n`` R
   kept once.  Read first, it comes from a QR that does not form Q.
-* ``Frame.singular_values`` are C's singular values ``s = p s(R/p)``,
+* ``Frame.singular_values`` are C's singular values ``s = 2^e s(R/2^e)``,
   without singular vectors.  The bounds ``(s_min^2, s_max^2)``,
   ``is_frame``, the condition and the classification read only this layer.
 * ``Frame._orthonormal_factor`` is the QR's Q, read in this module alone.
-  The reduced QR that forms it also supplies ``(p, R/p)`` when it is not
+  The reduced QR that forms it also supplies ``(e, R/2^e)`` when it is not
   cached yet, so a cold canonical dual or range projection takes one QR; a
   frame whose R was read first takes a second QR for Q.  The canonical
   dual's analysis matrix ``C S^-1 = (C^+)* = Q R^-*`` needs Q and no
   singular vector; ``Frame._project`` alone applies the projector ``Q Q*``.
-* ``Frame._triangular_inverse`` is ``(R/p)^-1``: the frame's one inverse of
-  R, which the dual and the cutoff path of :mod:`framerep.solve` share.
+* ``Frame._triangular_inverse`` is ``(R/2^e)^-1``: the frame's one inverse
+  of R, which the dual and the cutoff path of :mod:`framerep.solve` share.
 
 No layer holds singular vectors.
 
@@ -62,9 +64,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import FrameRepError, NotAFrame
-from .linalg import (EPS, as_matrix, as_vector, divide_parts, euclidean_norm, finite_product,
-                     frozen, hermitian_eigs, inverse, require_finite, require_shape,
-                     singular_values, split_scale, wrap_checked)
+from .linalg import (EPS, as_matrix, as_vector, euclidean_norm, finite_product, frozen,
+                     hermitian_eigs, inverse, require_shape, singular_values, split_exponent,
+                     wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -165,17 +167,18 @@ class Frame:
                                      self.analysis_matrix))
 
     @cached_property
-    def _triangular_factor(self) -> tuple[float, np.ndarray]:
-        """Read-only ``(p, R/p)``: p C's :func:`split_scale`, R/p from the QR of ``C/p``, no Q."""
-        scale, unit = split_scale(self.analysis_matrix)
-        return scale, frozen(np.linalg.qr(unit, mode="r"))
+    def _triangular_factor(self) -> tuple[int, np.ndarray]:
+        """Read-only ``(e, R/2^e)``: C's :func:`split_exponent`, R/2^e from a QR without Q."""
+        exponent, unit = split_exponent(self.analysis_matrix)
+        return exponent, frozen(np.linalg.qr(unit, mode="r"))
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         """C's ``min(K, n)`` singular values in descending order, read-only.
 
-        They are ``p`` times those of ``R/p`` alone, computed without singular
-        vectors, so the SVD runs on at most n rows and no K x n factor is formed.
+        They are ``2^e`` times those of ``R/2^e`` alone, computed without
+        singular vectors, so the SVD runs on at most n rows and no K x n
+        factor is formed.
 
         Raises
         ------
@@ -184,22 +187,22 @@ class Frame:
         DecompositionFailed
             If the SVD does not converge.
         """
-        scale, unit = self._triangular_factor
-        with np.errstate(over="ignore"):
-            s = singular_values(unit, "frame analysis matrix") * scale
-        return frozen(require_finite("frame analysis matrix's largest singular value", s))
+        exponent, unit = self._triangular_factor
+        return frozen(finite_product("frame analysis matrix's largest singular value",
+                                     singular_values(unit, "frame analysis matrix"),
+                                     exponent=exponent))
 
     @cached_property
     def _orthonormal_factor(self) -> np.ndarray:
-        """Read-only Q of the reduced QR of ``C/p``; caches its ``(p, R/p)`` if none is."""
-        scale, unit = split_scale(self.analysis_matrix)
+        """Read-only Q of the reduced QR of ``C/2^e``; caches its ``(e, R/2^e)`` if none is."""
+        exponent, unit = split_exponent(self.analysis_matrix)
         q, r = np.linalg.qr(unit, mode="reduced")
-        self.__dict__.setdefault("_triangular_factor", (scale, frozen(r)))
+        self.__dict__.setdefault("_triangular_factor", (exponent, frozen(r)))
         return frozen(q)
 
     @cached_property
     def _triangular_inverse(self) -> np.ndarray:
-        """Read-only ``(R/p)^-1`` of :attr:`_triangular_factor`'s ``R/p``.
+        """Read-only ``(R/2^e)^-1`` of :attr:`_triangular_factor`'s ``R/2^e``.
 
         The one inverse of R, for a frame (R square); DecompositionFailed if LAPACK fails.
         """
@@ -330,10 +333,10 @@ class Frame:
         """The canonical dual frame (S^-1 psi_k).
 
         Built from the cached QR ``C = Q R``: the dual's analysis matrix is
-        ``C S^-1 = Q R^-*``, formed as ``Q (R/p)^-*`` from the frame's cached
-        inverse and divided by ``p`` exactly.  The dual inherits the singular
-        values, reversed and inverted, so its bounds (1/B, 1/A) need no
-        decomposition.  The dual of the dual is this frame again (the same
+        ``C S^-1 = Q R^-*``, formed as ``Q (R/2^e)^-*`` from the frame's
+        cached inverse and scaled by ``2^-e`` on the exponent ledger.  The
+        dual inherits the singular values, reversed and inverted, so its
+        bounds (1/B, 1/A) need no decomposition.  The dual of the dual is this frame again (the same
         object while this frame is alive; the dual only holds a weak reference
         back).
 
@@ -356,13 +359,13 @@ class Frame:
         # Q before the rank check: its QR caches R too, so the check takes no second QR
         q = self._orthonormal_factor
         self.require_frame("canonical dual")
-        scale, unit_inverse = self._triangular_factor[0], self._triangular_inverse
-        s = self.singular_values
-        with np.errstate(over="ignore", invalid="ignore"):
-            # rows of `vectors` are conj(Q R^-*) = conj(Q) (R/p)^-T / p
-            vectors = require_finite("canonical dual",
-                                     divide_parts(q.conj() @ unit_inverse.T, scale))
-            s_dual = require_finite("canonical dual's largest singular value", 1.0 / s[::-1])
+        # rows of `vectors` are conj(Q R^-*) = conj(Q) (R/2^e)^-T 2^-e
+        vectors = finite_product("canonical dual", q.conj(), self._triangular_inverse.T,
+                                 exponent=-self._triangular_factor[0])
+        # the rank rule keeps s[-1] / s[0] above 1e-5, so 1 / s_unit stays in range
+        s_exponent, s_unit = split_exponent(self.singular_values)
+        s_dual = finite_product("canonical dual's largest singular value", 1.0 / s_unit[::-1],
+                                exponent=-s_exponent)
         dual = wrap_checked(Frame, "_vectors", vectors, singular_values=frozen(s_dual),
                             _primal=weakref.ref(self))
         self.__dict__["_canonical_dual"] = dual

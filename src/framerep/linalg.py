@@ -4,10 +4,10 @@ Everything in the package runs on ``numpy.complex128`` arrays: matrices are
 2-d, vectors 1-d.  The helpers here coerce inputs to that form, hold the one
 shape rule (for each argument and for the agreement of several operands) and
 the one scale-safe entrywise 2-norm, the one exact split of an array's
-scale into a power of two (:func:`split_scale`; :func:`divide_parts` to
-divide by it exactly), refuse non-finite entries, take every checked matrix
-product on one exponent ledger that refuses it only when the product itself
-leaves the float range (:func:`finite_product`), freeze every array the
+scale into a power of two (:func:`split_exponent`), refuse non-finite
+entries, take every checked matrix product, and every power of two a result
+is scaled by, on one exponent ledger that refuses it only when the product
+itself leaves the float range (:func:`finite_product`), freeze every array the
 package keeps (:func:`frozen`), and wrap the numpy/LAPACK decompositions
 behind the small set of operations the frame and representation modules rely
 on.  A LAPACK decomposition or inversion that fails raises
@@ -153,29 +153,34 @@ def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, floa
     return x[:, 0], euclidean_norm(a), euclidean_norm(x[:, 1:])
 
 
-def finite_product(what: str, *factors: np.ndarray) -> np.ndarray:
-    """The matrix product of complex128 ``factors``, refused only if it leaves the float range.
+def finite_product(what: str, *factors: np.ndarray, exponent: int = 0) -> np.ndarray:
+    """The product of ``factors`` times ``2^exponent``, refused only if it leaves the float range.
 
-    The direct product, taken left to right, is returned as it is when its
-    largest real or imaginary part lies in ``[2^-969, inf)`` (2^-969 is
-    tiny/eps: below it an entry may have lost digits to underflow) or when a
-    factor is zero, which makes the product exactly zero.  Otherwise the
-    product is recomputed on the exponent ledger: each factor and each
-    partial product is divided by its power of two (:func:`split_scale`), so
-    no step leaves the float range, the integer exponents are summed apart,
-    and one ``ldexp`` applies them.  So a product is returned whenever it is
-    in range, whatever its partial products do; it may then be subnormal.
+    The float64 or complex128 factors are multiplied left to right as
+    matrices, except that a 1-d factor between two others is a diagonal: it
+    scales the columns of the product before it and is never formed.
+
+    The direct product P is kept when its largest real or imaginary part lies
+    in ``[2^-969, inf)`` (2^-969 is tiny/eps: below it an entry may have lost
+    digits to underflow) or when a factor is zero, which makes P exactly
+    zero.  Otherwise P is recomputed on the exponent ledger: each factor and
+    each partial product is divided by its power of two
+    (:func:`split_exponent`), so no step leaves the float range, and the
+    integer exponents are summed apart.  One final ``ldexp`` applies them
+    together with ``exponent``.  So a product is returned whenever it is in
+    range, whatever its partial products or ``2^exponent`` alone do; it may
+    then be subnormal.
 
     Raises
     ------
     FrameRepError
         Naming ``what``, if the product overflows or a factor is not finite.
     """
-    exponent, out = _ledger_product(factors)
-    if exponent is None:
+    shift, out = _ledger_product(factors)
+    if shift is None and not exponent:
         return out
     with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(what, np.ldexp(out.view(np.float64), exponent).view(np.complex128))
+        return require_finite(what, _ldexp(out, (shift or 0) + exponent))
 
 
 def product_norm_ratio(numerator: tuple, denominator: tuple) -> float:
@@ -194,17 +199,20 @@ def product_norm_ratio(numerator: tuple, denominator: tuple) -> float:
 
 def _ledger_product(factors) -> tuple[int | None, np.ndarray]:
     """``(None, P)`` for :func:`finite_product`'s direct product P, else the ledger's ``(e, P / 2^e)``."""
+    # a 1-d factor between two others is a diagonal, applied as a column scaling
+    steps = [(np.multiply if factor.ndim == 1 and i < len(factors) - 1 else np.matmul, factor)
+             for i, factor in enumerate(factors[1:], 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         out = factors[0]
-        for factor in factors[1:]:
-            out = out @ factor
+        for multiply, factor in steps:
+            out = multiply(out, factor)
         largest = _largest_part(out)
         if largest < np.inf and (largest >= 2.0**-969 or not all(map(np.any, factors))):
             return None, out
-        exponent, out = _split_exponent(factors[0])
-        for factor in factors[1:]:
-            factor_exponent, unit = _split_exponent(factor)
-            product_exponent, out = _split_exponent(out @ unit)
+        exponent, out = split_exponent(factors[0])
+        for multiply, factor in steps:
+            factor_exponent, unit = split_exponent(factor)
+            product_exponent, out = split_exponent(multiply(out, unit))
             exponent += factor_exponent + product_exponent
     return exponent, out
 
@@ -246,28 +254,21 @@ def wrap_checked(cls, field: str, array: np.ndarray, **others):
     return obj
 
 
-def split_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """``(p, a / p)`` for :func:`_split_exponent`'s ``(e, a / 2^e)``: ``p = 2^e``, a float."""
-    exponent, unit = _split_exponent(a)
-    return math.ldexp(1.0, exponent), unit
-
-
-def _split_exponent(a: np.ndarray) -> tuple[int, np.ndarray]:
+def split_exponent(a: np.ndarray) -> tuple[int, np.ndarray]:
     """``(e, a / 2^e)``: ``2^e <= x < 2^(e+1)`` for the largest real or imaginary part x of ``a``.
 
-    The one place a scale is split off in binary.  The quotient, a new
-    complex128 array, has its largest part in ``[1, 2)`` and keeps every
-    digit wherever it is a normal float: dividing by a power of two is exact
-    there.  ``2^e`` itself is a float for every positive float x; for a zero
-    ``a``, e is -1.  The parts are compared, as a modulus may overflow.
+    The one place a scale is split off in binary.  The quotient, a new array
+    of ``a``'s dtype (float64 or complex128), has its largest part in ``[1,
+    2)`` and keeps every digit wherever it is a normal float: scaling by a
+    power of two is exact there.  For a zero ``a``, e is -1.  The parts are
+    compared, as a modulus may overflow.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
     exponent = math.frexp(_largest_part(a))[1] - 1
-    return exponent, divide_parts(a, math.ldexp(1.0, exponent))
+    return exponent, _ldexp(a, -exponent)
 
 
 def _largest_part(a: np.ndarray) -> float:
-    """The largest magnitude of a real or imaginary part of a complex128 ``a``; NaN if one is NaN.
+    """The largest magnitude of a part of a float64 or complex128 ``a``; NaN if one is NaN.
 
     ``max(max, -min)`` of the float view, so no array of moduli is allocated.
     """
@@ -275,14 +276,14 @@ def _largest_part(a: np.ndarray) -> float:
     return float(max(parts.max(), -parts.min()))
 
 
-def divide_parts(a: np.ndarray, scale: float) -> np.ndarray:
-    """``a / scale`` for a complex128 ``a``, its real and imaginary parts divided.
+def _ldexp(a: np.ndarray, exponent: int) -> np.ndarray:
+    """``a * 2^exponent`` in ``a``'s dtype, each real and imaginary part rounded once.
 
-    Exact for a power of two ``scale`` wherever the result is a normal float.
-    numpy divides a complex array by a subnormal number through its
-    overflowing reciprocal; dividing the parts does not.
+    Exact wherever the result is a normal float.  numpy has no complex
+    ldexp, so the parts are scaled through the float view.
     """
-    return (np.ascontiguousarray(a).view(np.float64) / scale).view(np.complex128)
+    a = np.ascontiguousarray(a)
+    return np.ldexp(a.view(np.float64), exponent).view(a.dtype)
 
 
 def euclidean_norm(x: np.ndarray) -> float:
@@ -303,10 +304,10 @@ def euclidean_norm(x: np.ndarray) -> float:
 def operator_norm(a) -> float:
     """Spectral norm: the largest singular value, inf beyond the float range.
 
-    Taken of the :func:`split_scale` quotient and multiplied back.
+    Taken of the :func:`split_exponent` quotient and multiplied back.
     """
-    scale, unit = split_scale(as_matrix(a))
-    return scale * float(np.linalg.norm(unit, 2))
+    exponent, unit = split_exponent(as_matrix(a))
+    return 2.0**exponent * float(np.linalg.norm(unit, 2))
 
 
 def frobenius_norm(a) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .exceptions import IncompatibleFrames
 from .frames import RANK_RTOL, Frame
 from .linalg import (as_matrix, as_vector, euclidean_norm, finite_product, frobenius_norm,
-                     frozen, require_finite, require_shape, split_scale, wrap_checked)
+                     frozen, require_finite, require_shape, split_exponent, wrap_checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +188,16 @@ def frame_multiplier(weights, synthesis_frame: Frame, analysis_frame: Frame) -> 
 
     ``weights`` is a length-K sequence (real or complex); the result is
     ``sum_k weights_k * phi_k (x) conj(psi_k)``, the induced operator of
-    ``diag(weights)``, computed as ``(D_phi * weights) @ C_psi`` without the
-    K x K diagonal.  Raises FrameRepError if an entry leaves the float range.
+    ``diag(weights)``, computed as one :func:`~framerep.linalg.finite_product`
+    ``D_phi w C_psi``, whose 1-d middle factor scales the columns of ``D_phi``
+    without the K x K diagonal.  So FrameRepError is raised only if an entry
+    of the operator itself leaves the float range.
     """
     require_shape("vectors of analysis_frame", analysis_frame.vectors.shape,
                   (synthesis_frame.count, None))
     w = as_vector(weights, "multiplier weights", synthesis_frame.count)
-    with np.errstate(over="ignore", invalid="ignore"):  # finite_product names an overflow
-        scaled = synthesis_frame.synthesis_matrix * w
     return wrap_checked(LinearOperator, "matrix", finite_product(
-        "frame multiplier", scaled, analysis_frame.analysis_matrix))
+        "frame multiplier", synthesis_frame.synthesis_matrix, w, analysis_frame.analysis_matrix))
 
 
 def operator_from_images(frame: Frame, images, diagnose: bool = False):
@@ -226,7 +226,7 @@ def operator_from_images(frame: Frame, images, diagnose: bool = False):
     if not diagnose:
         return op
     # V psi_k = images_k for every k iff E^T Q Q* = E^T, i.e. Q Q* conj(E) = conj(E)
-    unit = split_scale(e.conj())[1]
+    unit = split_exponent(e.conj())[1]
     outside = unit - frame._project(unit, "interpolation diagnosis")
     return op, euclidean_norm(outside) <= math.sqrt(RANK_RTOL) * euclidean_norm(unit)
 

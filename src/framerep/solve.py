@@ -38,11 +38,13 @@ below ``rel_tol`` times the largest.
   The small matrix (X or ``X_N``) has the nonzero singular values of
   ``M_N``, so the cutoff means the same as for an explicit pseudoinverse of
   ``M_N``.  The path reads R as ``R/p`` and its inverse ``(R/p)^-1``, both
-  cached by the frame, for C's power of two p.  The division is exact in
-  binary, cancels in X and in ``R^-1 y``, and leaves ``R g`` and y divided
-  by p; ``C[:N]`` is divided by p before it meets ``(R/p)^-1``.  So neither
-  X nor ``R g`` underflows or overflows merely because the frame's scale is
-  far from 1.  Q itself is never formed, and R is not inverted again.
+  cached by the frame, for C's power of two ``p = 2^e``, kept as e.  The
+  division is exact in binary, cancels in X and in ``R^-1 y``, and leaves
+  ``R g`` and y divided by p; ``C[:N]`` is divided by p before it meets
+  ``(R/p)^-1``, and a section's coefficients are multiplied by p, each
+  through the ``exponent`` of :func:`~framerep.linalg.finite_product`.  So
+  neither X nor ``R g`` underflows or overflows merely because the frame's
+  scale is far from 1.  Q itself is never formed, and R is not inverted again.
 
 Every path returns coefficients that synthesize its solution, ``f = D_dual
 c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after
@@ -63,8 +65,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, divide_parts, euclidean_norm, finite_product,
-                     product_norm_ratio, require_shape, solve_with_condition, svd)
+from .linalg import (EPS, as_vector, euclidean_norm, finite_product, product_norm_ratio,
+                     require_shape, solve_with_condition, svd)
 from .represent import LinearOperator
 
 
@@ -229,7 +231,7 @@ def _certificate_threshold(rel_tol: float, norms: tuple[float, float]) -> float:
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     """``(f, c)`` of the factored cutoff solve (module docstring), f = D_dual c; c None if N = K."""
     k = frame.count
-    (scale, r_unit), r_unit_inverse = frame._triangular_factor, frame._triangular_inverse
+    (exponent, r_unit), r_unit_inverse = frame._triangular_factor, frame._triangular_inverse
     # kappa(R) reaches sqrt(B/A), so X can overflow where O does not
     x = finite_product("discretized system's core", r_unit, op.matrix, r_unit_inverse)
     # Q* d / p for d = C g = Q R g
@@ -240,7 +242,8 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     else:
         # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = Q1 R1 and X_N = R1 X R1*,
         # so c_N = Q1 X_N^+ Q1* d_N = Q1 X_N^+ R1 R g and y = Q_N* c_N = R1* X_N^+ R1 R g
-        rows = divide_parts(frame.analysis_matrix[:n_section], scale)
+        rows = finite_product("finite section's rows", frame.analysis_matrix[:n_section],
+                              exponent=-exponent)
         q1, r1 = np.linalg.qr(rows @ r_unit_inverse)
         core = finite_product("finite section's core", r1, x, r1.conj().T)
         z = _solve_above_cutoff(core, r1 @ rg, rel_tol, "finite section's core")
@@ -250,7 +253,7 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     if n_section == k:
         return f_hat, None
     c = np.zeros(k, dtype=np.complex128)
-    c[:n_section] = finite_product(_COEFFICIENTS, q1, z * scale)
+    c[:n_section] = finite_product(_COEFFICIENTS, q1, z, exponent=exponent)
     return f_hat, c
 
 

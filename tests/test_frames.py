@@ -379,8 +379,8 @@ class TestCanonicalDual:
         s = dual.singular_values
         assert np.array_equal(s, 1.0 / frame.singular_values[::-1])
         assert np.all(np.diff(s) <= 0)
-        q, (p, unit) = dual._orthonormal_factor, dual._triangular_factor
-        r = p * unit
+        q, (e, unit) = dual._orthonormal_factor, dual._triangular_factor
+        r = 2.0**e * unit
         assert np.array_equal(r, np.linalg.qr(dual.analysis_matrix, mode="r"))
         # the inherited s are the singular values of the dual's own R
         assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - s)) <= 1e-12 * s[0]
@@ -470,8 +470,8 @@ class TestSpectralLayers:
         c = (left * np.sqrt(condition ** np.linspace(0.0, 1.0, m))[::-1]) @ right.conj().T
         frame = Frame(c.conj())
         s = frame.singular_values
-        q, (scale, unit) = frame._orthonormal_factor, frame._triangular_factor
-        r = scale * unit
+        q, (e, unit) = frame._orthonormal_factor, frame._triangular_factor
+        r = 2.0**e * unit
         s_ref = np.linalg.svd(c, compute_uv=False)
         assert np.max(np.abs(s - s_ref)) <= 1e-14 * s_ref[0]
         assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13
@@ -500,8 +500,8 @@ class TestSpectralLayers:
         solve(conditioned_operator(rng, 5), random_complex(rng, 5), frame,
               SolveOptions(section_size=7))
         assert frame.singular_values is s and frame._triangular_factor is factor
-        scale, unit = factor
-        r = scale * unit
+        e, unit = factor
+        r = 2.0**e * unit
         assert np.array_equal(r, np.linalg.qr(frame.analysis_matrix, mode="r"))
         assert np.max(np.abs(np.linalg.svd(r, compute_uv=False) - s)) <= 1e-14 * s[0]
 

@@ -89,35 +89,54 @@ def _largest_part(a):
 
 
 class TestExponentLedger:
-    """``finite_product`` returns its direct product, or the exact product on its ledger."""
+    """``finite_product`` returns its direct product, or the exact product on its ledger,
+    times ``2^exponent``; a 1-d middle factor is a diagonal."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(2, 3), vector=st.booleans(),
-           exponents=st.lists(st.integers(-1000, 1000), min_size=3, max_size=3))
-    def test_direct_or_scaled_by_its_exponents(self, seed, length, vector, exponents):
+           diagonal=st.booleans(),
+           exponents=st.lists(st.integers(-1000, 1000), min_size=3, max_size=3),
+           exponent=st.just(0) | st.integers(-1100, 1100))
+    def test_direct_or_scaled_by_its_exponents(self, seed, length, vector, diagonal, exponents,
+                                               exponent):
         rng = np.random.default_rng(seed)
         dims = rng.integers(1, 7, size=length + 1)
+        diagonal = diagonal and length == 3
+        if diagonal:
+            dims[2] = dims[1]
         factors = [random_complex(rng, dims[i], dims[i + 1]) for i in range(length)]
         if vector:
             factors[-1] = factors[-1][:, 0]
         exponents = exponents[:length]
         scaled = [_ldexp(factor, k) for factor, k in zip(factors, exponents)]
         with np.errstate(over="ignore", invalid="ignore"):
-            direct = functools.reduce(np.matmul, scaled)
+            if diagonal:
+                # a 1-d middle factor: the direct product scales the columns,
+                # and the exact one below multiplies by the dense diag
+                scaled[1], factors[1] = np.diagonal(scaled[1]).copy(), np.diagonal(factors[1])
+                direct = (scaled[0] * scaled[1]) @ scaled[2]
+            else:
+                direct = functools.reduce(np.matmul, scaled)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                got = finite_product("chain", *scaled)
+                got = finite_product("chain", *scaled, exponent=exponent)
             except FrameRepError as exc:
                 got = exc
         if 2.0**-969 <= _largest_part(direct) < np.inf:
-            assert np.array_equal(got, direct)
+            expected = _ldexp(direct, exponent)
+            if np.isfinite(expected).all():
+                assert np.array_equal(got, expected)
+            else:
+                assert isinstance(got, FrameRepError)
             return
+        if diagonal:
+            factors[1] = np.diag(factors[1])
         exact = functools.reduce(np.matmul, factors)
-        # the base-2 exponent of the largest part of 2^sum(k) times the exact product
-        top = math.log2(_largest_part(exact)) + sum(exponents)
+        # the base-2 exponent of the largest part of 2^(sum(k) + exponent) times the exact product
+        top = math.log2(_largest_part(exact)) + sum(exponents) + exponent
         if -960 <= top <= 1000:
-            expected = _ldexp(exact, sum(exponents))
+            expected = _ldexp(exact, sum(exponents) + exponent)
             assert not isinstance(got, FrameRepError)
             assert _largest_part(got - expected) <= 1e-13 * _largest_part(expected)
         elif top > 1030:

@@ -784,14 +784,29 @@ class TestPartialProductsBeyondTheRange:
         # D_phi M is about 1e400; D_phi M C_psi about 1e100
         (lambda: operator_of_matrix(1e200 * np.eye(3), _psi0_at(1e200),
                                     _psi0_at(1e-300)).matrix[0], [2e100, 1e100]),
+        # D_phi w is about 1e400; D_phi w C_psi about 1e100
+        (lambda: frame_multiplier([1e200] * 3, _psi0_at(1e200), _psi0_at(1e-300)).matrix.ravel(),
+         [2e100, 1e100, 1e100, 2e100]),
         # C_psi f is about 1e310, and neither side forms it
         (lambda: range_map_check(identity_operator(2), _psi0_at(1.0), _psi0_at(1e300),
                                  (1e10, 1e10))[0], [1e10, 1e10, 2e10]),
         (lambda: range_map_check(identity_operator(2), _psi0_at(1.0), _psi0_at(1e300),
                                  (1e10, 1e10))[1], [1e10, 1e10, 2e10]),
-    ], ids=["matrix_of_operator", "operator_of_matrix", "range_map_lhs", "range_map_rhs"])
+    ], ids=["matrix_of_operator", "operator_of_matrix", "frame_multiplier", "range_map_lhs",
+            "range_map_rhs"])
     def test_product_in_range_is_returned(self, product, row):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = product()
         assert np.allclose(got, row, rtol=1e-15, atol=0)
+
+    def test_multiplier_weights_are_split_on_the_ledger(self):
+        # D_phi w is about 2^-1045, subnormal, though the operator is normal;
+        # scaling D_phi by w before the ledger kept 30 bits of it
+        w = np.full(3, 0.3 * 2.0**-500)
+        phi, psi = _psi0_at(0.1 * 2.0**-540), _psi0_at(0.7 * 2.0**60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frame_multiplier(w, phi, psi).matrix
+            expected = operator_of_matrix(np.diag(w), phi, psi).matrix
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()

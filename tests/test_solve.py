@@ -468,10 +468,10 @@ class TestFactoredSolve:
         assert np.array_equal(dual.vectors, fresh.vectors)
         for layer in ("singular_values", "_orthonormal_factor"):
             assert np.array_equal(getattr(dual, layer), getattr(fresh, layer)), layer
-        scale, unit = dual._triangular_factor
-        assert scale == fresh._triangular_factor[0]
+        e, unit = dual._triangular_factor
+        assert e == fresh._triangular_factor[0]
         assert np.array_equal(unit, fresh._triangular_factor[1])
-        assert np.array_equal(scale * unit, np.linalg.qr(dual.analysis_matrix, mode="r"))
+        assert np.array_equal(2.0**e * unit, np.linalg.qr(dual.analysis_matrix, mode="r"))
 
     def test_core_non_convergence_is_a_framerep_error(self, psi0, monkeypatch):
         # a singular operator takes the cutoff path, which takes the core's SVD

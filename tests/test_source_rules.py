@@ -21,7 +21,9 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("ldexp", {"linalg.py"}),
     # a product leaves the float range only through finite_product's exponent
     # ledger, so solve splits no scale of its own
-    ("split_scale(", {"linalg.py", "frames.py", "represent.py"}),
+    ("split_exponent(", {"linalg.py", "frames.py", "represent.py"}),
+    # the frame and the solver check a range only through finite_product
+    ("require_finite(", {"linalg.py", "represent.py"}),
     # no result depends on the environment: settings come from arguments only
     ("os.environ", set()),
     # LAPACK is reached through linalg's wrappers, which name a failed step;
@@ -44,9 +46,9 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("print(", {"cli.py"}),
     ("sys.stdout", {"cli.py"}),
     ("sys.stderr", {"cli.py"}),
-], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "split_scale", "environ",
-        "svd", "inv", "solve", "pinv", "eig", "qr", "inverse", "dict", "q_factor", "print",
-        "stdout", "stderr"])
+], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "split_exponent",
+        "require_finite", "environ", "svd", "inv", "solve", "pinv", "eig", "qr", "inverse",
+        "dict", "q_factor", "print", "stdout", "stderr"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
