@@ -99,12 +99,14 @@ def _converging(step: str):
         raise DecompositionFailed(f"{step} failed: {exc}") from exc
 
 
-def svd(a, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``a == U @ diag(s) @ V*``.
+def svd(a: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular value decomposition ``a == U @ diag(s) @ V*`` of a finite 2-d ``a``.
 
     Thin factors; ``s`` holds all ``min(rows, cols)`` singular values in
-    descending order, zeros included.  ``what`` names the matrix in the
-    error raised when LAPACK does not converge.
+    descending order, zeros included.  ``a`` is not checked again: every
+    caller passes an array already built finite, such as a result of
+    :func:`finite_product`.  ``what`` names the matrix in the error raised
+    when LAPACK does not converge.
 
     Raises
     ------
@@ -112,14 +114,17 @@ def svd(a, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         If the SVD does not converge.
     """
     with _converging(f"SVD of the {what}"):
-        u, s, vh = np.linalg.svd(as_matrix(a, what), full_matrices=False)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     return u, s, vh.conj().T
 
 
-def singular_values(a, what: str = "matrix") -> np.ndarray:
-    """The singular values of :func:`svd` alone, without computing the factors."""
+def singular_values(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The singular values of :func:`svd` alone, without computing the factors.
+
+    ``a`` is finite and 2-d, as for :func:`svd`, and is not checked again.
+    """
     with _converging(f"SVD of the {what}"):
-        return np.linalg.svd(as_matrix(a, what), compute_uv=False)
+        return np.linalg.svd(a, compute_uv=False)
 
 
 def hermitian_eigs(a: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -193,8 +198,11 @@ def product_norm_ratio(numerator: tuple, denominator: tuple) -> float:
     """
     (e, p), (f, q) = _ledger_product(numerator), _ledger_product(denominator)
     reference, shift = euclidean_norm(q), (e or 0) - (f or 0)
+    ratio = euclidean_norm(p) / reference if reference > 0.0 else 0.0
+    if not shift:
+        return ratio
     with np.errstate(over="ignore"):
-        return float(np.ldexp(euclidean_norm(p) / reference, shift)) if reference > 0.0 else 0.0
+        return float(np.ldexp(ratio, shift))
 
 
 def _ledger_product(factors) -> tuple[int | None, np.ndarray]:
@@ -291,11 +299,17 @@ def euclidean_norm(x: np.ndarray) -> float:
 
     Squaring the entries, as ``np.linalg.norm`` does, leaves the float range
     beyond about 1e±154, so the moduli are divided by the largest one first.
-    A real array divided by a subnormal number stays finite, so this holds
-    down to the smallest float.  An inf or NaN entry gives inf or NaN.
+    Below the ledger's floor, a largest modulus under 2^-969 (see
+    :func:`finite_product`), a subnormal entry's modulus would be rounded on
+    the subnormal grid, so there ``x`` is multiplied by 2^1074 first, which
+    is exact, and the norm is divided back once; above it the moduli are
+    taken as they are.  Callers pass finite arrays; an inf or NaN entry
+    gives inf or NaN.
     """
     a = np.abs(x)
     scale = float(a.max())
+    if 0.0 < scale < 2.0**-969:
+        return math.ldexp(euclidean_norm(_ldexp(x, 1074)), -1074)
     if not 0.0 < scale < np.inf:
         return scale
     return scale * float(np.linalg.norm(a / scale))
@@ -304,10 +318,19 @@ def euclidean_norm(x: np.ndarray) -> float:
 def operator_norm(a) -> float:
     """Spectral norm: the largest singular value, inf beyond the float range.
 
-    Taken of the :func:`split_exponent` quotient and multiplied back.
+    ``a`` may be any array: it is checked finite here, by :func:`as_matrix`.
+    At every scale, above the ledger's floor and below it, the largest
+    singular value is read through :func:`singular_values` of the
+    :func:`split_exponent` quotient, whose largest part lies in [1, 2), and
+    multiplied back by its power of two.
+
+    Raises
+    ------
+    DecompositionFailed
+        If the SVD does not converge.
     """
     exponent, unit = split_exponent(as_matrix(a))
-    return 2.0**exponent * float(np.linalg.norm(unit, 2))
+    return 2.0**exponent * float(singular_values(unit)[0])
 
 
 def frobenius_norm(a) -> float:

@@ -48,11 +48,12 @@ below ``rel_tol`` times the largest.
 
 Every path returns coefficients that synthesize its solution, ``f = D_dual
 c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after
-either path.  The norms of ``C (O f - g)`` and ``C g`` are read on the
-exponent ledger of :func:`~framerep.linalg.product_norm_ratio`, each
-product's power of two kept apart, so neither norm underflows or overflows
-merely because of the scale of g or of the frame, and ``C g`` is never
-refused.  Every solve costs O(K n^2 + n^3).
+either path, and both are one ratio rule,
+:func:`~framerep.linalg.product_norm_ratio`: ``O f - g`` over g, and ``C (O
+f - g)`` over ``C g``, each norm read on the exponent ledger with its
+product's power of two kept apart, and 0 when the denominator is 0.  So
+neither norm underflows or overflows merely because of the scale of g or of
+the frame, and ``C g`` is never refused.  Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, euclidean_norm, finite_product, product_norm_ratio,
-                     require_shape, solve_with_condition, svd)
+from .linalg import (EPS, as_vector, finite_product, product_norm_ratio, require_shape,
+                     solve_with_condition, svd)
 from .represent import LinearOperator
 
 
@@ -109,8 +110,10 @@ class SolveReport:
     ``residual_matrix`` is ``|M c - d| / |d|`` for the full discretized
     system, ``d = C g`` and the zero-padded coefficients ``c`` (so a truncated
     solve shows its truncation error here), read as ``|C (O f - g)| / |C g|``
-    since ``f = D_dual c``.  Both are relative, so scaling g, O or the frame
-    leaves them unchanged; each is 0 when its denominator is 0.
+    since ``f = D_dual c``.  Both are ratios on the exponent ledger of
+    :func:`~framerep.linalg.product_norm_ratio`, so they are relative and
+    scaling g, O or the frame leaves them unchanged; each is 0 when its
+    denominator is 0.
     ``section_used`` is N.
     """
 
@@ -167,14 +170,11 @@ def solve(op: LinearOperator, g, frame: Frame,
         If the core X, a section's core, the solution or its coefficients
         leave the float range.
     """
-    if options is None:
-        options = SolveOptions()
+    options = options if options is not None else SolveOptions()
     g = as_vector(g, "right-hand side", frame.space_dim)
     n, k = frame.space_dim, frame.count
     n_section = options.section_size if options.section_size is not None else k
-    rel_tol = options.rel_tol
-    if rel_tol is None:
-        rel_tol = n_section * EPS
+    rel_tol = options.rel_tol if options.rel_tol is not None else n_section * EPS
 
     require_shape("operator matrix", op.matrix.shape, (n, n))
     if n_section > k:
@@ -202,7 +202,7 @@ def solve(op: LinearOperator, g, frame: Frame,
     return SolveReport(
         solution=f_hat,
         coefficients=c,
-        residual_operator=_ratio(euclidean_norm(operator_residual), euclidean_norm(g)),
+        residual_operator=product_norm_ratio((operator_residual,), (g,)),
         # every path returns f = D_dual c, so M c - d = C (O f - g)
         residual_matrix=product_norm_ratio((frame.analysis_matrix, operator_residual),
                                            (frame.analysis_matrix, g)),
@@ -255,11 +255,6 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     c = np.zeros(k, dtype=np.complex128)
     c[:n_section] = finite_product(_COEFFICIENTS, q1, z, exponent=exponent)
     return f_hat, c
-
-
-def _ratio(norm: float, reference: float) -> float:
-    """``norm / reference``, or 0 when ``reference`` is zero."""
-    return norm / reference if reference > 0.0 else 0.0
 
 
 def _solve_above_cutoff(a, b, rel_tol, what):

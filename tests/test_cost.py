@@ -165,7 +165,9 @@ def _describe(name, a, kwargs) -> str:
 def calls(monkeypatch):
     """The list of decompositions made, one description each, in call order."""
     made = []
-    # norm(a, 2) reaches svd through the globals of numpy's implementation module
+    # a numpy function such as norm(a, 2) reaches a decomposition through the
+    # globals of numpy's implementation module; no package code calls one, and
+    # patching there too records it if one ever does
     internal = np.linalg.norm.__wrapped__.__globals__
     for name in DECOMPOSITIONS:
         real = getattr(np.linalg, name)

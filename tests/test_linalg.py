@@ -21,6 +21,7 @@ from framerep import (
     frame_multiplier,
     frobenius_norm,
     gram,
+    hs_norm,
     identity_operator,
     matrix_of_operator,
     operator_from_images,
@@ -65,6 +66,13 @@ class TestDecompositionFailure:
         with pytest.raises(DecompositionFailed, match="SVD of the matrix") as info:
             svd(np.eye(2))
         # LinAlgError subclasses ValueError, which the CLI reports as misuse
+        assert not isinstance(info.value, ValueError)
+
+    def test_operator_norm(self, monkeypatch):
+        # the spectral norm reads its largest singular value through the same wrapper
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(DecompositionFailed, match="SVD of the matrix") as info:
+            operator_norm(np.eye(2))
         assert not isinstance(info.value, ValueError)
 
     def test_pseudoinverse(self, psi0, monkeypatch):
@@ -200,6 +208,16 @@ class TestNorms:
         # a rank-one row: its operator norm is its Frobenius norm
         for row in ([3e-320, 1e-320j], [3e-320 + 1e-320j]):
             assert operator_norm([row]) == pytest.approx(euclidean_norm(np.array(row)), rel=1e-3)
+
+    def test_moduli_below_the_ledger_floor(self):
+        # a complex entry's modulus would be rounded on the subnormal grid, so
+        # the norm is that of the entries times 2^1074, rounded once
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            a = _ldexp(random_complex(rng, *rng.integers(1, 6, 2)), -int(rng.integers(970, 1061)))
+            expected = math.ldexp(np.linalg.norm(_ldexp(a, 1074)), -1074)
+            assert frobenius_norm(a) == hs_norm(LinearOperator(a))
+            assert frobenius_norm(a) == pytest.approx(expected, rel=1e-12, abs=0), seed
 
     def test_matches_numpy_in_range(self):
         rng = np.random.default_rng(7)

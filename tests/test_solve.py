@@ -664,6 +664,23 @@ class TestScaleEquivariance:
         assert 0 <= report.residual_matrix <= 1e-14
         assert report.residual_operator <= 1e-15
 
+    @pytest.mark.parametrize("section", [False, True], ids=["full", "section"])
+    def test_residual_operator_below_the_ledger_floor(self, section):
+        # O f - g and g near 2^-1000 have subnormal parts, whose complex moduli
+        # lose digits on the subnormal grid unless each vector is first divided
+        # by its power of two; the ratio is that of the norms at 2^1000
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 5))
+            frame = Frame(random_complex(rng, int(rng.integers(n, 3 * n + 2)), n))
+            op = conditioned_operator(rng, n)
+            g = _ldexp(random_complex(rng, n), -int(rng.integers(970, 1061)))
+            options = SolveOptions(section_size=max(1, frame.count // 2) if section else None)
+            report = solve(op, g, frame, options)
+            r = op(report.solution) - g
+            expected = np.linalg.norm(_ldexp(r, 1000)) / np.linalg.norm(_ldexp(g, 1000))
+            assert report.residual_operator == pytest.approx(expected, rel=1e-15, abs=0), seed
+
     @pytest.mark.parametrize("frame_scale, op_scale", [(1e-170, 1e-170), (1e-100, 1e-250)])
     def test_solution_beyond_the_product_of_scales(self, frame_scale, op_scale):
         # the core's numerator s_i (V* O V)_ij, near frame_scale * op_scale,

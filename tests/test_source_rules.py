@@ -12,6 +12,8 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
 @pytest.mark.parametrize("pattern, homes", [
     # the entrywise and spectral norms are linalg.euclidean_norm and operator_norm
     ("np.linalg.norm", {"linalg.py"}),
+    # the solver takes no norm of its own: both residuals are linalg.product_norm_ratio
+    ("euclidean_norm(", {"linalg.py", "frames.py", "represent.py"}),
     # operand agreement goes through linalg.require_shape; io checks file contents
     ("raise DimensionMismatch", {"linalg.py", "io.py"}),
     # every array a frame, operator or representation keeps is frozen by linalg.frozen
@@ -46,9 +48,9 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("print(", {"cli.py"}),
     ("sys.stdout", {"cli.py"}),
     ("sys.stderr", {"cli.py"}),
-], ids=["norm", "dimension_check", "freeze", "frexp", "ldexp", "split_exponent",
-        "require_finite", "environ", "svd", "inv", "solve", "pinv", "eig", "qr", "inverse",
-        "dict", "q_factor", "print", "stdout", "stderr"])
+], ids=["norm", "euclidean_norm", "dimension_check", "freeze", "frexp", "ldexp",
+        "split_exponent", "require_finite", "environ", "svd", "inv", "solve", "pinv", "eig", "qr",
+        "inverse", "dict", "q_factor", "print", "stdout", "stderr"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
