@@ -163,7 +163,10 @@ def finite_product(what: str, *factors: np.ndarray, exponent: int = 0) -> np.nda
 
     The float64 or complex128 factors are multiplied left to right as
     matrices, except that a 1-d factor between two others is a diagonal: it
-    scales the columns of the product before it and is never formed.
+    scales the columns of the product before it and is never formed.  A
+    chain applied to a vector v is written transposed, ``v^T A^T B^T ...``
+    for ``... B A v``, so that it runs right to left on vectors; ``v @ M.T``
+    has the bits of ``M @ v``.
 
     The direct product P is kept when its largest real or imaginary part lies
     in ``[2^-969, inf)`` (2^-969 is tiny/eps: below it an entry may have lost
@@ -174,7 +177,9 @@ def finite_product(what: str, *factors: np.ndarray, exponent: int = 0) -> np.nda
     integer exponents are summed apart.  One final ``ldexp`` applies them
     together with ``exponent``.  So a product is returned whenever it is in
     range, whatever its partial products or ``2^exponent`` alone do; it may
-    then be subnormal.
+    then be subnormal.  The ledger's split copies keep each factor's layout,
+    so wherever every factor, partial product and result is a normal float,
+    a ledger product is the direct product's bits times its power of two.
 
     Raises
     ------
@@ -195,8 +200,10 @@ def product_norm_ratio(numerator: tuple, denominator: tuple) -> float:
     but neither product is scaled back: the ratio of the 2-norms is taken of
     the ledger's ``P / 2^e`` and ``Q / 2^f`` (e and f 0 for a direct product)
     and shifted by ``2^(e - f)``, so only the ratio can leave the float range.
+    A direct product with a part at or above 2^960, whose entries are in
+    range but whose norm may not be, is split as well.
     """
-    (e, p), (f, q) = _ledger_product(numerator), _ledger_product(denominator)
+    (e, p), (f, q) = (_ledger_product(factors, 2.0**960) for factors in (numerator, denominator))
     reference, shift = euclidean_norm(q), (e or 0) - (f or 0)
     ratio = euclidean_norm(p) / reference if reference > 0.0 else 0.0
     if not shift:
@@ -205,8 +212,12 @@ def product_norm_ratio(numerator: tuple, denominator: tuple) -> float:
         return float(np.ldexp(ratio, shift))
 
 
-def _ledger_product(factors) -> tuple[int | None, np.ndarray]:
-    """``(None, P)`` for :func:`finite_product`'s direct product P, else the ledger's ``(e, P / 2^e)``."""
+def _ledger_product(factors, ceiling: float = np.inf) -> tuple[int | None, np.ndarray]:
+    """``(None, P)`` for :func:`finite_product`'s direct product P, else the ledger's ``(e, P / 2^e)``.
+
+    A direct product whose largest part is at or above ``ceiling`` is returned
+    as its own :func:`split_exponent`, without recomputing it.
+    """
     # a 1-d factor between two others is a diagonal, applied as a column scaling
     steps = [(np.multiply if factor.ndim == 1 and i < len(factors) - 1 else np.matmul, factor)
              for i, factor in enumerate(factors[1:], 1)]
@@ -216,7 +227,7 @@ def _ledger_product(factors) -> tuple[int | None, np.ndarray]:
             out = multiply(out, factor)
         largest = _largest_part(out)
         if largest < np.inf and (largest >= 2.0**-969 or not all(map(np.any, factors))):
-            return None, out
+            return (None, out) if largest < ceiling else split_exponent(out)
         exponent, out = split_exponent(factors[0])
         for multiply, factor in steps:
             factor_exponent, unit = split_exponent(factor)
@@ -288,8 +299,12 @@ def _ldexp(a: np.ndarray, exponent: int) -> np.ndarray:
     """``a * 2^exponent`` in ``a``'s dtype, each real and imaginary part rounded once.
 
     Exact wherever the result is a normal float.  numpy has no complex
-    ldexp, so the parts are scaled through the float view.
+    ldexp, so the parts are scaled through the float view.  An F-contiguous
+    ``a`` is scaled as its transpose, so the result keeps its layout and a
+    product with it runs the same kernel as with ``a``.
     """
+    if a.flags.f_contiguous and not a.flags.c_contiguous:
+        return _ldexp(a.T, exponent).T
     a = np.ascontiguousarray(a)
     return np.ldexp(a.view(np.float64), exponent).view(a.dtype)
 

@@ -247,8 +247,8 @@ def range_map_check(op: LinearOperator, phi: Frame, psi: Frame, f) -> tuple[np.n
     right = psi.canonical_dual()._reconstruction_factor
     require_shape("operator matrix", op.matrix.shape, (phi.space_dim, psi.space_dim))
     f = as_vector(f, "input vector", psi.space_dim)
-    # a chain taken as its transpose, f^T ... C_phi^T, runs right to left in
-    # finite_product, which multiplies left to right
+    # each side is a chain on f, taken transposed (f^T ... C_phi^T) as
+    # finite_product's docstring states
     lhs = finite_product("representation image M C_psi f", f, right.T, op.matrix.T,
                          phi.analysis_matrix.T)
     return lhs, finite_product("analysis coefficients C_phi O f", f, op.matrix.T,

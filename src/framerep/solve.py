@@ -1,7 +1,7 @@
 """Frame-discretized least-squares solver for operator equations ``O f = g``.
 
 The equation is pushed to coefficient space over a frame ``Phi``: with
-``M = C_Phi @ O @ D_dual(Phi)`` and ``d = C_Phi g``, solving ``O f = g`` is
+``M = C_Phi O D_dual(Phi)`` and ``d = C_Phi g``, solving ``O f = g`` is
 equivalent to solving ``M c = d`` on the analysis range and synthesizing the
 solution coefficients with the dual frame.  ``d`` always lies in the analysis
 range, so it needs no projection.  A finite section solves the leading
@@ -25,26 +25,30 @@ below ``rel_tol`` times the largest.
   and the warning; any other answer reads the singular values, so the
   report is the same bits.
 * Cutoff path (every other case: a section, a singular or ill-conditioned O,
-  a large ``rel_tol``).  The solve reads the frame's R, works on ``Q* d = R
-  g`` and returns ``y = Q* c``, from which the solution is ``R^-1 y``.
+  a large ``rel_tol``).  The solve reads the frame's R and works on ``Q* d
+  = R g``; the solution is ``R^-1 y`` for ``y = Q* c``.
 
-  - Full system (N = K): Q is an isometry, so ``M^+ = Q X^+ Q*`` and ``y =
-    X^+ R g``; the coefficients ``c = Q y`` are computed as ``C f``.
+  - Full system (N = K): Q is an isometry, so ``M^+ = Q X^+ Q*``, ``y = X^+
+    R g`` and ``f = R^-1 X^+ R g``; the coefficients ``c = Q y`` are
+    computed as ``C f``.
   - Section (N < K): ``M_N = Q_N X Q_N*`` for the first N rows ``Q_N = C[:N]
     R^-1`` of Q.  With the reduced QR ``Q_N = Q1 R1`` and the
     ``min(N, n)``-square ``X_N = R1 X R1*``, ``M_N = Q1 X_N Q1*``, so
-    ``c_N = Q1 X_N^+ R1 R g`` and ``y = Q_N* c_N = R1* X_N^+ R1 R g``.
+    ``c_N = Q1 X_N^+ R1 R g`` and ``f = R^-1 Q_N* c_N = R^-1 R1* X_N^+ R1 R
+    g``.
 
   The small matrix (X or ``X_N``) has the nonzero singular values of
   ``M_N``, so the cutoff means the same as for an explicit pseudoinverse of
-  ``M_N``.  The path reads R as ``R/p`` and its inverse ``(R/p)^-1``, both
-  cached by the frame, for C's power of two ``p = 2^e``, kept as e.  The
-  division is exact in binary, cancels in X and in ``R^-1 y``, and leaves
-  ``R g`` and y divided by p; ``C[:N]`` is divided by p before it meets
-  ``(R/p)^-1``, and a section's coefficients are multiplied by p, each
-  through the ``exponent`` of :func:`~framerep.linalg.finite_product`.  So
-  neither X nor ``R g`` underflows or overflows merely because the frame's
-  scale is far from 1.  Q itself is never formed, and R is not inverted again.
+  ``M_N``; the pseudoinverse enters as its factors ``V diag(1/s) U*``.  Each
+  value the path returns is one :func:`~framerep.linalg.finite_product`
+  chain from g, written transposed (``g^T R^T ...``), so no intermediate
+  leaves the float range merely because of g's scale or the frame's: a
+  chain is refused only if its value is.  The path reads R as ``R/p`` and
+  its inverse ``(R/p)^-1``, both cached by the frame, for C's power of two
+  ``p = 2^e``, kept as e.  The division is exact in binary and cancels in X
+  and in f; ``Q_N`` takes ``1/p`` and a section's coefficients take p, each
+  as the ``exponent`` of its product.  Q itself is never formed, and R is
+  not inverted again.
 
 Every path returns coefficients that synthesize its solution, ``f = D_dual
 c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after
@@ -53,7 +57,8 @@ either path, and both are one ratio rule,
 f - g)`` over ``C g``, each norm read on the exponent ledger with its
 product's power of two kept apart, and 0 when the denominator is 0.  So
 neither norm underflows or overflows merely because of the scale of g or of
-the frame, and ``C g`` is never refused.  Every solve costs O(K n^2 + n^3).
+the frame, also where a product's entries are in range and its norm is not,
+and ``C g`` is never refused.  Every solve costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -145,7 +150,7 @@ _COEFFICIENTS = "solution's coefficient vector"
 
 def solve(op: LinearOperator, g, frame: Frame,
           options: SolveOptions | None = None) -> SolveReport:
-    """Solve ``op @ f = g`` by frame discretization and least squares.
+    """Solve ``op(f) = g`` by frame discretization and least squares.
 
     Solves ``M_N c_N = d_N`` for the leading N x N section of ``M c = C g``
     (N = K unless ``options.section_size`` truncates it) with the cutoff
@@ -229,41 +234,36 @@ def _certificate_threshold(rel_tol: float, norms: tuple[float, float]) -> float:
 
 
 def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
-    """``(f, c)`` of the factored cutoff solve (module docstring), f = D_dual c; c None if N = K."""
-    k = frame.count
+    """``(f, c)`` of the factored cutoff solve (module docstring), f = D_dual c; c None if N = K.
+
+    Each is one :func:`~framerep.linalg.finite_product` chain from g, written
+    transposed (``g^T R^T ...``) so that it runs right to left on vectors.
+    """
     (exponent, r_unit), r_unit_inverse = frame._triangular_factor, frame._triangular_inverse
     # kappa(R) reaches sqrt(B/A), so X can overflow where O does not
     x = finite_product("discretized system's core", r_unit, op.matrix, r_unit_inverse)
-    # Q* d / p for d = C g = Q R g
-    rg = r_unit @ g
-    if n_section == k:
-        # y = Q* c / p for c = M^+ d = Q X^+ Q* d
-        y = _solve_above_cutoff(x, rg, rel_tol, "discretized system's core")
-    else:
-        # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = Q1 R1 and X_N = R1 X R1*,
-        # so c_N = Q1 X_N^+ Q1* d_N = Q1 X_N^+ R1 R g and y = Q_N* c_N = R1* X_N^+ R1 R g
-        rows = finite_product("finite section's rows", frame.analysis_matrix[:n_section],
-                              exponent=-exponent)
-        q1, r1 = np.linalg.qr(rows @ r_unit_inverse)
-        core = finite_product("finite section's core", r1, x, r1.conj().T)
-        z = _solve_above_cutoff(core, r1 @ rg, rel_tol, "finite section's core")
-        y = r1.conj().T @ z
-    # R^-1 y: p cancels between y and r_unit
-    f_hat = finite_product("solution R^-1 y", r_unit_inverse, y)
-    if n_section == k:
-        return f_hat, None
-    c = np.zeros(k, dtype=np.complex128)
-    c[:n_section] = finite_product(_COEFFICIENTS, q1, z, exponent=exponent)
-    return f_hat, c
+    if n_section == frame.count:
+        # f = R^-1 X^+ R g, in which p cancels between R/p and (R/p)^-1
+        chain = (g, r_unit.T, *_cutoff_pseudoinverse(x, rel_tol, "discretized system's core"))
+        return finite_product("solution R^-1 y", *chain, r_unit_inverse.T), None
+    # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = C[:N] R^-1 = Q1 R1 and X_N = R1 X R1*,
+    # so c_N = Q1 X_N^+ R1 R g and f = R^-1 Q_N* c_N = R^-1 R1* X_N^+ R1 R g
+    q1, r1 = np.linalg.qr(finite_product("finite section's rows", frame.analysis_matrix[:n_section],
+                                         r_unit_inverse, exponent=-exponent))
+    core = finite_product("finite section's core", r1, x, r1.conj().T)
+    chain = (g, r_unit.T, r1.T, *_cutoff_pseudoinverse(core, rel_tol, "finite section's core"))
+    f_hat = finite_product("solution R^-1 y", *chain, r1.conj(), r_unit_inverse.T)
+    c_n = finite_product(_COEFFICIENTS, *chain, q1.T, exponent=exponent)
+    return f_hat, np.concatenate((c_n, np.zeros(frame.count - n_section)))
 
 
-def _solve_above_cutoff(a, b, rel_tol, what):
-    """``a^+ b`` for the pseudoinverse that drops singular values ``<= rel_tol * s_max``.
+def _cutoff_pseudoinverse(a, rel_tol, what):
+    """``(conj(U), 1/s, V^T)``: the transposed factors of ``a^+ = V diag(1/s) U*``.
 
-    Not checked for overflow: :func:`solve` runs it under its ``np.errstate``
-    and names an inf or NaN where it reaches the solution or its coefficients.
+    The pseudoinverse drops the singular values ``<= rel_tol * s_max``: their
+    reciprocals are zero.  ``1/s`` is not checked for overflow: :func:`solve`
+    runs this under its ``np.errstate``, and the chain it enters names an inf.
     """
-    ua, sa, va = svd(a, what)
-    # reciprocals of the kept singular values, zero for the dropped ones
-    inv_s = np.divide(1.0, sa, out=np.zeros_like(sa), where=sa > rel_tol * sa[0])
-    return va @ (inv_s * (ua.conj().T @ b))
+    u, s, v = svd(a, what)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > rel_tol * s[0])
+    return u.conj(), inv_s, v.T

@@ -31,7 +31,7 @@ from framerep import (
     solve,
 )
 from framerep.linalg import (as_matrix, as_vector, euclidean_norm, finite_product,
-                             require_shape, svd)
+                             product_norm_ratio, require_shape, svd)
 from helpers import no_convergence, random_complex
 
 
@@ -218,6 +218,14 @@ class TestNorms:
             expected = math.ldexp(np.linalg.norm(_ldexp(a, 1074)), -1074)
             assert frobenius_norm(a) == hs_norm(LinearOperator(a))
             assert frobenius_norm(a) == pytest.approx(expected, rel=1e-12, abs=0), seed
+
+    @pytest.mark.parametrize("top, expected", [(0.5e308, 0.5), (1e308, 1.0)])
+    def test_ratio_of_norms_beyond_the_float_range(self, top, expected):
+        # each vector's entries are in range, but its 2-norm is not
+        numerator, denominator = (np.full(4, x, dtype=np.complex128) for x in (top, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert product_norm_ratio((numerator,), (denominator,)) == expected
 
     def test_matches_numpy_in_range(self):
         rng = np.random.default_rng(7)

@@ -681,6 +681,23 @@ class TestScaleEquivariance:
             expected = np.linalg.norm(_ldexp(r, 1000)) / np.linalg.norm(_ldexp(g, 1000))
             assert report.residual_operator == pytest.approx(expected, rel=1e-15, abs=0), seed
 
+    def test_section_of_a_subnormal_rhs(self):
+        # the chain from g runs on the exponent ledger, so R g and the section's
+        # steps keep every digit where g alone is subnormal
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 5))
+            frame = Frame(random_complex(rng, 2 * n + 2, n))
+            op = LinearOperator(random_unitary(rng, n) * np.logspace(0, -12, n)
+                                @ random_unitary(rng, n))
+            g = _ldexp(random_complex(rng, n), -1040)
+            options = SolveOptions(section_size=frame.count - 1)
+            base = solve(op, _ldexp(g, 1040), frame, options)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = solve(op, g, frame, options)
+            assert rel(_ldexp(report.solution, 1040), base.solution) <= 1e-15, seed
+
     @pytest.mark.parametrize("frame_scale, op_scale", [(1e-170, 1e-170), (1e-100, 1e-250)])
     def test_solution_beyond_the_product_of_scales(self, frame_scale, op_scale):
         # the core's numerator s_i (V* O V)_ij, near frame_scale * op_scale,
@@ -794,8 +811,14 @@ class TestScaleEquivariance:
             assert not runs
             assert report.residual_matrix == base.residual_matrix, seed
 
-    @pytest.mark.parametrize("exponent", [300, -300, 500, -500, 600, -600, 1000, -1000])
-    def test_spectral_data_and_solutions_are_exact_at_binary_scales(self, exponent):
+    @pytest.mark.parametrize("exponent, g_exponent", [
+        (300, 0), (-300, 0), (500, 0), (-500, 0), (600, 0), (-600, 0), (1000, 0), (-1000, 0),
+        # g's 2^k reaches the cutoff path's chains, whose ledger splits each
+        # factor, transposed ones included, and keeps the direct product's bits
+        (0, 1000), (0, -1000), (-300, 1020),
+    ], ids=["300", "-300", "500", "-500", "600", "-600", "1000", "-1000",
+            "g1000", "g-1000", "-300,g1020"])
+    def test_spectral_data_and_solutions_are_exact_at_binary_scales(self, exponent, g_exponent):
         # 2^k splits off into the frame's power of two p, so every result is the
         # scale-1 one times its power of two wherever that stays a normal float
         for seed in range(25):
@@ -817,9 +840,12 @@ class TestScaleEquivariance:
                 assert frame.condition == base.condition, ("condition", seed)
                 for path, options in (("cutoff", SolveOptions(rel_tol=0.5)),
                                       ("section", SolveOptions(section_size=k // 2))):
-                    got, want = (solve(op, g, f, options) for f in (frame, base))
-                    assert np.array_equal(got.solution, want.solution), (path, seed)
-                    _assert_scaled(got.coefficients, want.coefficients, exponent, (path, seed))
+                    got = solve(op, _ldexp(g, g_exponent), frame, options)
+                    want = solve(op, g, base, options)
+                    assert np.array_equal(got.solution, _ldexp(want.solution, g_exponent)), (
+                        path, seed)
+                    _assert_scaled(got.coefficients, want.coefficients, exponent + g_exponent,
+                                   (path, seed))
                     assert got.residual_operator == want.residual_operator, (path, seed)
 
     def test_bounds_beyond_float_range_read_inf(self):
@@ -869,6 +895,39 @@ class TestOverflow:
         assert euclidean_norm(report.solution - [1.0, 1.0]) <= 1e-15
         assert np.isfinite(report.coefficients).all()
         assert report.residual_operator == report.residual_matrix == 0.0
+
+    def test_cutoff_solution_whose_steps_leave_the_float_range(self):
+        # R g, X^+ R g and R^-1 X^+ R g's partial products reach 2e308 at g's
+        # scale, but f = (1.2e308, 0) is in range, and so is each residual's norm
+        frame = Frame([[1, 0], [1, 0], [1, 0], [0, 1]])
+        with warnings.catch_warnings(), cutoff_solves() as runs:
+            warnings.simplefilter("error")
+            report = solve(LinearOperator(np.diag([1.0, 0.0])), [1.2e308, 1.2e308], frame)
+        assert runs
+        assert report.solution == pytest.approx([1.2e308, 0.0], rel=1e-15, abs=0)
+        assert report.residual_operator == 0.7071067811865475
+        assert report.residual_matrix == 0.5
+
+    def test_cutoff_solution_near_the_largest_float(self):
+        # |O^-1|_F overflows, so the guard fails and the cutoff path runs: f is
+        # about 1e308 (1, 1, 1, 1), and c = C f about 1e305
+        rng = np.random.default_rng(0)
+        frame = Frame(1e-3 * random_complex(rng, 9, 4))
+        with warnings.catch_warnings(), cutoff_solves() as runs:
+            warnings.simplefilter("error")
+            report = solve(LinearOperator(1e-308 * np.eye(4)), [1, 1, 1, 1], frame)
+        assert runs
+        assert euclidean_norm(report.solution - 1e308) <= 1e-15 * euclidean_norm(report.solution)
+
+    @pytest.mark.parametrize("options", [
+        SolveOptions(), SolveOptions(rel_tol=0.5), SolveOptions(section_size=2),
+    ], ids=["closed_form", "cutoff", "section"])
+    def test_coefficient_overflow_is_named_on_every_path(self, options):
+        # f = g is in range, while c = C f reaches 2.4e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameRepError, match="solution's coefficient vector"):
+                solve(LinearOperator(np.eye(2)), [1.2e308, 1.2e308], Frame(self.PSI0), options)
 
     def test_operator_image_of_a_huge_solution(self):
         # f is about (1e300, 1e300), so each product of O's first row with f is
