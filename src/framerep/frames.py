@@ -39,9 +39,12 @@ a result keeps its bits wherever it is a normal float, and every entry of
 No layer holds singular vectors.
 
 Beside them sits one certified, one-sided screen, ``Frame._bounds_enclosure``:
-a least A and a most B from the cached frame operator ``S = D C``.  It
-decides, never reports, through ``Frame._condition_below(t)``, which reads
-the singular values instead when they are cached.  Working on the singular
+a least A and a most B, over a power of two, from the frame operator ``S = D
+C`` divided by its power of two where S leaves the exponent ledger's band
+(:func:`~framerep.linalg.ledger_pair`), so it decides at every frame scale
+with the same LAPACK calls.  It decides, never reports, through
+``Frame._condition_below(t)``, which compares only ratios, and reads the
+singular values instead when they are cached.  Working on the singular
 values rather than on ``S = C* C`` keeps every reported value's condition
 and dynamic range unsquared.
 
@@ -63,10 +66,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import FrameRepError, NotAFrame
+from .exceptions import DecompositionFailed, NotAFrame
 from .linalg import (EPS, as_matrix, as_vector, euclidean_norm, finite_product, frozen,
-                     hermitian_eigs, inverse, require_shape, singular_values, split_exponent,
-                     wrap_checked)
+                     hermitian_eigs, inverse, ledger_pair, require_shape, singular_values,
+                     split_exponent, wrap_checked)
 
 #: A family counts as a frame only when its lower bound clears this fraction
 #: of the upper bound; below it the family is treated as rank deficient.
@@ -210,16 +213,19 @@ class Frame:
 
     @cached_property
     def _bounds_enclosure(self) -> tuple[float, float]:
-        """The screen: ``(a, b)``, a least A and a most B of the exact layer's bounds.
+        """The screen: ``(a, b)``, a least A and a most B of the exact layer's bounds over ``2^e'``.
 
-        ``a <= A`` and ``B <= b`` for :attr:`bounds`, ``(s[-1]^2, s[0]^2)`` for
-        the computed :attr:`singular_values` ``s``, without computing them: ``a =
-        lambda_1 - r`` and ``b = lambda_n + r`` for the extreme eigenvalues
-        ``lambda_1 <= lambda_n`` of the cached :attr:`frame_operator` S, with
-        ``r = 16 (K n + n^2) eps tr S``.  With ``u = eps / 2``, ``sigma_i``
-        the exact singular values of C and ``tr S = |C|_F^2``, the bound
-        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.)
-        has three parts:
+        ``a <= A / 2^e'`` and ``B / 2^e' <= b`` for :attr:`bounds`, ``(s[-1]^2,
+        s[0]^2)`` for the computed :attr:`singular_values` ``s``, without
+        computing them, where ``(e', S')`` is the
+        :func:`~framerep.linalg.ledger_pair` of ``S = D C``: ``S' = S / 2^e'``,
+        and e' = 0 unless S leaves the ledger's band.  ``a = lambda_1 - r`` and
+        ``b = lambda_n + r`` for the extreme eigenvalues ``lambda_1 <=
+        lambda_n`` of S', with ``r = 16 (K n + n^2) eps tr S'``.  With ``u = eps
+        / 2``, ``sigma_i`` the exact singular values of C and ``tr S = |C|_F^2``,
+        the bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+        ed.) has three parts, each stated for S and relative to ``tr S``, so
+        each holds unchanged for S', a division by a power of two being exact:
 
         * the Gram: each entry of ``D C`` is a sum of K complex products, so
           the computed S is off by at most ``gamma_{K+2} |D| |C|`` entrywise
@@ -240,23 +246,21 @@ class Frame:
         :meth:`_condition_below` compares.  The model of one relative
         rounding per operation fails only through underflow, whose absolute
         error per entry, about ``K 2^-1074``, is negligible beside ``eps tr
-        S`` for ``tr S >= 2^-800``.  It holds for every family: for K < n, A =
-        0 is an exact eigenvalue of S, so ``lambda_1 < r`` and ``a < 0``.
+        S'``: the ledger's floor keeps the largest part of S', and so ``tr
+        S'``, at or above 2^-969 (S' is positive semidefinite, so no part
+        exceeds a diagonal entry), and its ceiling keeps ``tr S'`` finite.
+        It holds for every family: for K < n, A = 0 is an exact eigenvalue of
+        S, so ``lambda_1 < r`` and ``a < 0``.
 
-        The trivial enclosure ``(-inf, inf)`` when S leaves the float range,
-        when ``tr S`` is outside ``[2^-800, 2^800]`` or when ``eigvalsh`` fails.
+        The trivial enclosure ``(-inf, inf)`` only when ``eigvalsh`` fails.
         """
         k, n = self._vectors.shape
+        s = ledger_pair(self.synthesis_matrix, self.analysis_matrix)[1]
         try:
-            s = self.frame_operator
-            with np.errstate(over="ignore"):
-                trace = float(np.trace(s).real)
-            if not 2.0**-800 <= trace <= 2.0**800:
-                return -math.inf, math.inf
             eigenvalues = hermitian_eigs(s, "frame operator")
-        except FrameRepError:  # S leaves the float range, or eigvalsh raises DecompositionFailed
+        except DecompositionFailed:
             return -math.inf, math.inf
-        radius = 16 * (k * n + n * n) * EPS * trace
+        radius = 16 * (k * n + n * n) * EPS * float(np.trace(s).real)
         return float(eigenvalues[0]) - radius, float(eigenvalues[-1]) + radius
 
     def _condition_below(self, t: float) -> bool:

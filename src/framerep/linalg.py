@@ -7,7 +7,9 @@ the one scale-safe entrywise 2-norm, the one exact split of an array's
 scale into a power of two (:func:`split_exponent`), refuse non-finite
 entries, take every checked matrix product, and every power of two a result
 is scaled by, on one exponent ledger that refuses it only when the product
-itself leaves the float range (:func:`finite_product`), freeze every array the
+itself leaves the float range (:func:`finite_product`), hold that ledger's
+one band ``[2^-969, 2^960)`` for every caller that keeps a product's power of
+two apart (:func:`ledger_pair`), freeze every array the
 package keeps (:func:`frozen`), and wrap the numpy/LAPACK decompositions
 behind the small set of operations the frame and representation modules rely
 on.  A LAPACK decomposition or inversion that fails raises
@@ -145,8 +147,11 @@ def inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     """``(a^-1 b, |a|_F, |a^-1|_F)`` for a square ``a`` and a vector ``b``, from one LU of ``a``.
 
-    None if ``a`` is singular to working precision (a zero pivot) or an entry
-    of ``a^-1 b`` or ``a^-1`` leaves the float range; no warning is emitted.
+    None if ``a`` is singular to working precision (a zero pivot), an entry
+    of ``a^-1 b`` or ``a^-1`` leaves the float range, or the LU lost ``a``:
+    ``|a|_F |a^-1|_F >= sqrt(n) >= 1`` for every invertible ``a``, so a
+    product below 1/2 (such as an ``a^-1`` underflowed to zero) is no
+    inverse.  No warning is emitted.
     """
     n = a.shape[0]
     try:
@@ -155,7 +160,8 @@ def solve_with_condition(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, floa
         return None
     if not _is_finite(x):
         return None
-    return x[:, 0], euclidean_norm(a), euclidean_norm(x[:, 1:])
+    norms = euclidean_norm(a), euclidean_norm(x[:, 1:])
+    return (x[:, 0], *norms) if norms[0] * norms[1] >= 0.5 else None
 
 
 def finite_product(what: str, *factors: np.ndarray, exponent: int = 0) -> np.ndarray:
@@ -168,7 +174,8 @@ def finite_product(what: str, *factors: np.ndarray, exponent: int = 0) -> np.nda
     for ``... B A v``, so that it runs right to left on vectors; ``v @ M.T``
     has the bits of ``M @ v``.
 
-    The direct product P is kept when its largest real or imaginary part lies
+    The product is :func:`ledger_pair`'s with no ceiling.  The direct
+    product P is kept when its largest real or imaginary part lies
     in ``[2^-969, inf)`` (2^-969 is tiny/eps: below it an entry may have lost
     digits to underflow) or when a factor is zero, which makes P exactly
     zero.  Otherwise P is recomputed on the exponent ledger: each factor and
@@ -186,37 +193,41 @@ def finite_product(what: str, *factors: np.ndarray, exponent: int = 0) -> np.nda
     FrameRepError
         Naming ``what``, if the product overflows or a factor is not finite.
     """
-    shift, out = _ledger_product(factors)
-    if shift is None and not exponent:
+    shift, out = ledger_pair(*factors, ceiling=np.inf)
+    if not (shift or exponent):
         return out
     with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(what, _ldexp(out, (shift or 0) + exponent))
+        return require_finite(what, _ldexp(out, shift + exponent))
 
 
 def product_norm_ratio(numerator: tuple, denominator: tuple) -> float:
     """``|P| / |Q|`` for the products P of ``numerator`` and Q of ``denominator``, 0 if Q is zero.
 
-    Each tuple of complex128 factors is multiplied as in :func:`finite_product`,
-    but neither product is scaled back: the ratio of the 2-norms is taken of
-    the ledger's ``P / 2^e`` and ``Q / 2^f`` (e and f 0 for a direct product)
-    and shifted by ``2^(e - f)``, so only the ratio can leave the float range.
-    A direct product with a part at or above 2^960, whose entries are in
-    range but whose norm may not be, is split as well.
+    The ratio of the 2-norms is taken of the :func:`ledger_pair` quotients
+    ``P / 2^e`` and ``Q / 2^f`` and shifted by ``2^(e - f)``, so only the
+    ratio can leave the float range.
     """
-    (e, p), (f, q) = (_ledger_product(factors, 2.0**960) for factors in (numerator, denominator))
-    reference, shift = euclidean_norm(q), (e or 0) - (f or 0)
+    (e, p), (f, q) = (ledger_pair(*factors) for factors in (numerator, denominator))
+    reference = euclidean_norm(q)
     ratio = euclidean_norm(p) / reference if reference > 0.0 else 0.0
-    if not shift:
+    if e == f:
         return ratio
     with np.errstate(over="ignore"):
-        return float(np.ldexp(ratio, shift))
+        return float(np.ldexp(ratio, e - f))
 
 
-def _ledger_product(factors, ceiling: float = np.inf) -> tuple[int | None, np.ndarray]:
-    """``(None, P)`` for :func:`finite_product`'s direct product P, else the ledger's ``(e, P / 2^e)``.
+def ledger_pair(*factors: np.ndarray, ceiling: float = 2.0**960) -> tuple[int, np.ndarray]:
+    """``(e, P / 2^e)`` for the product P of ``factors``, multiplied as in :func:`finite_product`.
 
-    A direct product whose largest part is at or above ``ceiling`` is returned
-    as its own :func:`split_exponent`, without recomputing it.
+    The one band rule of the package's float range.  A direct product whose
+    largest real or imaginary part lies in ``[2^-969, ceiling)``, or which
+    a zero factor makes exactly zero, is returned as it is, with e = 0.  One
+    at or above ``ceiling``, whose entries are in range but whose norm or
+    trace may not be, is returned as its own :func:`split_exponent`.  Any
+    other product (one that overflows, or lies below 2^-969) is recomputed
+    on the exponent ledger, and ``P / 2^e`` has its largest part in ``[1,
+    2)``.  A factor that is not finite leaves ``P / 2^e`` not finite, with e
+    = -1, :func:`split_exponent`'s exponent for it.
     """
     # a 1-d factor between two others is a diagonal, applied as a column scaling
     steps = [(np.multiply if factor.ndim == 1 and i < len(factors) - 1 else np.matmul, factor)
@@ -227,13 +238,14 @@ def _ledger_product(factors, ceiling: float = np.inf) -> tuple[int | None, np.nd
             out = multiply(out, factor)
         largest = _largest_part(out)
         if largest < np.inf and (largest >= 2.0**-969 or not all(map(np.any, factors))):
-            return (None, out) if largest < ceiling else split_exponent(out)
+            return (0, out) if largest < ceiling else split_exponent(out)
         exponent, out = split_exponent(factors[0])
         for multiply, factor in steps:
             factor_exponent, unit = split_exponent(factor)
             product_exponent, out = split_exponent(multiply(out, unit))
             exponent += factor_exponent + product_exponent
-    return exponent, out
+    # so finite_product never returns a product that is not finite unchecked
+    return (exponent, out) if _is_finite(out) else (-1, out)
 
 
 def require_finite(what: str, out: np.ndarray) -> np.ndarray:

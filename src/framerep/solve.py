@@ -7,6 +7,14 @@ solution coefficients with the dual frame.  ``d`` always lies in the analysis
 range, so it needs no projection.  A finite section solves the leading
 N x N block ``M_N c_N = d_N`` instead and pads ``c_N`` with zeros.
 
+Every path runs on g's mantissa: :func:`solve` first takes the
+:func:`~framerep.linalg.ledger_pair` ``(e_g, g / 2^e_g)`` of g, with e_g = 0
+inside the exponent ledger's band ``[2^-969, 2^960)``, and below g stands for
+``g / 2^e_g``.  The returned f and c take ``2^e_g`` as the ``exponent`` of
+their products, so the solve does not depend on g's scale beyond it: a g
+outside the band gives the bits of the same solve on its mantissa times
+``2^e_g``, wherever they are normal floats.
+
 Neither M nor ``M_N`` is formed, and neither is pseudo-inverted.  With the
 frame's QR ``C = Q R`` (see :mod:`framerep.frames`), ``D_dual = C^+ = R^-1
 Q*``, so ``M = Q X Q*`` for the n x n core ``X = R O R^-1``.  The relative
@@ -19,11 +27,14 @@ below ``rel_tol`` times the largest.
   solution ``R^-1 X^-1 R g`` is ``O^-1 g``, with ``c = C f``, as ``D_dual C
   = I``.  X is not formed, so no intermediate leaves the float range when
   the solution does not.  One LU of O gives ``O^-1 g``, ``|O|_F`` and
-  ``|O^-1|_F``; then ``Frame._condition_below`` (a screen without a QR on a
-  cold frame, see :mod:`framerep.frames`) answers whether B/A is below
+  ``|O^-1|_F`` (None, and so the cutoff path, when the LU lost O, see
+  :func:`~framerep.linalg.solve_with_condition`); then
+  ``Frame._condition_below`` (a screen without a QR on a cold frame at any
+  frame scale, see :mod:`framerep.frames`) answers whether B/A is below
   :func:`_certificate_threshold`.  True settles the frame check, the guard
   and the warning; any other answer reads the singular values, so the
-  report is the same bits.
+  report is the same bits.  Scaling ``O^-1 g`` by ``2^e_g`` is named, like
+  the cutoff path's solution, "solution R^-1 y".
 * Cutoff path (every other case: a section, a singular or ill-conditioned O,
   a large ``rel_tol``).  The solve reads the frame's R and works on ``Q* d
   = R g``; the solution is ``R^-1 y`` for ``y = Q* c``.
@@ -51,14 +62,16 @@ below ``rel_tol`` times the largest.
   not inverted again.
 
 Every path returns coefficients that synthesize its solution, ``f = D_dual
-c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from f after
-either path, and both are one ratio rule,
+c``, so ``M c - d = C (O f - g)``.  Both residuals are taken from the
+returned f after either path, divided back by ``2^e_g`` (exact, also for a
+subnormal f), against g's mantissa, and both are one ratio rule,
 :func:`~framerep.linalg.product_norm_ratio`: ``O f - g`` over g, and ``C (O
 f - g)`` over ``C g``, each norm read on the exponent ledger with its
 product's power of two kept apart, and 0 when the denominator is 0.  So
-neither norm underflows or overflows merely because of the scale of g or of
-the frame, also where a product's entries are in range and its norm is not,
-and ``C g`` is never refused.  Every solve costs O(K n^2 + n^3).
+neither the residual vector nor a norm underflows or overflows merely
+because of the scale of g or of the frame, also where a product's entries
+are in range and its norm is not, and ``C g`` is never refused.  Every solve
+costs O(K n^2 + n^3).
 """
 
 from __future__ import annotations
@@ -71,8 +84,8 @@ import numpy as np
 
 from .exceptions import SectionTooLarge
 from .frames import CONDITION_WARN_RATIO, Frame
-from .linalg import (EPS, as_vector, finite_product, product_norm_ratio, require_shape,
-                     solve_with_condition, svd)
+from .linalg import (EPS, as_vector, finite_product, ledger_pair, product_norm_ratio,
+                     require_shape, solve_with_condition, svd)
 from .represent import LinearOperator
 
 
@@ -144,8 +157,8 @@ def project_onto_analysis_range(frame: Frame, c) -> np.ndarray:
                           "analysis-range projection")
 
 
-#: What :func:`solve` names when the coefficients it returns leave the float range.
-_COEFFICIENTS = "solution's coefficient vector"
+#: What :func:`solve` names when the solution or the coefficients it returns leave the float range.
+_SOLUTION, _COEFFICIENTS = "solution R^-1 y", "solution's coefficient vector"
 
 
 def solve(op: LinearOperator, g, frame: Frame,
@@ -185,6 +198,8 @@ def solve(op: LinearOperator, g, frame: Frame,
     if n_section > k:
         raise SectionTooLarge(f"section {n_section} exceeds the {k} x {k} discretized system")
 
+    # every path runs on g's mantissa g / 2^e, e = 0 inside the ledger's band
+    g_exponent, g = ledger_pair(g)
     closed = solve_with_condition(op.matrix, g) if n_section == k else None
     if closed and frame._condition_below(_certificate_threshold(rel_tol, closed[1:])):
         f_hat, warning = closed[0], False
@@ -199,11 +214,16 @@ def solve(op: LinearOperator, g, frame: Frame,
     # formed on the way to them, are checked
     with np.errstate(over="ignore", invalid="ignore"):
         if f_hat is None:
-            f_hat, c = _solve_with_cutoff(op, g, frame, n_section, rel_tol)
+            f_hat, c = _solve_with_cutoff(op, g, frame, n_section, rel_tol, g_exponent)
+        elif g_exponent:
+            f_hat = finite_product(_SOLUTION, f_hat, exponent=g_exponent)
+        # the returned f over 2^e, exact also where f is subnormal; for e = 0 both
+        # scalings are skipped, as they change no bit and cost 1% of a cold solve
+        f_unit = finite_product(_SOLUTION, f_hat, exponent=-g_exponent) if g_exponent else f_hat
         if n_section == k:
             # D_dual C = I, so c = C f solves M c = d and lies in M's range
-            c = finite_product(_COEFFICIENTS, frame.analysis_matrix, f_hat)
-        operator_residual = op(f_hat) - g
+            c = finite_product(_COEFFICIENTS, frame.analysis_matrix, f_unit, exponent=g_exponent)
+        operator_residual = op(f_unit) - g
     return SolveReport(
         solution=f_hat,
         coefficients=c,
@@ -233,11 +253,12 @@ def _certificate_threshold(rel_tol: float, norms: tuple[float, float]) -> float:
     return CONDITION_WARN_RATIO if excess <= 1 else CONDITION_WARN_RATIO / excess
 
 
-def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
+def _solve_with_cutoff(op, g, frame, n_section, rel_tol, g_exponent):
     """``(f, c)`` of the factored cutoff solve (module docstring), f = D_dual c; c None if N = K.
 
-    Each is one :func:`~framerep.linalg.finite_product` chain from g, written
-    transposed (``g^T R^T ...``) so that it runs right to left on vectors.
+    Each is one :func:`~framerep.linalg.finite_product` chain from g's mantissa
+    ``g``, written transposed (``g^T R^T ...``) so that it runs right to left on
+    vectors, and times ``2^g_exponent``.
     """
     (exponent, r_unit), r_unit_inverse = frame._triangular_factor, frame._triangular_inverse
     # kappa(R) reaches sqrt(B/A), so X can overflow where O does not
@@ -245,15 +266,15 @@ def _solve_with_cutoff(op, g, frame, n_section, rel_tol):
     if n_section == frame.count:
         # f = R^-1 X^+ R g, in which p cancels between R/p and (R/p)^-1
         chain = (g, r_unit.T, *_cutoff_pseudoinverse(x, rel_tol, "discretized system's core"))
-        return finite_product("solution R^-1 y", *chain, r_unit_inverse.T), None
+        return finite_product(_SOLUTION, *chain, r_unit_inverse.T, exponent=g_exponent), None
     # M_N = Q_N X Q_N* = Q1 X_N Q1* with Q_N = C[:N] R^-1 = Q1 R1 and X_N = R1 X R1*,
     # so c_N = Q1 X_N^+ R1 R g and f = R^-1 Q_N* c_N = R^-1 R1* X_N^+ R1 R g
     q1, r1 = np.linalg.qr(finite_product("finite section's rows", frame.analysis_matrix[:n_section],
                                          r_unit_inverse, exponent=-exponent))
     core = finite_product("finite section's core", r1, x, r1.conj().T)
     chain = (g, r_unit.T, r1.T, *_cutoff_pseudoinverse(core, rel_tol, "finite section's core"))
-    f_hat = finite_product("solution R^-1 y", *chain, r1.conj(), r_unit_inverse.T)
-    c_n = finite_product(_COEFFICIENTS, *chain, q1.T, exponent=exponent)
+    f_hat = finite_product(_SOLUTION, *chain, r1.conj(), r_unit_inverse.T, exponent=g_exponent)
+    c_n = finite_product(_COEFFICIENTS, *chain, q1.T, exponent=exponent + g_exponent)
     return f_hat, np.concatenate((c_n, np.zeros(frame.count - n_section)))
 
 

@@ -87,6 +87,11 @@ ORDERS = {
                                        [CLOSED_FORM, SCREEN, R_ONLY_QR, R_VALUES]),
 }
 
+#: Frame scales at which a cold closed-form solve makes the calls it makes at
+#: scale 1: the screen reads S over its power of two where S leaves the float
+#: range or the exponent ledger's band, so no QR runs there.
+SCALES = {"1e150": 1e150, "1e-150": 1e-150, "2^1000": 2.0**1000, "2^-1000": 2.0**-1000}
+
 #: Entry points whose result is K x K: no peak-memory bound below K^2 holds.
 #: ``biorthogonal`` is not among them: for K > n it forms no Gram matrix.
 K_BY_K = {"gram", "matrix_of_operator", "Representation.compose"}
@@ -204,6 +209,12 @@ def test_decompositions_in_order(order, calls):
     ENTRY_POINTS[first](frame)
     ENTRY_POINTS[second](frame)
     assert calls == made
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_closed_form_at_every_frame_scale(scale, calls):
+    ENTRY_POINTS["solve closed form"](Frame(VECTORS * SCALES[scale]))
+    assert calls == TABLE["solve closed form"][0] == [CLOSED_FORM, SCREEN]
 
 
 @pytest.mark.parametrize("op_shape, section_size, error", [

@@ -29,6 +29,7 @@ from framerep import (
     solve,
 )
 from framerep.frames import CONDITION_WARN_RATIO, TIGHT_RTOL
+from framerep.linalg import ledger_pair
 from helpers import (
     LAYOUTS,
     conditioned_operator,
@@ -507,16 +508,16 @@ class TestSpectralLayers:
 
 
 class TestScreen:
-    """The cached one-sided screen on the bounds, a least A and a most B computed
-    from the eigenvalues of S, and the answer ``Frame._condition_below(t)`` gives
-    from it or from the singular values."""
+    """The cached one-sided screen on the bounds, a least A and a most B over a
+    power of two computed from the eigenvalues of ``S / 2^e'``, and the answer
+    ``Frame._condition_below(t)`` gives from it or from the singular values."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(1, 12),
         extra=st.integers(0, 40),
         log_condition=st.floats(0.0, 12.0),
-        exponent=st.sampled_from([0, 300, -300]),
+        exponent=st.sampled_from([0, 300, -300, 1000, -1000]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_encloses_the_exact_layers_bounds(self, n, extra, log_condition, exponent, seed):
@@ -524,9 +525,12 @@ class TestScreen:
         vectors = frame_with_condition(rng, n, n + extra, 10.0**log_condition).vectors
         frame = Frame(vectors * 2.0**exponent)
         a, b = frame._bounds_enclosure
-        s = frame.singular_values
-        assert a <= float(s[-1]) ** 2
-        assert float(s[0]) ** 2 <= b
+        # the enclosure is of S / 2^e', so compare (s / 2^h)^2 / 2^(e' - 2h), h = e' // 2
+        e = ledger_pair(frame.synthesis_matrix, frame.analysis_matrix)[0]
+        half = e // 2
+        s = np.ldexp(frame.singular_values, -half)
+        assert a <= float(s[-1]) ** 2 / 2.0 ** (e - 2 * half)
+        assert float(s[0]) ** 2 / 2.0 ** (e - 2 * half) <= b
 
     def test_true_implies_condition_below(self):
         answers = set()
@@ -536,7 +540,7 @@ class TestScreen:
             n=st.integers(1, 12),
             extra=st.integers(0, 40),
             log_condition=st.floats(0.0, 12.0),
-            exponent=st.sampled_from([0, 300, -300]),
+            exponent=st.sampled_from([0, 300, -300, 1000, -1000]),
             t=st.one_of(st.just(CONDITION_WARN_RATIO), st.floats(1.0, CONDITION_WARN_RATIO)),
             seed=st.integers(0, 2**32 - 1),
         )
@@ -554,8 +558,8 @@ class TestScreen:
         assert answers == {True, False}
 
     def test_exact_on_a_frame_holding_its_singular_values(self):
-        # the answer is the exact layer's, also 1e-12 from the condition and where
-        # the screen has no domain, and no frame operator is formed for it
+        # the answer is the exact layer's, also 1e-12 from the condition, and
+        # no screen is formed for it
         rng = np.random.default_rng(33)
         answers = set()
         for vectors in (frame_with_condition(rng, 4, 9, 10.0).vectors,
@@ -570,35 +574,37 @@ class TestScreen:
                 answer = frame._condition_below(t)
                 assert answer == (frame.is_frame and frame.condition < t), t
                 answers.add(answer)
-            assert "frame_operator" not in frame.__dict__
+            assert "_bounds_enclosure" not in frame.__dict__
         assert answers == {True, False}
 
-    def test_trivial_outside_its_domain(self):
+    def test_decides_at_every_frame_scale(self):
+        # where S leaves the ledger's band (S overflows at 1e160 and 2^1000, tr S
+        # passes 2^+-800 at 2^+-410), the screen reads S over its power of two
+        # and gives the scale-1 answer, with no warning and no QR
         rng = np.random.default_rng(31)
         vectors = random_complex(rng, 6, 3)
-
-        def outside(frame):
-            return (frame._bounds_enclosure == (-np.inf, np.inf)
-                    and not frame._condition_below(CONDITION_WARN_RATIO))
-
         # K < n: A = 0, and the frame check refuses the enclosure's a <= 0
         k_below_n = Frame(vectors[:2])
         assert k_below_n._bounds_enclosure[0] <= 0
         assert not k_below_n._condition_below(CONDITION_WARN_RATIO)
-        assert outside(Frame(vectors * 1e160))  # S overflows
-        # tr S outside [2^-800, 2^800], S itself finite
-        for exponent in (410, -410):
-            frame = Frame(vectors * 2.0**exponent)
-            assert np.isfinite(frame.frame_operator).all()
-            assert outside(frame)
-        assert Frame(vectors * 2.0**390)._condition_below(CONDITION_WARN_RATIO)
+        condition = Frame(vectors).condition
+        thresholds = (condition * 0.99, condition * 1.01, CONDITION_WARN_RATIO)
+        expected = [Frame(vectors)._condition_below(t) for t in thresholds]
+        assert expected == [False, True, True]
+        for scale in (1e160, 1e-160, 2.0**410, 2.0**-410, 2.0**1000, 2.0**-1000):
+            frame = Frame(vectors * scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert [frame._condition_below(t) for t in thresholds] == expected, scale
+            assert "_triangular_factor" not in frame.__dict__
+            assert "frame_operator" not in frame.__dict__
 
     @pytest.mark.parametrize("t", [1.0, 0.75, np.nan])
     def test_refuses_a_threshold_not_above_one_unread(self, t):
-        # B/A >= 1 for every family: no frame operator and no QR to refuse t <= 1 or NaN
+        # B/A >= 1 for every family: no screen and no QR to refuse t <= 1 or NaN
         frame = frame_with_condition(np.random.default_rng(34), 4, 9, 1.0)
         assert not frame._condition_below(t)
-        assert "frame_operator" not in frame.__dict__
+        assert "_bounds_enclosure" not in frame.__dict__
         assert "_triangular_factor" not in frame.__dict__
 
     def test_decides_and_never_reports(self):

@@ -325,6 +325,19 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             solve(identity_operator(2), [1, 0, 0], psi0)
 
+    @pytest.mark.parametrize("rel_tol", [None, 0.5])
+    def test_lu_that_lost_the_operator_falls_to_the_cutoff_path(self, rel_tol):
+        # O^-1 underflows in the LU, so |O|_F |O^-1|_F, at least 1 for every
+        # invertible O, reads 0: the closed form is refused, and the cutoff
+        # path returns O^-1 g = 1e300 / (1.2e308 (1 + i)) to rounding
+        op = LinearOperator([[1.2e308 + 1.2e308j]])
+        with cutoff_solves() as runs:
+            report = solve(op, [1e300], Frame([[1.0], [1.0]]), SolveOptions(rel_tol=rel_tol))
+        assert len(runs) == 1
+        expected = 1e300 / 1.2e308 * (0.5 - 0.5j)
+        assert abs(report.solution[0] - expected) <= 1e-15 * abs(expected)
+        assert report.residual_operator <= 1e-15 and report.residual_matrix <= 1e-15
+
 
 class TestSolveOptions:
     def test_defaults(self):
@@ -510,7 +523,7 @@ class TestScreenedSolve:
             log_offset=st.floats(-12.0, -6.0),
             side=st.sampled_from([-1.0, 1.0]),
             log_condition=st.floats(0.0, 8.0),
-            # the screen's window on tr S holds 2^+-300 frames, not 2^+-500 ones
+            # the screen decides at every frame scale, S beyond the float range too
             exponent=st.sampled_from([0, 300, -300, 500, -500]),
             seed=st.integers(0, 2**32 - 1),
         )
@@ -566,12 +579,16 @@ class TestScreenedSolve:
         assert "singular_values" in cold.__dict__
 
     def test_trace_overflow_leaks_no_warning(self):
-        # S's entries are finite but tr S overflows: the screen has no domain there
-        frame = Frame([[1.2e154, 0], [0, 1.2e154], [1e150, 1e150]])
+        # S's entries are finite but tr S overflows: the screen reads S over its
+        # power of two and decides as at scale 1, with no QR
+        vectors = np.array([[1.2, 0], [0, 1.2], [1e-4, 1e-4]])
+        frame = Frame(vectors * 1e154)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = solve(identity_operator(2), [1, 1], frame)
-        assert frame._bounds_enclosure == (-np.inf, np.inf)
+            decided = frame._condition_below(CONDITION_WARN_RATIO)
+        assert decided and decided == Frame(vectors)._condition_below(CONDITION_WARN_RATIO)
+        assert "_triangular_factor" not in frame.__dict__
         assert np.array_equal(report.solution, [1, 1])
         assert report.residual_operator == 0 and report.residual_matrix == 0
 
@@ -666,9 +683,9 @@ class TestScaleEquivariance:
 
     @pytest.mark.parametrize("section", [False, True], ids=["full", "section"])
     def test_residual_operator_below_the_ledger_floor(self, section):
-        # O f - g and g near 2^-1000 have subnormal parts, whose complex moduli
-        # lose digits on the subnormal grid unless each vector is first divided
-        # by its power of two; the ratio is that of the norms at 2^1000
+        # O f - g and g near 2^-1000 have subnormal parts, which lose digits on
+        # the subnormal grid unless the residual is formed and its norm read on
+        # g's mantissa; the ratio is that of the norms formed at 2^1000
         for seed in range(200):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(1, 5))
@@ -677,8 +694,8 @@ class TestScaleEquivariance:
             g = _ldexp(random_complex(rng, n), -int(rng.integers(970, 1061)))
             options = SolveOptions(section_size=max(1, frame.count // 2) if section else None)
             report = solve(op, g, frame, options)
-            r = op(report.solution) - g
-            expected = np.linalg.norm(_ldexp(r, 1000)) / np.linalg.norm(_ldexp(g, 1000))
+            r = op(_ldexp(report.solution, 1000)) - _ldexp(g, 1000)
+            expected = np.linalg.norm(r) / np.linalg.norm(_ldexp(g, 1000))
             assert report.residual_operator == pytest.approx(expected, rel=1e-15, abs=0), seed
 
     def test_section_of_a_subnormal_rhs(self):
@@ -697,6 +714,28 @@ class TestScaleEquivariance:
                 warnings.simplefilter("error")
                 report = solve(op, g, frame, options)
             assert rel(_ldexp(report.solution, 1040), base.solution) <= 1e-15, seed
+
+    @pytest.mark.parametrize("path", ["closed", "section", "cutoff"])
+    def test_subnormal_rhs_runs_on_its_mantissa(self, path):
+        # f is about 2^-907, a normal float, while g at 2^-1040 is subnormal: the
+        # LU, the chains' partial products and c run on g / 2^e, so f and c are
+        # the bits of the same solve at 2^1040 times 2^-1040
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 5))
+            frame = Frame(random_complex(rng, 2 * n + 2, n))
+            op = LinearOperator(1e-40 * random_unitary(rng, n))
+            g = _ldexp(random_complex(rng, n), -1040)
+            options = {"closed": SolveOptions(),
+                       "section": SolveOptions(section_size=frame.count - 1),
+                       "cutoff": SolveOptions(rel_tol=0.5)}[path]
+            base = solve(op, _ldexp(g, 1040), frame, options)
+            with cutoff_solves() as runs:
+                report = solve(op, g, frame, options)
+            assert bool(runs) == (path != "closed"), seed
+            _assert_scaled(report.solution, base.solution, -1040, seed)
+            _assert_scaled(report.coefficients, base.coefficients, -1040, seed)
+            assert report.residual_operator == base.residual_operator, seed
 
     @pytest.mark.parametrize("frame_scale, op_scale", [(1e-170, 1e-170), (1e-100, 1e-250)])
     def test_solution_beyond_the_product_of_scales(self, frame_scale, op_scale):

@@ -44,15 +44,19 @@ SOURCES = sorted(Path(framerep.__file__).parent.glob("*.py"))
     ("__dict__", {"frames.py", "linalg.py"}),
     # the QR's Q is applied by the frame alone, in Frame._project and the canonical dual
     ("_orthonormal_factor", {"frames.py"}),
-    # the library stays silent: only the command line writes to stdout or stderr
     # the solver multiplies only through finite_product's exponent ledger
     (" @ ", {path.name for path in SOURCES} - {"solve.py"}),
+    # the exponent ledger's one band, [2^-969, 2^960), is stated only in linalg
+    ("2.0**-969", {"linalg.py"}),
+    ("2.0**960", {"linalg.py"}),
+    # the library stays silent: only the command line writes to stdout or stderr
     ("print(", {"cli.py"}),
     ("sys.stdout", {"cli.py"}),
     ("sys.stderr", {"cli.py"}),
 ], ids=["norm", "euclidean_norm", "dimension_check", "freeze", "frexp", "ldexp",
         "split_exponent", "require_finite", "environ", "svd", "inv", "solve", "pinv", "eig", "qr",
-        "inverse", "dict", "q_factor", "raw_product", "print", "stdout", "stderr"])
+        "inverse", "dict", "q_factor", "raw_product", "ledger_floor", "ledger_ceiling", "print",
+        "stdout", "stderr"])
 def test_rule_has_one_home(pattern, homes):
     assert SOURCES
     strays = [path.name for path in SOURCES if path.name not in homes
